@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .classical import cl, reduct
 from .fixpoint import kleene
-from .prefwfs import defeats
-from .syntax import Literal, OrderedProgram, ProgramError, Rule
+from .prefwfs import defeated_rules
+from .syntax import Literal, OrderedProgram, Rule
 
 __all__ = [
     "cl",
@@ -32,38 +33,9 @@ __all__ = [
 ]
 
 
-def _reduct_raw(rules: Sequence[Rule], x: frozenset[Literal]) -> tuple[Rule, ...]:
-    return tuple(r.reduct_rule() for r in rules if not (r.nbody & x))
-
-
-def cl(rules: Sequence[Rule]) -> frozenset[Literal]:
-    """Smallest set closed under a basic program; no consistency collapse."""
-    for r in rules:
-        if r.nbody:
-            raise ProgramError(f"cl requires a basic program, got {r}")
-    derived: set[Literal] = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in rules:
-            if r.head not in derived and r.pbody <= derived:
-                derived.add(r.head)
-                changed = True
-    return frozenset(derived)
-
-
 def c_star(rules: Sequence[Rule], x: frozenset[Literal]) -> frozenset[Literal]:
     """Paraconsistent consequences of the reduct relative to x."""
-    return cl(_reduct_raw(rules, x))
-
-
-def defeated_rules(
-    op: OrderedProgram, r: Rule, x: frozenset[Literal]
-) -> tuple[Rule, ...]:
-    """The rules strictly below r that r defeats at state x."""
-    return tuple(
-        lower for lower in op.rules_below[r.name] if defeats(r, lower, x)
-    )
+    return cl(reduct(rules, x))
 
 
 def t_star_step(
@@ -74,7 +46,7 @@ def t_star_step(
     For each rule r the blocking context is cl(reduct(rules, y) minus the
     reducts of the rules r defeats); removal goes by rule name.
     """
-    base = _reduct_raw(op.rules, y)
+    base = reduct(op.rules, y)
     heads = set()
     for r in op.rules:
         if not (r.pbody <= x):

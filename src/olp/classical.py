@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .fixpoint import FixpointTrace, iterate_union, kleene_trace
+from .fixpoint import FixpointTrace, kleene_trace
 from .syntax import (
     Interpretation,
     Literal,
@@ -27,6 +27,7 @@ from .syntax import (
 __all__ = [
     "is_active",
     "reduct",
+    "cl",
     "cn",
     "t_step",
     "c_op",
@@ -64,15 +65,11 @@ def reduct(
     )
 
 
-def cn(rules: Sequence[Rule], universe: frozenset[Literal]) -> Interpretation:
-    """Smallest logically closed set closed under a basic program.
-
-    Collapses to the full universe as soon as a complementary pair is
-    derivable.
-    """
+def cl(rules: Sequence[Rule]) -> frozenset[Literal]:
+    """Smallest set closed under a basic program; no consistency collapse."""
     for r in rules:
         if r.nbody:
-            raise ProgramError(f"cn requires a basic program, got {r}")
+            raise ProgramError(f"closure requires a basic program, got {r}")
     derived: set[Literal] = set()
     changed = True
     while changed:
@@ -81,9 +78,16 @@ def cn(rules: Sequence[Rule], universe: frozenset[Literal]) -> Interpretation:
             if r.head not in derived and r.pbody <= derived:
                 derived.add(r.head)
                 changed = True
-    if not is_consistent(derived):
-        return Interpretation.lit(universe)
-    return Interpretation.of(derived)
+    return frozenset(derived)
+
+
+def cn(rules: Sequence[Rule], universe: frozenset[Literal]) -> Interpretation:
+    """Smallest logically closed set closed under a basic program.
+
+    Collapses to the full universe as soon as a complementary pair is
+    derivable.
+    """
+    return Interpretation.collapse(cl(rules), universe)
 
 
 def t_step(
@@ -96,25 +100,16 @@ def t_step(
     consistent."""
     if x.is_lit:
         return Interpretation.lit(universe)
-    heads = frozenset(r.head for r in rules if is_active(r, x, y))
-    if not is_consistent(heads):
-        return Interpretation.lit(universe)
-    return Interpretation(heads)
+    return Interpretation.collapse(
+        (r.head for r in rules if is_active(r, x, y)), universe
+    )
 
 
 def c_op(
     rules: Sequence[Rule], x: Interpretation, universe: frozenset[Literal]
 ) -> Interpretation:
     """Consequences of the reduct relative to x."""
-    result = cn(reduct(rules, x), universe)
-    if __debug__:
-        # The reduct-free route must agree: iterate the blocking-context
-        # step with x as the context.
-        alt = iterate_union(
-            lambda cur: t_step(rules, x, cur, universe), universe
-        )
-        assert alt == result, f"consequence routes disagree: {alt} vs {result}"
-    return result
+    return cn(reduct(rules, x), universe)
 
 
 def a_op(
@@ -169,5 +164,4 @@ def well_founded_model(
 ) -> PartialModel:
     """(lfp, universe minus the consequences of the lfp)."""
     lfp, _ = well_founded_fixpoint(rules, universe)
-    false = universe - c_op(rules, lfp, universe).literals
-    return PartialModel(lfp.literals, false)
+    return PartialModel.from_fixpoint(lfp, c_op(rules, lfp, universe), universe)

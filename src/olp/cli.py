@@ -1,7 +1,7 @@
 """Command-line front end: check, solve, bench, fuzz.
 
-Exit codes: 0 ok, 1 parse or semantic input error, 2 I/O error,
-3 internal fixpoint divergence.
+Exit codes: 0 ok, 1 input error (parse, semantic, enumeration cap or
+non-UTF-8 text), 2 I/O error, 3 internal fixpoint divergence.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .syntax import (
     Literal,
     OrderedProgram,
     PartialModel,
+    ProgramError,
     mentioned_literals,
 )
 
@@ -34,10 +35,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IO = 2
 EXIT_DIVERGENCE = 3
-
-
-def _render_set(literals: Iterable[Literal]) -> str:
-    return "{" + ", ".join(sorted(map(str, literals))) + "}"
 
 
 def _sorted_strs(literals: Iterable[Literal]) -> list[str]:
@@ -98,15 +95,8 @@ def _model_trace(
 def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
     mode = args.mode
     if mode in ("wfs", "pwfs", "pwfs-simplistic"):
-        if mode == "wfs":
-            lfp, trace = classical.well_founded_fixpoint(op.rules, op.universe)
-            false = op.universe - classical.c_op(op.rules, lfp, op.universe).literals
-            model = PartialModel(lfp.literals, false)
-            variant = None
-        else:
-            variant = "paper" if mode == "pwfs" else "simplistic"
-            model = prefwfs.preferred_wf_model(op, variant)
-            _, trace = prefwfs.preferred_wfs_fixpoint(op, variant)
+        variant = {"wfs": None, "pwfs": "paper", "pwfs-simplistic": "simplistic"}[mode]
+        model, trace = prefwfs.wf_model_trace(op, variant)
         payload = _model_payload(mode, model, op, args.atoms_only)
         if args.trace:
             payload["trace"] = _model_trace(op, trace, variant)
@@ -288,7 +278,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, ProgramError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

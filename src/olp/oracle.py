@@ -17,6 +17,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from . import brewka, classical, preference, prefwfs
+from .fixpoint import iterate_union
 from .parser import render_program
 from .syntax import (
     Atom,
@@ -305,6 +306,18 @@ def check_theorems(
             break
     else:
         battery.check("c-anti-monotone", True)
+    # c_op's reduct route must agree with iterating the blocking-context
+    # step with x as the context.
+    for x in (x for pair in pairs for x in pair):
+        direct = classical.c_op(rules, x, universe)
+        stepped = iterate_union(
+            lambda cur: classical.t_step(rules, x, cur, universe), universe
+        )
+        if stepped != direct:
+            battery.check("c-op-routes-agree", False, f"{x} -> {stepped} vs {direct}")
+            break
+    else:
+        battery.check("c-op-routes-agree", True)
     for small, big in pairs:
         if not classical.a_op(rules, small, universe).issubset(
             classical.a_op(rules, big, universe)

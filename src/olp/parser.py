@@ -38,7 +38,6 @@ __all__ = [
     "ParseErrorKind",
     "parse_program",
     "render_program",
-    "render_literal",
 ]
 
 
@@ -265,10 +264,6 @@ def parse_program(text: str) -> OrderedProgram:
             str(exc),
         ) from exc
     return OrderedProgram(tuple(rules), order)
-
-
-def render_literal(lit: Literal) -> str:
-    return str(lit)
 
 
 def render_program(p: OrderedProgram) -> str:

@@ -44,10 +44,7 @@ def tp_step(
         )
         if not blocked:
             heads.append(r.head)
-    step = frozenset(heads)
-    if any(lit.complement() in step for lit in step):
-        return Interpretation.lit(op.universe)
-    return Interpretation(step)
+    return Interpretation.collapse(heads, op.universe)
 
 
 def cp_op(op: OrderedProgram, x: Interpretation) -> Interpretation:

@@ -21,21 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classical import c_op
+from . import classical
 from .fixpoint import FixpointTrace, iterate_union, kleene_trace
-from .syntax import (
-    Interpretation,
-    Literal,
-    OrderedProgram,
-    PartialModel,
-    Rule,
-    is_consistent,
-)
+from .syntax import Interpretation, Literal, OrderedProgram, PartialModel, Rule
 
 __all__ = [
     "VARIANTS",
     "DefeatContext",
     "defeats",
+    "defeated_rules",
     "d_set",
     "d_set_simplistic",
     "tpn_step",
@@ -44,6 +38,7 @@ __all__ = [
     "preferred_wfs_set",
     "preferred_wfs_fixpoint",
     "preferred_wf_model",
+    "wf_model_trace",
     "defeat_contexts",
 ]
 
@@ -74,6 +69,15 @@ def defeats(
     return bool((xs | {r.head}) & r2.nbody)
 
 
+def defeated_rules(
+    op: OrderedProgram, r: Rule, x: Interpretation | frozenset[Literal]
+) -> tuple[Rule, ...]:
+    """The rules strictly below r that r defeats at state x."""
+    return tuple(
+        lower for lower in op.rules_below[r.name] if defeats(r, lower, x)
+    )
+
+
 def _removable(
     op: OrderedProgram, r: Rule, x: Interpretation, y: Interpretation, lit: Literal
 ) -> bool:
@@ -97,11 +101,7 @@ def d_set_simplistic(
     op: OrderedProgram, r: Rule, x: Interpretation
 ) -> frozenset[Literal]:
     """Heads of the rules below r that r defeats at state x."""
-    return frozenset(
-        lower.head
-        for lower in op.rules_below[r.name]
-        if defeats(r, lower, x)
-    )
+    return frozenset(lower.head for lower in defeated_rules(op, r, x))
 
 
 def _blocked(
@@ -127,14 +127,12 @@ def tpn_step(
     _check_variant(variant)
     if x.is_lit:
         return Interpretation.lit(op.universe)
-    heads = frozenset(
+    heads = (
         r.head
         for r in op.rules
         if r.pbody <= x.literals and not _blocked(op, r, x, y, variant)
     )
-    if not is_consistent(heads):
-        return Interpretation.lit(op.universe)
-    return Interpretation(heads)
+    return Interpretation.collapse(heads, op.universe)
 
 
 def cpn_op(
@@ -154,7 +152,7 @@ def apn_op(
 ) -> Interpretation:
     """Alternating operator: classical consequences inside, defeat-aware
     consequences outside."""
-    return cpn_op(op, c_op(op.rules, x, op.universe), variant)
+    return cpn_op(op, classical.c_op(op.rules, x, op.universe), variant)
 
 
 def preferred_wfs_fixpoint(
@@ -179,24 +177,31 @@ def preferred_wfs_set(
 def preferred_wf_model(
     op: OrderedProgram, variant: str = VARIANT_PAPER
 ) -> PartialModel:
-    """(lfp, universe minus consequences of the lfp).
+    """(lfp, universe minus consequences of the lfp)."""
+    _check_variant(variant)
+    return wf_model_trace(op, variant)[0]
 
-    Falsity is judged against the classical consequences for the default
-    variant.  The simplistic variant can make heads true that the classical
-    operator refutes, so its false set is judged against its own
-    consequence operator; otherwise the model would not stay disjoint.
+
+def wf_model_trace(
+    op: OrderedProgram, variant: str | None
+) -> tuple[PartialModel, FixpointTrace]:
+    """The standard (variant None) or preferred well-founded model of op,
+    with the trace of its fixpoint.
+
+    Falsity is judged against the classical consequences, except for the
+    simplistic variant: it can make heads true that the classical operator
+    refutes, so its false set is judged against its own consequence
+    operator; otherwise the model would not stay disjoint.
     """
-    lfp, _ = preferred_wfs_fixpoint(op, variant)
+    if variant is None:
+        lfp, trace = classical.well_founded_fixpoint(op.rules, op.universe)
+    else:
+        lfp, trace = preferred_wfs_fixpoint(op, variant)
     if variant == VARIANT_SIMPLISTIC:
         supported = cpn_op(op, lfp, variant)
     else:
-        supported = c_op(op.rules, lfp, op.universe)
-    # On contradictory programs the fixpoint can collapse to the whole
-    # universe while the classical consequences of it stay small; a literal
-    # is reported false only when it is neither supported nor true.
-    return PartialModel(
-        lfp.literals, op.universe - supported.literals - lfp.literals
-    )
+        supported = classical.c_op(op.rules, lfp, op.universe)
+    return PartialModel.from_fixpoint(lfp, supported, op.universe), trace
 
 
 def defeat_contexts(

@@ -153,64 +153,56 @@ def rule(
 
 @dataclass(frozen=True)
 class PreferenceOrder:
-    """A strict partial order on rule names, stored transitively closed.
+    """A strict partial order on rule names, stored closed as bitsets.
 
-    ``(a, b) in pairs`` means rule b has higher priority than rule a.
-    ``generators`` keeps the pairs as originally declared so that a program
-    can be rendered back without materialising the closure.
+    Bit j of ``above[i]`` is set when rule ``rule_names[j]`` has higher
+    priority than rule ``rule_names[i]``.  ``generators`` keeps the pairs as
+    originally declared so that a program can be rendered back without
+    materialising the closure; orders are equal when their declared pairs
+    are.
     """
 
-    pairs: frozenset[tuple[str, str]] = frozenset()
-    generators: frozenset[tuple[str, str]] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.generators is None:
-            object.__setattr__(self, "generators", self.pairs)
-        for a, b in self.pairs:
-            if a == b:
-                raise CycleError(a)
-        closed = _transitive_closure(self.pairs)
-        if closed != self.pairs:
-            raise ProgramError("preference pairs are not transitively closed")
+    generators: frozenset[tuple[str, str]] = frozenset()
+    rule_names: tuple[str, ...] = field(default=(), compare=False)
+    above: tuple[int, ...] = field(default=(), compare=False)
 
     @classmethod
     def empty(cls) -> "PreferenceOrder":
-        return cls(frozenset(), frozenset())
+        return cls()
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.rule_names)}
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[str, str]]:
+        """The closed pairs ``(lower, higher)``, built only when read."""
+        names = self.rule_names
+        return frozenset(
+            (names[i], names[j])
+            for i, bits in enumerate(self.above)
+            for j in _bits(bits)
+        )
 
     def prefers(self, lower: str, higher: str) -> bool:
-        return (lower, higher) in self.pairs
+        i = self._position.get(lower)
+        j = self._position.get(higher)
+        return i is not None and j is not None and bool(self.above[i] >> j & 1)
 
     def names(self) -> frozenset[str]:
-        return frozenset(n for pair in self.pairs for n in pair)
+        # Closing the declared pairs adds no name.
+        return frozenset(n for pair in self.generators for n in pair)
 
     def __bool__(self) -> bool:
-        return bool(self.pairs)
+        return any(self.above)
 
 
-def _transitive_closure(
-    pairs: Iterable[tuple[str, str]],
-) -> frozenset[tuple[str, str]]:
-    above: dict[str, set[str]] = {}
-    for a, b in pairs:
-        above.setdefault(a, set()).add(b)
-    closed: dict[str, frozenset[str]] = {}
-
-    def reach(name: str, pending: tuple[str, ...]) -> frozenset[str]:
-        if name in closed:
-            return closed[name]
-        if name in pending:
-            # A cycle; report it through the reflexive pair instead.
-            return frozenset(above.get(name, ()))
-        acc: set[str] = set()
-        for nxt in above.get(name, ()):
-            acc.add(nxt)
-            acc |= reach(nxt, pending + (name,))
-        result = frozenset(acc)
-        if name not in pending:
-            closed[name] = result
-        return result
-
-    return frozenset((a, b) for a in above for b in reach(a, ()))
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def validate_order(
@@ -218,20 +210,43 @@ def validate_order(
 ) -> PreferenceOrder:
     """Close ``pairs`` transitively and reject cycles and unknown names.
 
-    Raises CycleError if the closure contains a reflexive pair and
-    UnknownRuleError if a pair names a rule that does not exist.
+    Raises CycleError, naming a rule on a cycle, if the closure would be
+    reflexive, and UnknownRuleError if a pair names a rule that does not
+    exist.
     """
     pairs = frozenset(pairs)
-    known = {r.name for r in rules}
+    names = tuple(r.name for r in rules)
+    position = {name: i for i, name in enumerate(names)}
     for pair in pairs:
         for name in pair:
-            if name not in known:
+            if name not in position:
                 raise UnknownRuleError(name)
-    closed = _transitive_closure(pairs)
-    for a, b in closed:
-        if a == b:
-            raise CycleError(a)
-    return PreferenceOrder(closed, pairs)
+    direct = [0] * len(names)
+    lower: list[list[int]] = [[] for _ in names]
+    for a, b in pairs:
+        direct[position[a]] |= 1 << position[b]
+        lower[position[b]].append(position[a])
+    # Kahn's algorithm from the top: a rule's closure is final once every
+    # rule directly above it is done.
+    waiting = [bits.bit_count() for bits in direct]
+    above = [0] * len(names)
+    done = [i for i, count in enumerate(waiting) if not count]
+    for j in done:
+        for i in lower[j]:
+            above[i] |= above[j] | 1 << j
+            waiting[i] -= 1
+            if not waiting[i]:
+                done.append(i)
+    if len(done) < len(names):
+        # Every rule left waits on a rule above it that is also left, so
+        # climbing through those rules must revisit one: it is on a cycle.
+        i = next(i for i, count in enumerate(waiting) if count)
+        seen = set()
+        while i not in seen:
+            seen.add(i)
+            i = next(j for j in _bits(direct[i]) if waiting[j])
+        raise CycleError(names[i])
+    return PreferenceOrder(pairs, names, tuple(above))
 
 
 @dataclass(frozen=True)
@@ -262,22 +277,21 @@ class OrderedProgram:
     @cached_property
     def rules_above(self) -> dict[str, tuple[Rule, ...]]:
         """For each rule name, the rules of strictly higher priority."""
-        return {
-            r.name: tuple(
-                r2 for r2 in self.rules if self.order.prefers(r.name, r2.name)
-            )
-            for r in self.rules
-        }
+        names = self.order.rule_names
+        above = dict.fromkeys(self.by_name, ())
+        for name, bits in zip(names, self.order.above):
+            if bits:
+                above[name] = tuple(self.by_name[names[j]] for j in _bits(bits))
+        return above
 
     @cached_property
     def rules_below(self) -> dict[str, tuple[Rule, ...]]:
         """For each rule name, the rules of strictly lower priority."""
-        return {
-            r.name: tuple(
-                r2 for r2 in self.rules if self.order.prefers(r2.name, r.name)
-            )
-            for r in self.rules
-        }
+        below: dict[str, list[Rule]] = {r.name: [] for r in self.rules}
+        for r in self.rules:
+            for higher in self.rules_above[r.name]:
+                below[higher.name].append(r)
+        return {name: tuple(rs) for name, rs in below.items()}
 
     @cached_property
     def generators_of(self) -> dict[Literal, tuple[Rule, ...]]:
@@ -358,6 +372,14 @@ class Interpretation:
     def lit(cls, universe: Iterable[Literal]) -> "Interpretation":
         return cls(frozenset(universe), is_lit=True)
 
+    @classmethod
+    def collapse(
+        cls, literals: Iterable[Literal], universe: Iterable[Literal]
+    ) -> "Interpretation":
+        """``literals`` if consistent, else the whole universe as Lit."""
+        literals = frozenset(literals)
+        return cls(literals) if is_consistent(literals) else cls.lit(universe)
+
     @property
     def consistent(self) -> bool:
         return not self.is_lit
@@ -393,6 +415,17 @@ class PartialModel:
             raise ProgramError(
                 f"partial model overlap: {sorted(map(str, overlap))}"
             )
+
+    @classmethod
+    def from_fixpoint(
+        cls, lfp: Interpretation, supported: Interpretation, universe: frozenset
+    ) -> "PartialModel":
+        """lfp is true; a literal neither true nor supported by lfp is false.
+
+        A fixpoint can collapse to the whole universe while what it
+        supports stays small, so true literals are never reported false.
+        """
+        return cls(lfp.literals, universe - supported.literals - lfp.literals)
 
     def unknown(self, universe: Iterable[Literal]) -> frozenset[Literal]:
         return frozenset(universe) - self.true_set - self.false_set

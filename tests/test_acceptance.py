@@ -117,6 +117,7 @@ def batch_reports():
 
 THEOREM_INVARIANTS = (
     "c-anti-monotone",
+    "c-op-routes-agree",
     "a-monotone",
     "cp-anti-monotone",
     "ap-monotone",

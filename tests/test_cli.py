@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -198,6 +199,64 @@ class TestSolveErrors:
         monkeypatch.setattr(cli.classical, "well_founded_fixpoint", explode)
         code, _, err = run(capsys, "solve", str(CORPUS / "ex3.olp"), "--mode", "wfs")
         assert code == 3 and "internal error" in err
+
+
+TWENTY_FIVE_HEADS = "".join(f"p{k}.\n" for k in range(25)).encode()
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "content, mode, code",
+        [
+            (TWENTY_FIVE_HEADS, "as", 1),
+            (TWENTY_FIVE_HEADS, "pas", 1),
+            (b"r1: a.\n\xff\xfe\n", "wfs", 1),
+            (b"", "wfs", 0),
+            (b"% only a comment\n", "wfs", 0),
+            (None, "wfs", 2),
+        ],
+        ids=["as-25-heads", "pas-25-heads", "non-utf8", "empty", "comment-only", "directory"],
+    )
+    def test_exit_code_and_one_line_of_stderr(self, capsys, tmp_path, content, mode, code):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "input.olp"
+            path.write_bytes(content)
+        got, _, err = run(capsys, "solve", str(path), "--mode", mode)
+        assert got == code
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+        else:
+            assert err == ""
+
+
+class TestOneFixpointPerSolve:
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize(
+        "mode, fixpoint",
+        [
+            ("wfs", "well_founded_fixpoint"),
+            ("pwfs", "preferred_wfs_fixpoint"),
+            ("pwfs-simplistic", "preferred_wfs_fixpoint"),
+        ],
+    )
+    def test_top_level_fixpoint_runs_once(self, capsys, monkeypatch, mode, fixpoint, trace):
+        from olp import classical, prefwfs
+
+        calls = Counter()
+        for module, name in (
+            (classical, "well_founded_fixpoint"),
+            (prefwfs, "preferred_wfs_fixpoint"),
+        ):
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        argv = ["solve", str(CORPUS / "ex5.olp"), "--mode", mode, "--json"]
+        code, _, _ = run(capsys, *argv, *(["--trace"] if trace else []))
+        assert code == 0
+        assert calls == {fixpoint: 1}
 
 
 class TestFuzz:

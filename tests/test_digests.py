@@ -1,0 +1,87 @@
+"""Digest gate: ``olp solve`` output must stay byte-identical.
+
+``solve_digests.json`` holds the sha256 of the standard output of
+``olp solve FILE --mode M --json`` for every mode over the corpus, two
+chain programs and the first 200 programs of the criterion-7 batch, and of
+``--json --trace`` for every mode that has a trace over the corpus and the
+chains.  A refactor of an engine must reproduce every digest.  After an
+intended change of output, re-record with
+
+    PYTHONPATH=src python -m tests.test_digests
+"""
+
+import hashlib
+import json
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+from olp.cli import main
+from olp.oracle import GeneratorConfig, chain_program, generate_program
+from olp.parser import render_program
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).resolve().parent / "solve_digests.json"
+MODES = ("wfs", "pwfs", "pwfs-simplistic", "as", "pas", "brewka", "lfp-ap")
+TRACE_MODES = ("wfs", "pwfs", "pwfs-simplistic", "brewka", "lfp-ap")
+BATCH_SEED = 20260811
+BATCH_PROGRAMS = 200
+
+
+def _programs(workdir: Path) -> dict[str, Path]:
+    paths = {
+        f"corpus-{path.stem}": path
+        for path in sorted((ROOT / "corpus").glob("*.olp"))
+    }
+    generated = {f"chain{n}": chain_program(n) for n in (10, 60)}
+    for i in range(BATCH_PROGRAMS):
+        seed = BATCH_SEED + i
+        generated[f"g{seed}"] = generate_program(GeneratorConfig(seed=seed))
+    for name, op in generated.items():
+        paths[name] = workdir / f"{name}.olp"
+        paths[name].write_text(render_program(op), encoding="utf-8")
+    return paths
+
+
+def _jobs(paths: dict[str, Path]):
+    for name, path in paths.items():
+        for mode in MODES:
+            # chain60 has 60 rule heads, past the answer-set enumeration
+            # cap; that input error is covered by the CLI error tests.
+            if name == "chain60" and mode in ("as", "pas"):
+                continue
+            yield f"{name}/{mode}", [str(path), "--mode", mode, "--json"]
+        if name.startswith(("corpus-", "chain")):
+            for mode in TRACE_MODES:
+                yield f"{name}/{mode}/trace", [
+                    str(path), "--mode", mode, "--json", "--trace"
+                ]
+
+
+def collect(workdir: Path) -> dict[str, str]:
+    digests = {}
+    for job, argv in _jobs(_programs(workdir)):
+        out = StringIO()
+        with redirect_stdout(out):
+            code = main(["solve", *argv])
+        assert code == 0, job
+        digests[job] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return digests
+
+
+def test_solve_output_matches_the_recorded_digests(tmp_path):
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    digests = collect(tmp_path)
+    assert digests.keys() == recorded.keys()
+    changed = sorted(job for job in recorded if digests[job] != recorded[job])
+    assert not changed, f"{len(changed)} outputs changed, first: {changed[:5]}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as workdir:
+        digests = collect(Path(workdir))
+    DIGESTS.write_text(json.dumps(digests, indent=0, sort_keys=True) + "\n")
+    print(f"recorded {len(digests)} digests in {DIGESTS}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import pytest
 
+from olp.cli import main
 from olp.oracle import GeneratorConfig, generate_program
 from olp.syntax import (
     Atom,
@@ -9,6 +10,7 @@ from olp.syntax import (
     Literal,
     OrderedProgram,
     PartialModel,
+    PreferenceOrder,
     ProgramError,
     UnknownRuleError,
     complement,
@@ -85,6 +87,45 @@ class TestValidateOrder:
                 for c, d in pairs:
                     if b == c:
                         assert (a, d) in pairs
+
+    def test_closure_matches_brute_force_and_the_rule_views(self):
+        for seed in range(150):
+            op = generate_program(GeneratorConfig(seed=seed, order_density=0.4))
+            closed = set(op.order.generators)
+            while True:
+                extra = {(a, d) for a, b in closed for c, d in closed if b == c}
+                if extra <= closed:
+                    break
+                closed |= extra
+            assert op.order.pairs == closed
+            prefers = op.order.prefers
+            for r in op.rules:
+                assert op.rules_above[r.name] == tuple(
+                    h for h in op.rules if prefers(r.name, h.name)
+                )
+                assert op.rules_below[r.name] == tuple(
+                    l for l in op.rules if prefers(l.name, r.name)
+                )
+
+    def test_check_on_a_long_chain_builds_no_pair_set(self, tmp_path, monkeypatch):
+        def no_pairs(order):
+            raise AssertionError("the closed pair set was built")
+
+        monkeypatch.setattr(PreferenceOrder, "pairs", property(no_pairs))
+        n = 3000
+        lines = [f"r{k}: a{k} :- not a{k + 1}." for k in range(1, n + 1)]
+        lines += [f"r{k + 1} < r{k}." for k in range(1, n)]
+        path = tmp_path / "chain.olp"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(path)]) == 0
+
+    def test_cycle_error_names_a_rule_on_the_cycle(self):
+        rules = [rule(f"r{k}", A) for k in range(1, 6)]
+        # r1 sits below the cycle r2 < r3 < r4 < r2 and is not on it.
+        pairs = {("r1", "r2"), ("r2", "r3"), ("r3", "r4"), ("r4", "r2")}
+        with pytest.raises(CycleError) as excinfo:
+            validate_order(pairs, rules)
+        assert excinfo.value.name in {"r2", "r3", "r4"}
 
 
 class TestInterpretation:
