@@ -15,12 +15,10 @@ alternating operator.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .classical import cl, reduct
+from .classical import Fires, c_star, cl, derive, reduct
 from .fixpoint import kleene
 from .prefwfs import defeated_rules
-from .syntax import Literal, OrderedProgram, Rule
+from .syntax import Literal, OrderedProgram
 
 __all__ = [
     "cl",
@@ -33,43 +31,32 @@ __all__ = [
 ]
 
 
-def c_star(rules: Sequence[Rule], x: frozenset[Literal]) -> frozenset[Literal]:
-    """Paraconsistent consequences of the reduct relative to x."""
-    return cl(reduct(rules, x))
+def _fires(op: OrderedProgram, y: frozenset[Literal]) -> Fires:
+    """r fires at x when nbody(r) misses cl(reduct(rules, y)) without the
+    reducts of the rules r defeats at x; each removal is closed once."""
+    base = reduct(op.rules, y)
+    contexts: dict[frozenset[str], frozenset[Literal]] = {}
+
+    def fires(r, x):
+        dropped = frozenset(lower.name for lower in defeated_rules(op, r, x))
+        if dropped not in contexts:
+            contexts[dropped] = cl(tuple(b for b in base if b.name not in dropped))
+        return not (r.nbody & contexts[dropped])
+
+    return fires
 
 
 def t_star_step(
     op: OrderedProgram, y: frozenset[Literal], x: frozenset[Literal]
 ) -> frozenset[Literal]:
-    """One derivation step against defeat-pruned reduct closures.
-
-    For each rule r the blocking context is cl(reduct(rules, y) minus the
-    reducts of the rules r defeats); removal goes by rule name.
-    """
-    base = reduct(op.rules, y)
-    heads = set()
-    for r in op.rules:
-        if not (r.pbody <= x):
-            continue
-        dropped = {lower.name for lower in defeated_rules(op, r, x)}
-        if dropped:
-            context = cl(tuple(b for b in base if b.name not in dropped))
-        else:
-            context = cl(base)
-        if not (r.nbody & context):
-            heads.add(r.head)
-    return frozenset(heads)
+    """One derivation step against defeat-pruned reduct closures."""
+    fires = _fires(op, y)
+    return frozenset(r.head for r in op.rules if r.pbody <= x and fires(r, x))
 
 
 def c_star_pref(op: OrderedProgram, y: frozenset[Literal]) -> frozenset[Literal]:
-    """Union of the t_star_step iterates from the empty set."""
-    value, _ = kleene(
-        lambda cur: cur | t_star_step(op, y, cur),
-        frozenset(),
-        len(op.universe) + 1,
-        "paraconsistent preferred consequences",
-    )
-    return value
+    """Least raw set closed under the t_star_step firing test."""
+    return frozenset(derive(op.rules, _fires(op, y)))
 
 
 def brewka_wf_iterates(op: OrderedProgram) -> list[frozenset[Literal]]:

@@ -1,9 +1,10 @@
 """Classical semantics for extended logic programs (no preferences).
 
-Implements the reduct, the consequence closure of basic programs, the
-immediate consequence operator with a blocking context, answer sets by
-exhaustive candidate enumeration, and the well-founded model as the least
-fixpoint of the alternating operator ``a_op = c_op . c_op``.
+Implements the reduct, the one derivation loop that every consequence
+operator shares (each engine supplies only its firing test), the closure
+of basic programs, the immediate consequence operator with a blocking
+context, answer sets by exhaustive candidate enumeration, and the
+well-founded model as the least fixpoint of ``a_op = c_op . c_op``.
 
 The enumerators here are desk-scale tools, deliberately direct; they are
 not solvers.
@@ -12,7 +13,7 @@ not solvers.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .fixpoint import FixpointTrace, kleene_trace
 from .syntax import (
@@ -27,9 +28,12 @@ from .syntax import (
 __all__ = [
     "is_active",
     "reduct",
+    "derive",
+    "fire_step",
     "cl",
     "cn",
     "t_step",
+    "c_star",
     "c_op",
     "a_op",
     "answer_sets",
@@ -39,6 +43,7 @@ __all__ = [
 ]
 
 MAX_ENUM_HEADS = 20
+Fires = Callable[[Rule, AbstractSet[Literal]], bool]  # fires(rule, derived)
 
 
 def _literals(x: Interpretation | frozenset[Literal]) -> frozenset[Literal]:
@@ -65,20 +70,47 @@ def reduct(
     )
 
 
+def derive(rules: Sequence[Rule], fires: Fires) -> set[Literal]:
+    """Least raw set closed under the rules that fire; no consistency collapse.
+
+    A rule adds its head once its positive body is derived and
+    ``fires(rule, derived)`` holds.  Rule order is irrelevant provided
+    ``fires`` stays true as the derived set grows.  Every pass but the last
+    derives a new head, so the loop ends within ``len(rules) + 1`` passes.
+    """
+    derived: set[Literal] = set()
+    while True:
+        size = len(derived)
+        for r in rules:
+            if r.head not in derived and r.pbody <= derived and fires(r, derived):
+                derived.add(r.head)
+        if len(derived) == size:
+            return derived
+
+
+def fire_step(
+    rules: Iterable[Rule], fires: Fires, x: Interpretation, universe: frozenset[Literal]
+) -> Interpretation:
+    """One ``derive`` step: heads of the rules firing at x, collapsed; Lit stays."""
+    if x.is_lit:
+        return Interpretation.lit(universe)
+    xs = x.literals
+    return Interpretation.collapse(
+        (r.head for r in rules if r.pbody <= xs and fires(r, xs)), universe
+    )
+
+
+def _misses(y: frozenset[Literal]) -> Fires:
+    """The firing test of the context y: the negative body misses y."""
+    return lambda r, derived: not (r.nbody & y)
+
+
 def cl(rules: Sequence[Rule]) -> frozenset[Literal]:
     """Smallest set closed under a basic program; no consistency collapse."""
     for r in rules:
         if r.nbody:
             raise ProgramError(f"closure requires a basic program, got {r}")
-    derived: set[Literal] = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in rules:
-            if r.head not in derived and r.pbody <= derived:
-                derived.add(r.head)
-                changed = True
-    return frozenset(derived)
+    return frozenset(derive(rules, lambda r, derived: True))
 
 
 def cn(rules: Sequence[Rule], universe: frozenset[Literal]) -> Interpretation:
@@ -98,18 +130,19 @@ def t_step(
 ) -> Interpretation:
     """Heads of the rules active wrt (x, y); the whole universe if x is not
     consistent."""
-    if x.is_lit:
-        return Interpretation.lit(universe)
-    return Interpretation.collapse(
-        (r.head for r in rules if is_active(r, x, y)), universe
-    )
+    return fire_step(rules, _misses(y.literals), x, universe)
+
+
+def c_star(rules: Sequence[Rule], x: frozenset[Literal]) -> frozenset[Literal]:
+    """Paraconsistent consequences of the reduct relative to x."""
+    return frozenset(derive(rules, _misses(x)))
 
 
 def c_op(
     rules: Sequence[Rule], x: Interpretation, universe: frozenset[Literal]
 ) -> Interpretation:
-    """Consequences of the reduct relative to x."""
-    return cn(reduct(rules, x), universe)
+    """Consequences of the reduct relative to x: c_star plus the collapse."""
+    return Interpretation.collapse(c_star(rules, x.literals), universe)
 
 
 def a_op(

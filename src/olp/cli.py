@@ -1,7 +1,8 @@
 """Command-line front end: check, solve, bench, fuzz.
 
-Exit codes: 0 ok, 1 input error (parse, semantic, enumeration cap or
-non-UTF-8 text), 2 I/O error, 3 internal fixpoint divergence.
+Exit codes: 0 ok, 1 input error (parse, semantic, enumeration cap,
+non-UTF-8 text or an out-of-range option value), 2 I/O error, 3 internal
+fixpoint divergence.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IO = 2
 EXIT_DIVERGENCE = 3
+
+
+class UsageError(Exception):
+    """A command-line value outside the range its command accepts."""
 
 
 def _sorted_strs(literals: Iterable[Literal]) -> list[str]:
@@ -194,8 +199,20 @@ def _fit_exponent(sizes: Sequence[int], times: Sequence[float]) -> float | None:
     return sum((x - mean_x) * (y - mean_y) for x, y in points) / denom
 
 
+def _sizes(text: str) -> list[int]:
+    """The chain sizes of a comma-separated ``--sizes`` list."""
+    error = UsageError(f"--sizes must list positive integers, got {text!r}")
+    try:
+        sizes = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise error from None
+    if any(n < 1 for n in sizes):
+        raise error
+    return sizes
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    sizes = _sizes(args.sizes)
     wfs_times, pwfs_times = [], []
     for n in sizes:
         op = chain_program(n)
@@ -216,11 +233,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    base = GeneratorConfig(
-        max_atoms=args.max_atoms,
-        max_rules=args.max_rules,
-        seed=args.seed,
-    )
+    try:
+        base = GeneratorConfig(
+            max_atoms=args.max_atoms,
+            max_rules=args.max_rules,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(exc) from exc
     failures = 0
     for i in range(args.count):
         cfg = replace(base, seed=args.seed + i)
@@ -278,7 +298,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ProgramError, UnicodeDecodeError) as exc:
+    except (ParseError, ProgramError, UnicodeDecodeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -1,9 +1,9 @@
 """Fixpoint iteration plumbing shared by all engines.
 
-Every operator in this package is monotone on a finite lattice, so Kleene
-iteration from the empty interpretation reaches the least fixpoint within
-``|universe| + 1`` applications.  Exceeding the cap signals an
-implementation bug, not an input property.
+The outer alternations are monotone on a finite lattice, so Kleene
+iteration from the empty interpretation reaches their least fixpoint within
+``|universe| + 1`` applications; exceeding the cap signals a bug, not an
+input property.  Inner closures run in ``classical.derive`` and need no cap.
 """
 
 from __future__ import annotations
@@ -71,14 +71,12 @@ def kleene_trace(
 
 
 def iterate_union(
-    step: Callable[[Interpretation], Interpretation],
-    universe: frozenset[Literal],
-    what: str = "consequence closure",
+    step: Callable[[Interpretation], Interpretation], universe: frozenset[Literal]
 ) -> Interpretation:
     """Union of the iterates of ``step`` from the empty interpretation.
 
     The step operators used here are monotone and inflationary from the
     empty set, so the union equals the final iterate.
     """
-    value, _ = kleene(step, Interpretation.empty(), len(universe) + 1, what)
+    value, _ = kleene_trace(step, universe, "consequence closure")
     return value

@@ -17,7 +17,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from . import brewka, classical, preference, prefwfs
-from .fixpoint import iterate_union
+from .fixpoint import iterate_union, kleene
 from .parser import render_program
 from .syntax import (
     Atom,
@@ -318,6 +318,46 @@ def check_theorems(
             break
     else:
         battery.check("c-op-routes-agree", True)
+    # Likewise every other closure built on classical.derive must agree with
+    # iterating its step operator, on both sides of the first 10 pairs.
+    routes = (
+        (
+            "cp-op-routes-agree",
+            lambda x: preference.cp_op(op, x),
+            lambda x: iterate_union(
+                lambda cur: preference.tp_step(op, x, cur), universe
+            ),
+        ),
+        (
+            "cpn-op-routes-agree",
+            lambda x: prefwfs.cpn_op(op, x),
+            lambda x: iterate_union(lambda cur: prefwfs.tpn_step(op, x, cur), universe),
+        ),
+        (
+            "cpn-simplistic-routes-agree",
+            lambda x: prefwfs.cpn_op(op, x, "simplistic"),
+            lambda x: iterate_union(
+                lambda cur: prefwfs.tpn_step(op, x, cur, "simplistic"), universe
+            ),
+        ),
+        (
+            "c-star-pref-routes-agree",
+            lambda x: brewka.c_star_pref(op, x.literals),
+            lambda x: kleene(
+                lambda cur: cur | brewka.t_star_step(op, x.literals, cur),
+                frozenset(),
+                len(universe) + 1,
+            )[0],
+        ),
+    )
+    for invariant, closure, stepped in routes:
+        for x in (x for pair in pairs[:10] for x in pair):
+            direct, iterated = closure(x), stepped(x)
+            if direct != iterated:
+                battery.check(invariant, False, f"{x} -> {iterated} vs {direct}")
+                break
+        else:
+            battery.check(invariant, True)
     for small, big in pairs:
         if not classical.a_op(rules, small, universe).issubset(
             classical.a_op(rules, big, universe)

@@ -10,8 +10,8 @@ skeptical) well-founded set used here as a negative baseline.
 
 from __future__ import annotations
 
-from .classical import head_candidates, is_active
-from .fixpoint import FixpointTrace, iterate_union, kleene_trace
+from .classical import Fires, derive, fire_step, head_candidates, is_active
+from .fixpoint import FixpointTrace, kleene_trace
 from .syntax import Interpretation, OrderedProgram
 
 __all__ = [
@@ -24,34 +24,25 @@ __all__ = [
 ]
 
 
+def _fires(op: OrderedProgram, y: Interpretation) -> Fires:
+    """r fires at x when nbody(r) misses y and no rule r' above r is both
+    active wrt (y, x) and still unapplied (head(r') not in x)."""
+    return lambda r, x: not (r.nbody & y.literals) and not any(
+        higher.head not in x and is_active(higher, y, x)
+        for higher in op.rules_above[r.name]
+    )
+
+
 def tp_step(
     op: OrderedProgram, y: Interpretation, x: Interpretation
 ) -> Interpretation:
-    """One derivation step relative to the putative context y.
-
-    Fires head(r) when r is active wrt (x, y) and no rule r' above r is
-    both active wrt (y, x) and still unapplied (head(r') not in x).
-    """
-    if x.is_lit:
-        return Interpretation.lit(op.universe)
-    heads = []
-    for r in op.rules:
-        if not is_active(r, x, y):
-            continue
-        blocked = any(
-            is_active(higher, y, x) and higher.head not in x
-            for higher in op.rules_above[r.name]
-        )
-        if not blocked:
-            heads.append(r.head)
-    return Interpretation.collapse(heads, op.universe)
+    """One derivation step relative to the putative context y."""
+    return fire_step(op.rules, _fires(op, y), x, op.universe)
 
 
 def cp_op(op: OrderedProgram, x: Interpretation) -> Interpretation:
-    """Union of the tp_step iterates from the empty set, with x as context."""
-    return iterate_union(
-        lambda cur: tp_step(op, x, cur), op.universe, "preferred consequences"
-    )
+    """Least set closed under the tp_step firing test, with x as context."""
+    return Interpretation.collapse(derive(op.rules, _fires(op, x)), op.universe)
 
 
 def ap_op(op: OrderedProgram, x: Interpretation) -> Interpretation:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import classical
-from .fixpoint import FixpointTrace, iterate_union, kleene_trace
+from .fixpoint import FixpointTrace, kleene_trace
 from .syntax import Interpretation, Literal, OrderedProgram, PartialModel, Rule
 
 __all__ = [
@@ -66,7 +66,7 @@ def defeats(
 ) -> bool:
     """True iff the head of r together with x meets the negative body of r2."""
     xs = x.literals if isinstance(x, Interpretation) else x
-    return bool((xs | {r.head}) & r2.nbody)
+    return r.head in r2.nbody or not r2.nbody.isdisjoint(xs)
 
 
 def defeated_rules(
@@ -78,23 +78,11 @@ def defeated_rules(
     )
 
 
-def _removable(
-    op: OrderedProgram, r: Rule, x: Interpretation, y: Interpretation, lit: Literal
-) -> bool:
-    # Every rule that can support `lit` within y must sit strictly below r
-    # in the order and be defeated; no such support makes `lit` removable.
-    for gen in op.generators_of.get(lit, ()):
-        if gen.pbody <= y.literals:
-            if not op.order.prefers(gen.name, r.name) or not defeats(r, gen, x):
-                return False
-    return True
-
-
 def d_set(
     op: OrderedProgram, r: Rule, x: Interpretation, y: Interpretation
 ) -> frozenset[Literal]:
     """Literals of y removable from r's blocking context at state x."""
-    return frozenset(lit for lit in y.literals if _removable(op, r, x, y, lit))
+    return y.literals - _kept(op, r, x, y, VARIANT_PAPER, y.literals)
 
 
 def d_set_simplistic(
@@ -104,17 +92,36 @@ def d_set_simplistic(
     return frozenset(lower.head for lower in defeated_rules(op, r, x))
 
 
-def _blocked(
-    op: OrderedProgram, r: Rule, x: Interpretation, y: Interpretation, variant: str
-) -> bool:
-    # r is blocked iff some negative-body literal survives in y after
-    # removal; only literals in nbody(r) & y need a removability check.
-    conflicts = r.nbody & y.literals
-    if not conflicts:
-        return False
+def _kept(
+    op: OrderedProgram,
+    r: Rule,
+    x: Interpretation | frozenset[Literal],
+    y: Interpretation,
+    variant: str,
+    among: frozenset[Literal],
+) -> frozenset[Literal]:
+    """The literals of ``among`` (a subset of y) that stay in r's blocking
+    context at state x under the removal policy."""
     if variant == VARIANT_SIMPLISTIC:
-        return bool(conflicts - d_set_simplistic(op, r, x))
-    return any(not _removable(op, r, x, y, lit) for lit in conflicts)
+        return among - d_set_simplistic(op, r, x) if among else among
+    # A literal stays iff some rule that can support it within y is not
+    # both strictly below r and defeated; an unsupported literal goes.
+    return frozenset(
+        lit
+        for lit in among
+        if any(
+            not op.order.prefers(gen.name, r.name) or not defeats(r, gen, x)
+            for gen in op.generators_of.get(lit, ())
+            if gen.pbody <= y.literals
+        )
+    )
+
+
+def _fires(op: OrderedProgram, y: Interpretation, variant: str) -> classical.Fires:
+    # r fires iff no negative-body literal survives in y after removal;
+    # only literals in nbody(r) & y need a removability check.
+    _check_variant(variant)
+    return lambda r, x: not _kept(op, r, x, y, variant, r.nbody & y.literals)
 
 
 def tpn_step(
@@ -124,27 +131,15 @@ def tpn_step(
     variant: str = VARIANT_PAPER,
 ) -> Interpretation:
     """Heads of rules active wrt (x, y minus their removal set)."""
-    _check_variant(variant)
-    if x.is_lit:
-        return Interpretation.lit(op.universe)
-    heads = (
-        r.head
-        for r in op.rules
-        if r.pbody <= x.literals and not _blocked(op, r, x, y, variant)
-    )
-    return Interpretation.collapse(heads, op.universe)
+    return classical.fire_step(op.rules, _fires(op, y, variant), x, op.universe)
 
 
 def cpn_op(
     op: OrderedProgram, x: Interpretation, variant: str = VARIANT_PAPER
 ) -> Interpretation:
-    """Union of the tpn_step iterates from the empty set, with x as context."""
-    _check_variant(variant)
-    return iterate_union(
-        lambda cur: tpn_step(op, x, cur, variant),
-        op.universe,
-        "defeat-aware consequences",
-    )
+    """Least set closed under the tpn_step firing test, with x as context."""
+    derived = classical.derive(op.rules, _fires(op, x, variant))
+    return Interpretation.collapse(derived, op.universe)
 
 
 def apn_op(
@@ -158,7 +153,6 @@ def apn_op(
 def preferred_wfs_fixpoint(
     op: OrderedProgram, variant: str = VARIANT_PAPER
 ) -> tuple[Interpretation, FixpointTrace]:
-    _check_variant(variant)
     return kleene_trace(
         lambda x: apn_op(op, x, variant),
         op.universe,
@@ -214,9 +208,6 @@ def defeat_contexts(
     _check_variant(variant)
     result = {}
     for r in op.rules:
-        if variant == VARIANT_SIMPLISTIC:
-            removed = d_set_simplistic(op, r, x) & y.literals
-        else:
-            removed = d_set(op, r, x, y)
-        result[r.name] = DefeatContext(r.name, removed, y.literals - removed)
+        kept = _kept(op, r, x, y, variant, y.literals)
+        result[r.name] = DefeatContext(r.name, y.literals - kept, kept)
     return result

@@ -118,6 +118,10 @@ def batch_reports():
 THEOREM_INVARIANTS = (
     "c-anti-monotone",
     "c-op-routes-agree",
+    "cp-op-routes-agree",
+    "cpn-op-routes-agree",
+    "cpn-simplistic-routes-agree",
+    "c-star-pref-routes-agree",
     "a-monotone",
     "cp-anti-monotone",
     "ap-monotone",

@@ -205,29 +205,61 @@ TWENTY_FIVE_HEADS = "".join(f"p{k}.\n" for k in range(25)).encode()
 
 
 class TestInputErrors:
+    # ``{file}`` is an input file holding ``content``; ``{dir}`` a directory.
     @pytest.mark.parametrize(
-        "content, mode, code",
+        "argv, content, code",
         [
-            (TWENTY_FIVE_HEADS, "as", 1),
-            (TWENTY_FIVE_HEADS, "pas", 1),
-            (b"r1: a.\n\xff\xfe\n", "wfs", 1),
-            (b"", "wfs", 0),
-            (b"% only a comment\n", "wfs", 0),
-            (None, "wfs", 2),
+            (["solve", "{file}", "--mode", "as"], TWENTY_FIVE_HEADS, 1),
+            (["solve", "{file}", "--mode", "pas"], TWENTY_FIVE_HEADS, 1),
+            (["solve", "{file}", "--mode", "wfs"], b"r1: a.\n\xff\xfe\n", 1),
+            (["solve", "{file}", "--mode", "wfs"], b"", 0),
+            (["solve", "{file}", "--mode", "wfs"], b"% only a comment\n", 0),
+            (["solve", "{dir}", "--mode", "wfs"], None, 2),
+            (["fuzz", "--max-atoms", "9"], None, 1),
+            (["fuzz", "--max-rules", "0"], None, 1),
+            (["bench", "--sizes", "abc"], None, 1),
+            (["bench", "--sizes", "0"], None, 1),
+            (["bench", "--sizes", "-3"], None, 1),
         ],
-        ids=["as-25-heads", "pas-25-heads", "non-utf8", "empty", "comment-only", "directory"],
+        ids=[
+            "as-25-heads", "pas-25-heads", "non-utf8", "empty", "comment-only",
+            "directory", "fuzz-max-atoms-9", "fuzz-max-rules-0", "bench-sizes-abc",
+            "bench-sizes-0", "bench-sizes-negative",
+        ],
     )
-    def test_exit_code_and_one_line_of_stderr(self, capsys, tmp_path, content, mode, code):
-        path = tmp_path
+    def test_exit_code_and_one_line_of_stderr(self, capsys, tmp_path, argv, content, code):
+        path = tmp_path / "input.olp"
         if content is not None:
-            path = tmp_path / "input.olp"
             path.write_bytes(content)
-        got, _, err = run(capsys, "solve", str(path), "--mode", mode)
+        argv = [arg.format(file=path, dir=tmp_path) for arg in argv]
+        got, _, err = run(capsys, *argv)
         assert got == code
         if code:
             assert err.count("\n") == 1 and err.endswith("\n"), err
+            assert err.startswith(("error: ", "i/o error: ")), err
         else:
             assert err == ""
+
+
+def _count_every_binding(monkeypatch, names):
+    """Count calls of the named olp.fixpoint functions through every module
+    that binds them."""
+    from olp import fixpoint
+
+    calls = Counter()
+    modules = [m for n, m in sys.modules.items() if n == "olp" or n.startswith("olp.")]
+    for name in names:
+        original = getattr(fixpoint, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 class TestOneFixpointPerSolve:
@@ -257,6 +289,17 @@ class TestOneFixpointPerSolve:
         code, _, _ = run(capsys, *argv, *(["--trace"] if trace else []))
         assert code == 0
         assert calls == {fixpoint: 1}
+
+    # The one Kleene iteration is the top-level fixpoint; every inner
+    # consequence closure goes through classical.derive.
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("mode", ["wfs", "pwfs", "pwfs-simplistic", "lfp-ap", "brewka"])
+    def test_one_kleene_run_and_no_iterate_union(self, capsys, monkeypatch, mode, trace):
+        calls = _count_every_binding(monkeypatch, ("kleene", "iterate_union"))
+        argv = ["solve", str(CORPUS / "ex5.olp"), "--mode", mode, "--json"]
+        code, _, _ = run(capsys, *argv, *(["--trace"] if trace else []))
+        assert code == 0
+        assert calls == {"kleene": 1}
 
 
 class TestFuzz:
