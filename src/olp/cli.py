@@ -8,6 +8,7 @@ fixpoint divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -257,6 +258,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_INPUT if failures else EXIT_OK
 
 
+@functools.cache  # built once per process; parsing never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="olp",

@@ -20,6 +20,7 @@ used as a rule name or atom.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from .syntax import (
@@ -73,116 +74,97 @@ class ParseError(Exception):
         self.message = message
 
 
-_PUNCT = {":-": ":-", "<": "<", ",": ",", ".": ".", ":": ":", "-": "-"}
+# One match per token: the whitespace and comments before it, then an
+# identifier (group 1), a punctuation mark (group 2), a stray character
+# (group 3), or no group at the end of the input.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]|%[^\n]*)*(?:([a-z][A-Za-z0-9_]*)|(:-|[:<,.-])|(.)|\Z)", re.DOTALL
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "not", one of _PUNCT values, or "eof"
-    text: str
-    span: SourceSpan
+def _error(text: str, kind: ParseErrorKind, token: tuple, message: str) -> ParseError:
+    """An error spanning ``token``; every character is one column."""
+    _, word, offset = token
+    line_start = text.rfind("\n", 0, offset) + 1
+    span = SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, len(word))
+    return ParseError(kind, span, message)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if text.startswith(":-", i):
-            tokens.append(_Token(":-", ":-", SourceSpan(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if ch in ":<,.-":
-            tokens.append(_Token(ch, ch, SourceSpan(line, col, 1)))
-            i += 1
-            col += 1
-            continue
-        if ch.isascii() and ch.islower():
-            start = i
-            startcol = col
-            while i < n and (text[i].isascii() and (text[i].isalnum() or text[i] == "_")):
-                i += 1
-                col += 1
-            word = text[start:i]
-            span = SourceSpan(line, startcol, len(word))
-            kind = "not" if word == "not" else "ident"
-            tokens.append(_Token(kind, word, span))
-            continue
-        raise ParseError(
-            ParseErrorKind.LEXICAL,
-            SourceSpan(line, col, 1),
-            f"unexpected character {ch!r}",
-        )
-    tokens.append(_Token("eof", "", SourceSpan(line, col, 0)))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tuples ending with an ``eof`` token; the
+    kind is ``ident``, ``not`` or the punctuation mark itself."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        if group is None:
+            break
+        word, offset = match[group], match.start(group)
+        if group == 3:
+            message = f"unexpected character {word!r}"
+            raise _error(text, ParseErrorKind.LEXICAL, (word, word, offset), message)
+        kind = word if group == 2 else "not" if word == "not" else "ident"
+        tokens.append((kind, word, offset))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over the tokens of ``text``.
+
+    Each distinct literal is built once per parse: rules share literal and
+    atom objects, and a literal and its complement cache each other.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
+        self.literals: dict[tuple[str, bool], Literal] = {}
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
+        # Nothing is taken past eof, and nothing looks ahead from it.
+        return self.tokens[self.pos + ahead]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def take(self) -> tuple[str, str, int]:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def accept(self, kind: str) -> bool:
+        """Take the next token if it is of ``kind``."""
+        if self.tokens[self.pos][0] == kind:
             self.pos += 1
+            return True
+        return False
+
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            found = tok[1] or "end of input"
+            raise _error(self.text, ParseErrorKind.SYNTAX, tok, f"expected {what}, found {found!r}")
+        self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                ParseErrorKind.SYNTAX,
-                tok.span,
-                f"expected {what}, found {tok.text or 'end of input'!r}",
-            )
-        return self.take()
-
     def literal(self) -> Literal:
-        negated = False
-        if self.peek().kind == "-":
-            self.take()
-            negated = True
-        tok = self.expect("ident", "an atom")
-        return Literal(Atom(tok.text), negated)
+        negated = self.accept("-")
+        name = self.expect("ident", "an atom")[1]
+        lit = self.literals.get((name, negated))
+        if lit is None:
+            twin = self.literals.get((name, not negated))
+            lit = twin.complement() if twin else Literal(Atom(name), negated)
+            self.literals[name, negated] = lit
+        return lit
 
-    def rule_tail(self, name: str | None, name_span: SourceSpan | None):
+    def rule_tail(self, name_tok: tuple[str, str, int] | None):
         head = self.literal()
         pbody: list[Literal] = []
         nbody: list[Literal] = []
-        if self.peek().kind == ":-":
-            self.take()
+        if self.accept(":-"):
             while True:
-                if self.peek().kind == "not":
-                    self.take()
-                    nbody.append(self.literal())
-                else:
-                    pbody.append(self.literal())
-                if self.peek().kind != ",":
+                (nbody if self.accept("not") else pbody).append(self.literal())
+                if not self.accept(","):
                     break
-                self.take()
         self.expect(".", "'.'")
-        return name, name_span, head, frozenset(pbody), frozenset(nbody)
+        return name_tok, head, frozenset(pbody), frozenset(nbody)
 
 
 def parse_program(text: str) -> OrderedProgram:
@@ -191,78 +173,58 @@ def parse_program(text: str) -> OrderedProgram:
     Raises ParseError with a span inside the input and one of the kinds
     lexical, syntax, duplicate-name, cyclic-order, unknown-rule.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     raw_rules = []
-    prefs: list[tuple[str, str, SourceSpan]] = []
-    while parser.peek().kind != "eof":
-        tok = parser.peek()
-        if tok.kind == "ident" and parser.peek(1).kind == ":":
-            name_tok = parser.take()
+    prefs: list[tuple[tuple[str, str, int], str]] = []
+    while (tok := parser.peek())[0] != "eof":
+        ahead = parser.peek(1)[0]
+        if tok[0] == "ident" and ahead == ":":
             parser.take()
-            raw_rules.append(parser.rule_tail(name_tok.text, name_tok.span))
-        elif tok.kind == "ident" and parser.peek(1).kind == "<":
-            lower = parser.take()
             parser.take()
-            higher = parser.expect("ident", "a rule name")
+            raw_rules.append(parser.rule_tail(tok))
+        elif tok[0] == "ident" and ahead == "<":
+            parser.take()
+            parser.take()
+            higher = parser.expect("ident", "a rule name")[1]
             parser.expect(".", "'.'")
-            prefs.append((lower.text, higher.text, lower.span))
-        elif tok.kind in ("ident", "-"):
-            raw_rules.append(parser.rule_tail(None, None))
+            prefs.append((tok, higher))
+        elif tok[0] in ("ident", "-"):
+            raw_rules.append(parser.rule_tail(None))
         else:
-            raise ParseError(
-                ParseErrorKind.SYNTAX,
-                tok.span,
-                f"expected a rule or preference, found {tok.text or 'end of input'!r}",
-            )
+            message = f"expected a rule or preference, found {tok[1]!r}"
+            raise _error(text, ParseErrorKind.SYNTAX, tok, message)
 
-    explicit: dict[str, SourceSpan] = {}
-    for name, span, *_ in raw_rules:
-        if name is None:
-            continue
-        if name in explicit:
-            raise ParseError(
-                ParseErrorKind.DUPLICATE_NAME,
-                span,  # type: ignore[arg-type]
-                f"rule name {name!r} is already in use",
-            )
-        explicit[name] = span  # type: ignore[assignment]
+    taken: set[str] = set()
+    for name_tok, *_ in raw_rules:
+        if name_tok is not None:
+            if name_tok[1] in taken:
+                message = f"rule name {name_tok[1]!r} is already in use"
+                raise _error(text, ParseErrorKind.DUPLICATE_NAME, name_tok, message)
+            taken.add(name_tok[1])
 
     rules: list[Rule] = []
     counter = 1
-    for name, _, head, pbody, nbody in raw_rules:
+    for name_tok, head, pbody, nbody in raw_rules:
+        name = name_tok and name_tok[1]
         if name is None:
-            while f"r{counter}" in explicit:
+            while f"r{counter}" in taken:
                 counter += 1
             name = f"r{counter}"
-            explicit[name] = SourceSpan(1, 1, 0)
+            taken.add(name)
             counter += 1
         rules.append(Rule(name, head, pbody, nbody))
 
-    for lower, higher, span in prefs:
-        for name in (lower, higher):
-            if name not in explicit:
-                raise ParseError(
-                    ParseErrorKind.UNKNOWN_RULE,
-                    span,
-                    f"preference mentions unknown rule {name!r}",
-                )
     try:
-        order = validate_order({(a, b) for a, b, _ in prefs}, rules)
+        order = validate_order({(a[1], b) for a, b in prefs}, rules)
+    except UnknownRuleError as exc:
+        # Name the first unknown rule in source order.
+        lower, name = next((a, n) for a, b in prefs for n in (a[1], b) if n not in taken)
+        message = f"preference mentions unknown rule {name!r}"
+        raise _error(text, ParseErrorKind.UNKNOWN_RULE, lower, message) from exc
     except CycleError as exc:
-        span = next(
-            s for a, b, s in prefs if exc.name in (a, b)
-        )
-        raise ParseError(
-            ParseErrorKind.CYCLIC_ORDER,
-            span,
-            f"cyclic preference through rule {exc.name!r}",
-        ) from exc
-    except UnknownRuleError as exc:  # pragma: no cover - caught above
-        raise ParseError(
-            ParseErrorKind.UNKNOWN_RULE,
-            parser.peek().span,
-            str(exc),
-        ) from exc
+        lower = next(a for a, b in prefs if exc.name in (a[1], b))
+        message = f"cyclic preference through rule {exc.name!r}"
+        raise _error(text, ParseErrorKind.CYCLIC_ORDER, lower, message) from exc
     return OrderedProgram(tuple(rules), order)
 
 

@@ -82,13 +82,35 @@ class Atom:
 
 @dataclass(frozen=True, order=True)
 class Literal:
-    """An atom or its classical negation."""
+    """An atom or its classical negation.
+
+    The hash is computed once, at construction, and is the value the
+    generated dataclass hash would give, ``hash((atom, negated))``: set
+    iteration orders, and so the pairs the theorem battery samples, must
+    not depend on how a literal was built.  The complement is cached.
+    """
 
     atom: Atom
     negated: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.atom, self.negated)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild on load: a stored hash would be stale under another seed.
+        return Literal, (self.atom, self.negated)
+
     def complement(self) -> "Literal":
-        return Literal(self.atom, not self.negated)
+        try:
+            return self._complement
+        except AttributeError:
+            flipped = Literal(self.atom, not self.negated)
+            object.__setattr__(flipped, "_complement", self)
+            object.__setattr__(self, "_complement", flipped)
+            return flipped
 
     def __str__(self) -> str:
         return f"-{self.atom}" if self.negated else str(self.atom)
@@ -321,10 +343,17 @@ def program(
 def literal_universe(source: OrderedProgram | Iterable[Rule]) -> frozenset[Literal]:
     """Both polarities of every atom occurring anywhere in the program."""
     rules = source.rules if isinstance(source, OrderedProgram) else source
-    atoms = {lit.atom for r in rules for lit in r.literals()}
-    return frozenset(
-        Literal(a, negated) for a in atoms for negated in (False, True)
-    )
+    # Reuse the program's literal objects and their cached complements.
+    # Atoms go in one at a time in first-occurrence order (``set(some)``
+    # would pre-size the table): the battery samples in this set's iteration
+    # order, so it must not depend on how the literals were built.
+    some: dict[Atom, Literal] = {}
+    for r in rules:
+        for lit in r.literals():
+            some.setdefault(lit.atom, lit)
+    atoms = {a for a in some}
+    positive = (some[a].complement() if some[a].negated else some[a] for a in atoms)
+    return frozenset(lit for p in positive for lit in (p, p.complement()))
 
 
 def mentioned_literals(
@@ -377,8 +406,10 @@ class Interpretation:
         cls, literals: Iterable[Literal], universe: Iterable[Literal]
     ) -> "Interpretation":
         """``literals`` if consistent, else the whole universe as Lit."""
-        literals = frozenset(literals)
-        return cls(literals) if is_consistent(literals) else cls.lit(universe)
+        try:
+            return cls(frozenset(literals))  # __post_init__ tests consistency
+        except ProgramError:
+            return cls.lit(universe)
 
     @property
     def consistent(self) -> bool:

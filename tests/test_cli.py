@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -7,7 +9,7 @@ import pytest
 
 from olp.cli import main
 from olp.syntax import PartialModel
-from .conftest import CORPUS
+from .conftest import CORPUS, ROOT
 
 MODES = ["wfs", "pwfs", "pwfs-simplistic", "as", "pas", "brewka", "lfp-ap"]
 NAMES = ["ex3", "ex4", "ex5", "ex7", "defeasible"]
@@ -204,41 +206,96 @@ class TestSolveErrors:
 TWENTY_FIVE_HEADS = "".join(f"p{k}.\n" for k in range(25)).encode()
 
 
+# ``{file}`` is an input file holding ``content``; ``{dir}`` a directory.
+INPUT_ERRORS = [
+    ("as-25-heads", ["solve", "{file}", "--mode", "as"], TWENTY_FIVE_HEADS, 1),
+    ("pas-25-heads", ["solve", "{file}", "--mode", "pas"], TWENTY_FIVE_HEADS, 1),
+    ("non-utf8", ["solve", "{file}", "--mode", "wfs"], b"r1: a.\n\xff\xfe\n", 1),
+    ("empty", ["solve", "{file}", "--mode", "wfs"], b"", 0),
+    ("comment-only", ["solve", "{file}", "--mode", "wfs"], b"% only a comment\n", 0),
+    ("directory", ["solve", "{dir}", "--mode", "wfs"], None, 2),
+    ("fuzz-max-atoms-9", ["fuzz", "--max-atoms", "9"], None, 1),
+    ("fuzz-max-rules-0", ["fuzz", "--max-rules", "0"], None, 1),
+    ("bench-sizes-abc", ["bench", "--sizes", "abc"], None, 1),
+    ("bench-sizes-0", ["bench", "--sizes", "0"], None, 1),
+    ("bench-sizes-negative", ["bench", "--sizes", "-3"], None, 1),
+]
+
+
+def _argv(row_argv, content, tmp_path) -> list[str]:
+    path = tmp_path / "input.olp"
+    if content is not None:
+        path.write_bytes(content)
+    return [arg.format(file=path, dir=tmp_path) for arg in row_argv]
+
+
 class TestInputErrors:
-    # ``{file}`` is an input file holding ``content``; ``{dir}`` a directory.
     @pytest.mark.parametrize(
         "argv, content, code",
-        [
-            (["solve", "{file}", "--mode", "as"], TWENTY_FIVE_HEADS, 1),
-            (["solve", "{file}", "--mode", "pas"], TWENTY_FIVE_HEADS, 1),
-            (["solve", "{file}", "--mode", "wfs"], b"r1: a.\n\xff\xfe\n", 1),
-            (["solve", "{file}", "--mode", "wfs"], b"", 0),
-            (["solve", "{file}", "--mode", "wfs"], b"% only a comment\n", 0),
-            (["solve", "{dir}", "--mode", "wfs"], None, 2),
-            (["fuzz", "--max-atoms", "9"], None, 1),
-            (["fuzz", "--max-rules", "0"], None, 1),
-            (["bench", "--sizes", "abc"], None, 1),
-            (["bench", "--sizes", "0"], None, 1),
-            (["bench", "--sizes", "-3"], None, 1),
-        ],
-        ids=[
-            "as-25-heads", "pas-25-heads", "non-utf8", "empty", "comment-only",
-            "directory", "fuzz-max-atoms-9", "fuzz-max-rules-0", "bench-sizes-abc",
-            "bench-sizes-0", "bench-sizes-negative",
-        ],
+        [row[1:] for row in INPUT_ERRORS],
+        ids=[row[0] for row in INPUT_ERRORS],
     )
     def test_exit_code_and_one_line_of_stderr(self, capsys, tmp_path, argv, content, code):
-        path = tmp_path / "input.olp"
-        if content is not None:
-            path.write_bytes(content)
-        argv = [arg.format(file=path, dir=tmp_path) for arg in argv]
-        got, _, err = run(capsys, *argv)
+        got, _, err = run(capsys, *_argv(argv, content, tmp_path))
         assert got == code
         if code:
             assert err.count("\n") == 1 and err.endswith("\n"), err
             assert err.startswith(("error: ", "i/o error: ")), err
         else:
             assert err == ""
+
+
+GOOD_ARGV = ["solve", str(CORPUS / "ex5.olp"), "--mode", "pwfs", "--trace"]
+
+# Failing calls: argparse usage errors (exit 2 through SystemExit), and
+# errors a command raises after parsing (the exit 1 and 2 rows above).
+FAILING = [row for row in INPUT_ERRORS if row[3]] + [
+    ("usage-bad-mode", ["solve", "{file}", "--mode", "nope", "--json"], b"a.\n", 2),
+    ("usage-no-file", ["solve", "--atoms-only", "--json"], None, 2),
+    ("usage-unknown-command", ["explain", "{file}"], b"a.\n", 2),
+    ("parse-error", ["solve", "{file}", "--mode", "wfs", "--json", "--atoms-only"], b"a :-", 1),
+]
+
+
+@pytest.fixture(scope="module")
+def fresh_process_output() -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "olp.cli", *GOOD_ARGV],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestParserBuiltOnce:
+    def test_second_main_builds_no_argument_parser(self, capsys, monkeypatch):
+        assert main(GOOD_ARGV) == 0
+        built = Counter()
+        original = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built["ArgumentParser"] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(GOOD_ARGV) == 0
+        assert main(["check", str(CORPUS / "ex3.olp")]) == 0
+        assert built == {}
+
+    @pytest.mark.parametrize(
+        "argv, content, code", [row[1:] for row in FAILING], ids=[row[0] for row in FAILING]
+    )
+    def test_failing_call_leaves_no_trace_on_the_next(
+        self, capsys, tmp_path, fresh_process_output, argv, content, code
+    ):
+        try:
+            got = main(_argv(argv, content, tmp_path))
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        capsys.readouterr()
+        assert run(capsys, *GOOD_ARGV) == (0, fresh_process_output, "")
 
 
 def _count_every_binding(monkeypatch, names):
@@ -318,6 +375,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "olp.cli", "check", str(CORPUS / "ex3.olp")],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         )
         assert result.returncode == 0
         assert result.stdout.startswith("r1: a :- not b.")

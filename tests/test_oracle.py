@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from olp.classical import answer_sets, cn, reduct
@@ -19,7 +23,7 @@ from olp.syntax import (
     rule,
     validate_order,
 )
-from .conftest import A, B, NA, interp
+from .conftest import A, B, NA, ROOT, interp
 
 
 class TestEnumerateSubsets:
@@ -130,3 +134,33 @@ class TestCheckTheorems:
             )
             basic = reduct(op.rules, Interpretation.empty())
             assert cn(basic, op.universe) == oracle_cn(basic, op.universe)
+
+
+# Under one hash seed, the iteration order of each program's universe and
+# the interpretation pairs the battery samples from it.  Recorded before
+# literals cached their hash and before parsed programs shared literal
+# objects; either change must leave it as it was.
+SAMPLED_PAIRS_DIGEST = "e2d026220e4a976ea866a6e4d4b952a75941a497d8f62cdb5ef8f850c976eb1f"
+SAMPLE_SCRIPT = """
+import hashlib, random
+from olp.oracle import GeneratorConfig, _subset_pairs, chain_program, generate_program
+from olp.parser import parse_program, render_program
+digest = hashlib.sha256()
+programs = [generate_program(GeneratorConfig(seed=20260811 + i)) for i in range(100)]
+for built in programs + [chain_program(300)]:
+    for op in (built, parse_program(render_program(built))):
+        digest.update(repr([str(lit) for lit in op.universe]).encode())
+        for small, big in _subset_pairs(random.Random(len(op.rules)), op.universe, 10):
+            digest.update(repr(([str(x) for x in small], [str(x) for x in big])).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_battery_samples_the_same_pairs_under_one_hash_seed():
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", SAMPLE_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == SAMPLED_PAIRS_DIGEST

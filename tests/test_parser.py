@@ -91,6 +91,50 @@ class TestParseErrors:
             assert 1 <= span.line <= len(lines) + 1
 
 
+# Recorded from the character-by-character scanner this table replaced; the
+# regex scanner must report every malformed input exactly as it did.
+ERROR_TABLE = [
+    ("tab-before-bad-char", 'r1:\ta :-\tb,\t?.\n', "lexical", 1, 13, 1, "unexpected character '?'"),
+    ("tab-indented-lexical", '\tr1: a.\n\t\tr2: b :- A.\n', "lexical", 2, 12, 1, "unexpected character 'A'"),
+    ("crlf-lexical", 'r1: a.\r\nr2: b :- ?.\r\n', "lexical", 2, 10, 1, "unexpected character '?'"),
+    ("crlf-missing-dot", 'r1: a :- b\r\nr2: c.\r\n', "syntax", 2, 1, 2, "expected '.', found 'r2'"),
+    ("non-ascii-comment", '% héllo ünïcöde → ∀x\nr1: a :- .\n', "syntax", 2, 10, 1, "expected an atom, found '.'"),
+    ("comment-at-eof", 'r1: a :- b % trailing', "syntax", 1, 22, 0, "expected '.', found 'end of input'"),
+    ("identifier-e-acute", 'r1: é.\n', "lexical", 1, 5, 1, "unexpected character 'é'"),
+    ("identifier-uppercase-first", 'r1: a :- Bc.\n', "lexical", 1, 10, 1, "unexpected character 'B'"),
+    ("identifier-digit-first", 'r1: a :- 1b.\n', "lexical", 1, 10, 1, "unexpected character '1'"),
+    ("non-ascii-inside-identifier", 'r1: abéc.\n', "lexical", 1, 7, 1, "unexpected character 'é'"),
+    ("lone-minus", '-\n', "syntax", 2, 1, 0, "expected an atom, found 'end of input'"),
+    ("minus-minus", 'r1: --a.\n', "syntax", 1, 6, 1, "expected an atom, found '-'"),
+    ("not-as-head", 'r1: not.\n', "syntax", 1, 5, 3, "expected an atom, found 'not'"),
+    ("not-as-rule-name", 'not: a.\n', "syntax", 1, 1, 3, "expected a rule or preference, found 'not'"),
+    ("not-not", 'r1: a :- not not b.\n', "syntax", 1, 14, 3, "expected an atom, found 'not'"),
+    ("implies-at-eof", 'r1: a :-', "syntax", 1, 9, 0, "expected an atom, found 'end of input'"),
+    ("pref-missing-higher", 'r1: a.\nr1 < .\n', "syntax", 2, 6, 1, "expected a rule name, found '.'"),
+    ("duplicate-after-tab-line", 'r1: a.\n\tr2: b.\n\tr1: c.\n', "duplicate-name", 3, 2, 2, "rule name 'r1' is already in use"),
+    ("unknown-lower-rule", 'a.\nr9 < r1.\n', "unknown-rule", 2, 1, 2, "preference mentions unknown rule 'r9'"),
+    ("colon-without-name", ': a.\n', "syntax", 1, 1, 1, "expected a rule or preference, found ':'"),
+    ("unknown-rule", 'r1: a.\nr2: b.\n\tr2 < r9.\n', "unknown-rule", 3, 2, 2, "preference mentions unknown rule 'r9'"),
+    ("cycle", 'r1: a.\nr2: b.\nr3: c.\nr1 < r2.\nr2 < r3.\nr3 < r1.\n', "cyclic-order", 4, 1, 2, "cyclic preference through rule 'r1'"),
+    ("form-feed", 'r1: a.\x0cr2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\x0c'"),
+    ("dangling-comma", 'r1: a :- b,.\n', "syntax", 1, 12, 1, "expected an atom, found '.'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, kind, line, column, length, message",
+    [row[1:] for row in ERROR_TABLE],
+    ids=[row[0] for row in ERROR_TABLE],
+)
+def test_parse_error_kind_span_and_message(text, kind, line, column, length, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_program(text)
+    err = excinfo.value
+    got = (err.kind.value, err.span.line, err.span.column, err.span.length, err.message)
+    assert got == (kind, line, column, length, message)
+    assert str(err) == f"{line}:{column}: {kind}: {message}"
+
+
 class TestRender:
     def test_canonical_form_of_the_two_rule_cycle(self):
         assert render_program(parse_program(EX3_TEXT)) == EX3_TEXT

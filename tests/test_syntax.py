@@ -1,3 +1,9 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from olp.cli import main
@@ -19,7 +25,8 @@ from olp.syntax import (
     rule,
     validate_order,
 )
-from .conftest import A, B, NA, NB, interp, load
+from olp.parser import parse_program
+from .conftest import A, B, NA, NB, ROOT, interp, load
 
 
 class TestLiterals:
@@ -44,6 +51,74 @@ class TestLiterals:
             Atom("")
         with pytest.raises(ProgramError):
             Atom("1a")
+
+
+class TestLiteralValueContract:
+    """Literals cache their hash and complement; as values they must stay
+    indistinguishable from freshly built ones."""
+
+    LITERALS = [A, NA, Literal(Atom("x_9")), Literal(Atom("x_9"), True)]
+
+    @pytest.mark.parametrize("lit", LITERALS, ids=str)
+    def test_hash_is_the_hash_of_its_fields(self, lit):
+        assert hash(lit) == hash((lit.atom, lit.negated))
+
+    @pytest.mark.parametrize("lit", LITERALS, ids=str)
+    def test_separately_built_literals_are_equal(self, lit):
+        other = Literal(Atom(lit.atom.name), lit.negated)
+        assert other is not lit
+        assert other == lit and hash(other) == hash(lit)
+        assert other != other.complement()
+
+    @pytest.mark.parametrize("lit", LITERALS, ids=str)
+    def test_complement_is_involutive_and_cached(self, lit):
+        flipped = lit.complement()
+        assert flipped == Literal(lit.atom, not lit.negated)
+        assert hash(flipped) == hash((lit.atom, not lit.negated))
+        assert flipped.complement() == lit
+        assert flipped.complement() is lit
+
+    @pytest.mark.parametrize("lit", LITERALS, ids=str)
+    def test_pickle_and_deepcopy_round_trip(self, lit):
+        lit.complement()
+        for copied in (pickle.loads(pickle.dumps(lit)), copy.deepcopy(lit), copy.copy(lit)):
+            assert copied == lit and hash(copied) == hash(lit)
+            assert copied.complement() == lit.complement()
+
+    def test_pickle_loaded_under_another_hash_seed(self):
+        lits = self.LITERALS
+        for lit in lits:
+            lit.complement()  # a cached complement must not travel either
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        script = (
+            "import pickle, sys\n"
+            "from olp.syntax import Atom, Literal\n"
+            "for lit in pickle.loads(sys.stdin.buffer.read()):\n"
+            "    fresh = Literal(Atom(lit.atom.name), lit.negated)\n"
+            "    assert hash(lit) == hash((lit.atom, lit.negated)) == hash(fresh), lit\n"
+            "    assert lit == fresh and lit.complement() == fresh.complement(), lit\n"
+            "print('ok')\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(lits),
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == b"ok\n"
+
+    def test_parsed_program_shares_literal_objects(self):
+        p = parse_program("r1: a :- -b.\nr2: -b :- not a.\nr3: b :- a, not -b.\n")
+        r1, r2, r3 = p.rules
+        (b_neg_body,) = r1.pbody
+        assert r2.head is b_neg_body
+        assert next(iter(r2.nbody)) is r1.head
+        assert next(iter(r3.pbody)) is r1.head
+        assert r3.head.complement() is r2.head
+        assert r1.head.atom is next(iter(r3.pbody)).atom
 
 
 class TestLiteralUniverse:
@@ -143,6 +218,24 @@ class TestInterpretation:
     def test_subset_and_membership(self):
         assert A in interp(A, B)
         assert interp(A).issubset(interp(A, B))
+
+    @pytest.mark.parametrize(
+        "literals, expected",
+        [([A, NB], Interpretation.of([A, NB])), ([A, NA, B], Interpretation.lit([A, NA, B, NB]))],
+        ids=["consistent", "inconsistent"],
+    )
+    def test_collapse_tests_consistency_once(self, monkeypatch, literals, expected):
+        from olp import syntax
+
+        calls = []
+
+        def counted(lits, _original=syntax.is_consistent):
+            calls.append(lits)
+            return _original(lits)
+
+        monkeypatch.setattr(syntax, "is_consistent", counted)
+        assert Interpretation.collapse(literals, [A, NA, B, NB]) == expected
+        assert len(calls) == 1
 
 
 class TestPartialModel:
