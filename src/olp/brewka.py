@@ -31,17 +31,27 @@ __all__ = [
 ]
 
 
-def _fires(op: OrderedProgram, y: frozenset[Literal]) -> Fires:
+def _fires(
+    op: OrderedProgram, y: frozenset[Literal], closed: dict[int, frozenset[Literal]]
+) -> Fires:
     """r fires at x when nbody(r) misses cl(reduct(rules, y)) without the
-    reducts of the rules r defeats at x; each removal is closed once."""
+    reducts of the rules r defeats at x.
+
+    ``closed`` holds the closures already made, keyed by the set of rules
+    closed (a bitset over rule positions); a closure depends on nothing
+    else, so one cache serves every context y of an alternation.
+    """
+    bit = {r.name: 1 << i for i, r in enumerate(op.rules)}
     base = reduct(op.rules, y)
-    contexts: dict[frozenset[str], frozenset[Literal]] = {}
+    base_bits = sum(bit[b.name] for b in base)
 
     def fires(r, x):
-        dropped = frozenset(lower.name for lower in defeated_rules(op, r, x))
-        if dropped not in contexts:
-            contexts[dropped] = cl(tuple(b for b in base if b.name not in dropped))
-        return not (r.nbody & contexts[dropped])
+        key = base_bits
+        for lower in defeated_rules(op, r, x):
+            key &= ~bit[lower.name]
+        if key not in closed:
+            closed[key] = cl(tuple(b for b in base if key & bit[b.name]))
+        return not (r.nbody & closed[key])
 
     return fires
 
@@ -50,19 +60,23 @@ def t_star_step(
     op: OrderedProgram, y: frozenset[Literal], x: frozenset[Literal]
 ) -> frozenset[Literal]:
     """One derivation step against defeat-pruned reduct closures."""
-    fires = _fires(op, y)
+    fires = _fires(op, y, {})
     return frozenset(r.head for r in op.rules if r.pbody <= x and fires(r, x))
 
 
 def c_star_pref(op: OrderedProgram, y: frozenset[Literal]) -> frozenset[Literal]:
     """Least raw set closed under the t_star_step firing test."""
-    return frozenset(derive(op.rules, _fires(op, y)))
+    return frozenset(derive(op.rules, _fires(op, y, {})))
 
 
 def brewka_wf_iterates(op: OrderedProgram) -> list[frozenset[Literal]]:
-    """Iterates of the fused alternating operator, ending in a repeat."""
+    """Iterates of the fused alternating operator, ending in a repeat.
+
+    Every step shares one cache of closed rule sets.
+    """
+    closed: dict[int, frozenset[Literal]] = {}
     _, values = kleene(
-        lambda x: c_star_pref(op, x),
+        lambda x: frozenset(derive(op.rules, _fires(op, x, closed))),
         frozenset(),
         len(op.universe) + 1,
         "paraconsistent well-founded fixpoint",

@@ -6,6 +6,12 @@ of basic programs, the immediate consequence operator with a blocking
 context, answer sets by exhaustive candidate enumeration, and the
 well-founded model as the least fixpoint of ``a_op = c_op . c_op``.
 
+The alternating fixpoints do not close from scratch at every step: each
+half of the alternation is a ``LiveClosure``, which keeps its derived set
+between calls and, for a new context, re-tests only the rules whose
+counters the change touches.  ``derive`` and ``c_op`` stay the plain,
+stateless references that the theorem battery checks it against.
+
 The enumerators here are desk-scale tools, deliberately direct; they are
 not solvers.
 """
@@ -22,6 +28,8 @@ from .syntax import (
     PartialModel,
     ProgramError,
     Rule,
+    RuleIndex,
+    index_rules,
     is_consistent,
 )
 
@@ -36,6 +44,7 @@ __all__ = [
     "c_star",
     "c_op",
     "a_op",
+    "LiveClosure",
     "answer_sets",
     "head_candidates",
     "well_founded_fixpoint",
@@ -152,6 +161,123 @@ def a_op(
     return c_op(rules, c_op(rules, x, universe), universe)
 
 
+class LiveClosure:
+    """``c_op(rules, x, universe)`` for a sequence of contexts x, kept live.
+
+    The closure keeps its raw derived set (``c_star`` at the last context)
+    between calls, and two counters per rule: its positive-body literals
+    not derived yet, and its negative-body literals in the context.  A rule
+    fires when both reach zero; deriving a literal counts down the rules
+    with it in their positive body and puts those that reach zero on the
+    worklist (the counter-based Horn closure of Dowling & Gallier, J. Logic
+    Programming 1984).  A new context is diffed against the last one.  A
+    literal that leaves it frees the rules it alone blocked.  A literal
+    that joins it blocks rules, whose heads go, together with everything
+    derived through them; every rule that can derive a deleted literal
+    again is then re-tested (DRed's over-delete and re-derive: Gupta,
+    Mumick & Subrahmanian, SIGMOD 1993).  A running count of complementary
+    pairs decides the collapse to Lit.  A call costs the size of the change
+    and of what it retracts, plus one copy of the derived set.
+
+    ``index`` is ``index_rules(rules)`` where the caller has it already;
+    it is read, never written, so closures over the same rules share it.
+    """
+
+    def __init__(
+        self,
+        rules: Sequence[Rule],
+        universe: frozenset[Literal],
+        *,
+        index: RuleIndex | None = None,
+    ):
+        self._rules = tuple(rules)
+        self._universe = universe
+        index = index or index_rules(self._rules)
+        self._by_pbody, self._by_nbody, self._by_head = index
+        self._missing = [len(r.pbody) for r in self._rules]
+        self._blocks = [0] * len(self._rules)
+        self._work = [i for i, n in enumerate(self._missing) if not n]
+        self._derived: set[Literal] = set()
+        self._pairs = 0  # complementary pairs in the derived set
+        self._context: frozenset[Literal] = frozenset()
+        self._value: Interpretation | None = None
+
+    def __call__(self, x: Interpretation) -> Interpretation:
+        context = x.literals
+        if context is not self._context:
+            self._retract(self._move_to(context))
+        if self._work:
+            self._fire()
+        if self._value is None:
+            if self._pairs:
+                self._value = Interpretation.lit(self._universe)
+            else:
+                self._value = Interpretation(frozenset(self._derived))
+        return self._value
+
+    def _move_to(self, context: frozenset[Literal]) -> list[int]:
+        """Recount the blocks; queue the freed rules, return the newly
+        blocked ones."""
+        old, blocks, by_nbody = self._context, self._blocks, self._by_nbody
+        blocked = []
+        for lit in context - old:
+            for i in by_nbody.get(lit, ()):
+                blocks[i] += 1
+                if blocks[i] == 1:
+                    blocked.append(i)
+        for lit in old - context:
+            for i in by_nbody.get(lit, ()):
+                blocks[i] -= 1
+                if not blocks[i]:
+                    self._work.append(i)
+        self._context = context
+        return blocked
+
+    def _retract(self, blocked: list[int]) -> None:
+        """Over-delete what the blocked rules supported, then queue every
+        rule that can derive a deleted literal again."""
+        rules, derived = self._rules, self._derived
+        doomed = {rules[i].head for i in blocked} & derived
+        if not doomed:
+            return
+        stack = list(doomed)
+        while stack:
+            for i in self._by_pbody.get(stack.pop(), ()):
+                head = rules[i].head
+                if head in derived and head not in doomed:
+                    doomed.add(head)
+                    stack.append(head)
+        missing, work = self._missing, self._work
+        for lit in doomed:
+            derived.remove(lit)
+            if lit.complement() in derived:
+                self._pairs -= 1
+            for i in self._by_pbody.get(lit, ()):
+                missing[i] += 1
+            work.extend(self._by_head[lit])
+        self._value = None
+
+    def _fire(self) -> None:
+        """Fire the queued rules until the worklist is empty."""
+        rules, derived, work = self._rules, self._derived, self._work
+        missing, blocks, by_pbody = self._missing, self._blocks, self._by_pbody
+        size = len(derived)
+        while work:
+            i = work.pop()
+            head = rules[i].head
+            if missing[i] or blocks[i] or head in derived:
+                continue
+            derived.add(head)
+            if head.complement() in derived:
+                self._pairs += 1
+            for j in by_pbody.get(head, ()):
+                missing[j] -= 1
+                if not missing[j]:
+                    work.append(j)
+        if len(derived) != size:
+            self._value = None
+
+
 def head_candidates(
     rules: Sequence[Rule], universe: frozenset[Literal]
 ) -> Iterator[Interpretation]:
@@ -186,9 +312,17 @@ def answer_sets(
 def well_founded_fixpoint(
     rules: Sequence[Rule], universe: frozenset[Literal]
 ) -> tuple[Interpretation, FixpointTrace]:
-    """Least fixpoint of the alternating operator, with its trace."""
+    """Least fixpoint of the alternating operator, with its trace.
+
+    Each half of ``a_op`` is a live closure: the inner one follows the
+    growing iterates, the outer one the shrinking contexts they support, so
+    a step costs what changed rather than two closures from scratch.
+    """
+    index = index_rules(rules)
+    inner = LiveClosure(rules, universe, index=index)
+    outer = LiveClosure(rules, universe, index=index)
     return kleene_trace(
-        lambda x: a_op(rules, x, universe), universe, "well-founded fixpoint"
+        lambda x: outer(inner(x)), universe, "well-founded fixpoint"
     )
 
 

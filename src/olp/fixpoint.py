@@ -3,7 +3,9 @@
 The outer alternations are monotone on a finite lattice, so Kleene
 iteration from the empty interpretation reaches their least fixpoint within
 ``|universe| + 1`` applications; exceeding the cap signals a bug, not an
-input property.  Inner closures run in ``classical.derive`` and need no cap.
+input property.  Inner closures (``classical.derive`` and the worklist
+closures of ``classical.LiveClosure`` and ``prefwfs.cpn_op``) fire each
+rule at most once per call and need no cap.
 """
 
 from __future__ import annotations
@@ -25,7 +27,25 @@ T = TypeVar("T")
 
 
 class FixpointDivergence(RuntimeError):
-    """Iteration did not converge within the structural bound."""
+    """Iteration did not converge within the structural bound.
+
+    ``previous`` and ``last`` are the last two iterates, when known, and
+    ``difference`` the literals that differ between them; the one-line
+    message names those literals.
+    """
+
+    def __init__(self, message: str, previous=None, last=None):
+        self.previous, self.last = previous, last
+        self.difference: frozenset[Literal] = frozenset()
+        if previous is not None and last is not None:
+            self.difference = _literals(previous) ^ _literals(last)
+            names = ", ".join(sorted(map(str, self.difference)))
+            message += f"; its last two iterates differ on {{{names}}}"
+        super().__init__(message)
+
+
+def _literals(value) -> frozenset[Literal]:
+    return value.literals if isinstance(value, Interpretation) else frozenset(value)
 
 
 @dataclass(frozen=True)
@@ -55,7 +75,7 @@ def kleene(
             return current, values
         current = nxt
     raise FixpointDivergence(
-        f"{what} did not converge within {cap + 1} applications"
+        f"{what} did not converge within {cap + 1} applications", *values[-2:]
     )
 
 

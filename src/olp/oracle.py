@@ -147,11 +147,13 @@ def generate_program(cfg: GeneratorConfig) -> OrderedProgram:
     """
     rng = random.Random(cfg.seed)
     atoms = [Atom(name) for name in _ATOM_NAMES[: rng.randint(1, cfg.max_atoms)]]
+    # Each distinct literal is built once, beside its cached complement.
+    polarities = {p.atom: (p, p.complement()) for p in map(Literal, atoms)}
 
     def literal() -> Literal:
-        return Literal(
-            rng.choice(atoms), rng.random() < cfg.classical_negation_prob
-        )
+        return polarities[rng.choice(atoms)][
+            rng.random() < cfg.classical_negation_prob
+        ]
 
     n_rules = rng.randint(1, cfg.max_rules)
     rules = []
@@ -239,19 +241,25 @@ def program_hash(op: OrderedProgram) -> str:
 
 
 def _random_consistent(
-    rng: random.Random, universe: frozenset[Literal]
+    rng: random.Random, polarities: dict[Atom, tuple[Literal, Literal]]
 ) -> Interpretation:
     picked = []
-    for atom in {lit.atom for lit in universe}:
+    for atom in polarities:
         choice = rng.choice((0, 1, 2))
         if choice:
-            picked.append(Literal(atom, choice == 2))
+            picked.append(polarities[atom][choice - 1])
     return Interpretation.of(picked)
 
 
 def _subset_pairs(
     rng: random.Random, universe: frozenset[Literal], count: int
 ) -> list[tuple[Interpretation, Interpretation]]:
+    # The universe's own literal objects, by atom, in the iteration order
+    # of the atom set (the draws depend on that order).
+    polarities = dict.fromkeys({lit.atom for lit in universe})
+    for lit in universe:
+        if not lit.negated:
+            polarities[lit.atom] = (lit, lit.complement())
     pairs = []
     for _ in range(count):
         if universe and rng.random() < 0.1:
@@ -259,10 +267,10 @@ def _subset_pairs(
             small = (
                 big
                 if rng.random() < 0.3
-                else _random_consistent(rng, universe)
+                else _random_consistent(rng, polarities)
             )
         else:
-            big = _random_consistent(rng, universe)
+            big = _random_consistent(rng, polarities)
             small = Interpretation.of(
                 lit for lit in big.literals if rng.random() < 0.6
             )
@@ -307,19 +315,28 @@ def check_theorems(
     else:
         battery.check("c-anti-monotone", True)
     # c_op's reduct route must agree with iterating the blocking-context
-    # step with x as the context.
+    # step with x as the context.  The live closure, fed the same contexts in
+    # turn, must agree with c_op too: the sequence grows (a pair's small
+    # side, then its big side) and shrinks (a big side, then the next small
+    # side), through Lit where it is sampled.
+    live = classical.LiveClosure(rules, universe)
+    failed = {"c-op-routes-agree": "", "live-closure-matches-c-op": ""}
     for x in (x for pair in pairs for x in pair):
         direct = classical.c_op(rules, x, universe)
-        stepped = iterate_union(
-            lambda cur: classical.t_step(rules, x, cur, universe), universe
-        )
-        if stepped != direct:
-            battery.check("c-op-routes-agree", False, f"{x} -> {stepped} vs {direct}")
-            break
-    else:
-        battery.check("c-op-routes-agree", True)
-    # Likewise every other closure built on classical.derive must agree with
-    # iterating its step operator, on both sides of the first 10 pairs.
+        if not failed["c-op-routes-agree"]:
+            stepped = iterate_union(
+                lambda cur: classical.t_step(rules, x, cur, universe), universe
+            )
+            if stepped != direct:
+                failed["c-op-routes-agree"] = f"{x} -> {stepped} vs {direct}"
+        if not failed["live-closure-matches-c-op"]:
+            kept = live(x)
+            if kept != direct:
+                failed["live-closure-matches-c-op"] = f"{x} -> {kept} vs {direct}"
+    for invariant, detail in failed.items():
+        battery.check(invariant, not detail, detail)
+    # Likewise every other consequence closure must agree with iterating
+    # its step operator, on both sides of the first 10 pairs.
     routes = (
         (
             "cp-op-routes-agree",

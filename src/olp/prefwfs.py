@@ -15,6 +15,13 @@ Two removal policies are implemented:
   This ignores competing supports for the same literal and serves as a
   negative control; it is kept because the test suite must be able to
   detect the difference.
+
+Both closures of the alternation avoid rescanning the program.  The
+classical half is a ``classical.LiveClosure`` kept for the whole fixpoint,
+so a step re-tests only the rules its change of context touches.  The
+defeat-aware half, ``cpn_op``, is a worklist closure: a rule is tested
+when its positive body is complete, and again whenever a newly derived
+literal can shrink its removal set.
 """
 
 from __future__ import annotations
@@ -137,8 +144,32 @@ def tpn_step(
 def cpn_op(
     op: OrderedProgram, x: Interpretation, variant: str = VARIANT_PAPER
 ) -> Interpretation:
-    """Least set closed under the tpn_step firing test, with x as context."""
-    derived = classical.derive(op.rules, _fires(op, x, variant))
+    """Least set closed under the tpn_step firing test, with x as context.
+
+    A worklist closure.  A rule is tested once its positive body is derived
+    (a per-rule counter of missing literals), and again after each derived
+    literal l that can change its test: l defeats the rules g with l in
+    their negative body, which ``_kept`` reads only for a rule r with
+    head(g) in nbody(r).  That is the one place the test reads the derived
+    set, under either removal policy.
+    """
+    fires = _fires(op, x, variant)
+    rules, (by_pbody, by_nbody, _) = op.rules, op.rule_index
+    missing = [len(r.pbody) for r in rules]
+    work = [i for i, n in enumerate(missing) if not n]
+    derived: set[Literal] = set()
+    while work:
+        i = work.pop()
+        head = rules[i].head
+        if missing[i] or head in derived or not fires(rules[i], derived):
+            continue
+        derived.add(head)
+        for j in by_pbody.get(head, ()):
+            missing[j] -= 1
+            if not missing[j]:
+                work.append(j)
+        for g in by_nbody.get(head, ()):
+            work.extend(by_nbody.get(rules[g].head, ()))
     return Interpretation.collapse(derived, op.universe)
 
 
@@ -153,8 +184,11 @@ def apn_op(
 def preferred_wfs_fixpoint(
     op: OrderedProgram, variant: str = VARIANT_PAPER
 ) -> tuple[Interpretation, FixpointTrace]:
+    """Least fixpoint of apn_op, with its trace; the classical half of each
+    step is one live closure that follows the growing iterates."""
+    supported = classical.LiveClosure(op.rules, op.universe, index=op.rule_index)
     return kleene_trace(
-        lambda x: apn_op(op, x, variant),
+        lambda x: cpn_op(op, supported(x), variant),
         op.universe,
         "preferred well-founded fixpoint",
     )

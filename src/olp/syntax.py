@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Atom",
@@ -27,6 +27,7 @@ __all__ = [
     "complement",
     "literal_universe",
     "mentioned_literals",
+    "index_rules",
     "validate_order",
     "is_consistent",
     "pos",
@@ -316,6 +317,11 @@ class OrderedProgram:
         return {name: tuple(rs) for name, rs in below.items()}
 
     @cached_property
+    def rule_index(self) -> RuleIndex:
+        """Rule positions by body and head literal (see ``index_rules``)."""
+        return index_rules(self.rules)
+
+    @cached_property
     def generators_of(self) -> dict[Literal, tuple[Rule, ...]]:
         """Rules indexed by head literal."""
         acc: dict[Literal, list[Rule]] = {}
@@ -354,6 +360,25 @@ def literal_universe(source: OrderedProgram | Iterable[Rule]) -> frozenset[Liter
     atoms = {a for a in some}
     positive = (some[a].complement() if some[a].negated else some[a] for a in atoms)
     return frozenset(lit for p in positive for lit in (p, p.complement()))
+
+
+Positions = dict[Literal, list[int]]
+RuleIndex = tuple[Positions, Positions, Positions]
+
+
+def index_rules(rules: Sequence[Rule]) -> RuleIndex:
+    """For each literal, the positions (in rule order) of the rules with it
+    in their positive body, in their negative body, and as their head."""
+    by_pbody: Positions = {}
+    by_nbody: Positions = {}
+    by_head: Positions = {}
+    for i, r in enumerate(rules):
+        by_head.setdefault(r.head, []).append(i)
+        for lit in r.pbody:
+            by_pbody.setdefault(lit, []).append(i)
+        for lit in r.nbody:
+            by_nbody.setdefault(lit, []).append(i)
+    return by_pbody, by_nbody, by_head
 
 
 def mentioned_literals(

@@ -118,6 +118,7 @@ def batch_reports():
 THEOREM_INVARIANTS = (
     "c-anti-monotone",
     "c-op-routes-agree",
+    "live-closure-matches-c-op",
     "cp-op-routes-agree",
     "cpn-op-routes-agree",
     "cpn-simplistic-routes-agree",

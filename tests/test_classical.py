@@ -3,6 +3,7 @@ import random
 import pytest
 
 from olp.classical import (
+    LiveClosure,
     a_op,
     answer_sets,
     c_op,
@@ -23,7 +24,7 @@ from olp.syntax import (
     pos,
     rule,
 )
-from .conftest import A, B, NA, NB, P, Q, interp
+from .conftest import A, B, C, NA, NB, NP, P, Q, interp
 
 E = Interpretation.empty()
 
@@ -104,6 +105,85 @@ class TestCOp:
     def test_strict_chain_context(self, defeasible):
         x = interp(P, Q)
         assert c_op(defeasible.rules, x, defeasible.universe) == x
+
+
+def _follow(rules, steps):
+    """Feed a live closure each context in turn; at every step it must equal
+    c_op at that context and the expected value."""
+    universe = literal_universe(rules)
+    live = LiveClosure(rules, universe)
+    for context, expected in steps:
+        want = Interpretation.lit(universe) if expected == "Lit" else interp(*expected)
+        assert c_op(rules, context, universe) == want, context
+        assert live(context) == want, context
+
+
+class TestLiveClosure:
+    def test_positive_cycle_loses_its_outside_support(self):
+        # a :- b.  b :- a.  a :- not p.
+        rules = (
+            rule("r1", A, pbody=[B]),
+            rule("r2", B, pbody=[A]),
+            rule("r3", A, nbody=[P]),
+        )
+        _follow(
+            rules, [(E, [A, B]), (interp(P), []), (E, [A, B]), (interp(NP), [A, B])]
+        )
+
+    def test_head_with_two_supports_one_blocked(self):
+        # a :- not p.  a :- not q.  b :- a.
+        rules = (
+            rule("r1", A, nbody=[P]),
+            rule("r2", A, nbody=[Q]),
+            rule("r3", B, pbody=[A]),
+        )
+        _follow(
+            rules,
+            [(E, [A, B]), (interp(P), [A, B]), (interp(P, Q), []), (interp(Q), [A, B])],
+        )
+
+    def test_context_grows_and_shrinks_back(self):
+        # a :- not b.  b :- not c.  c :- not d.  p :- a, c.
+        rules = (
+            rule("r1", A, nbody=[B]),
+            rule("r2", B, nbody=[C]),
+            rule("r3", C, nbody=[pos("d")]),
+            rule("r4", P, pbody=[A, C]),
+        )
+        _follow(
+            rules,
+            [
+                (E, [A, B, C, P]),
+                (interp(C), [A, C, P]),
+                (interp(B, C), [C]),
+                (interp(C), [A, C, P]),
+                (E, [A, B, C, P]),
+            ],
+        )
+
+    def test_context_drives_the_closure_to_lit_and_back(self):
+        # a :- not p.  -a :- not q.  b :- a.
+        rules = (
+            rule("r1", A, nbody=[P]),
+            rule("r2", NA, nbody=[Q]),
+            rule("r3", B, pbody=[A]),
+        )
+        lit = Interpretation.lit(literal_universe(rules))
+        _follow(
+            rules,
+            [
+                (E, "Lit"),
+                (interp(P), [NA]),
+                (E, "Lit"),
+                (interp(Q), [A, B]),
+                (lit, []),
+                (interp(P, Q), []),
+                (E, "Lit"),
+            ],
+        )
+
+    def test_atom_free_program(self):
+        _follow((), [(E, []), (Interpretation.lit(frozenset()), []), (E, [])])
 
 
 class TestAOp:

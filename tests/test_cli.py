@@ -202,6 +202,28 @@ class TestSolveErrors:
         code, _, err = run(capsys, "solve", str(CORPUS / "ex3.olp"), "--mode", "wfs")
         assert code == 3 and "internal error" in err
 
+    def test_oscillating_step_exits_three_naming_the_differing_literals(
+        self, capsys, monkeypatch
+    ):
+        from itertools import count
+
+        from olp import prefwfs
+        from olp.syntax import Interpretation, pos
+
+        # A forced oscillation: the defeat-aware half alternates {a} and {}.
+        calls = count()
+
+        def flip(op, x, variant="paper"):
+            return Interpretation.of([pos("a")] if next(calls) % 2 == 0 else [])
+
+        monkeypatch.setattr(prefwfs, "cpn_op", flip)
+        code, out, err = run(capsys, "solve", str(CORPUS / "ex3.olp"), "--mode", "pwfs")
+        assert code == 3 and out == ""
+        assert err == (
+            "internal error: preferred well-founded fixpoint did not converge "
+            "within 6 applications; its last two iterates differ on {a}\n"
+        )
+
 
 TWENTY_FIVE_HEADS = "".join(f"p{k}.\n" for k in range(25)).encode()
 

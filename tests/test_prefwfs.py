@@ -1,6 +1,7 @@
 import random
 
 from olp.classical import c_op, t_step, well_founded_fixpoint, well_founded_model
+from olp.fixpoint import iterate_union
 from olp.oracle import GeneratorConfig, generate_program
 from olp.parser import parse_program
 from olp.preference import preferred_answer_sets
@@ -95,6 +96,18 @@ class TestCpnOp:
 
     def test_shared_head_program_simplistic_variant(self, ex5):
         assert cpn_op(ex5, interp(A, B), "simplistic") == interp(A, B)
+
+    def test_a_later_defeat_retests_a_blocked_rule(self):
+        # r3 is blocked by q until p, derived by r1, defeats q's only rule r2;
+        # both rule orders, so whichever rule the worklist tests first.
+        lines = ["r1: p.", "r2: q :- not p.", "r3: a :- not q.", "r2 < r3."]
+        for text in ("\n".join(lines), "\n".join(reversed(lines))):
+            op = parse_program(text)
+            for variant in ("paper", "simplistic"):
+                stepped = iterate_union(
+                    lambda cur: tpn_step(op, interp(Q), cur, variant), op.universe
+                )
+                assert cpn_op(op, interp(Q), variant) == stepped == interp(P, Q, A)
 
 
 class TestApnOp:
