@@ -79,13 +79,19 @@ def reduct(
     )
 
 
-def derive(rules: Sequence[Rule], fires: Fires) -> set[Literal]:
+def derive(
+    rules: Sequence[Rule],
+    fires: Fires,
+    grow: Callable[[Literal], None] | None = None,
+) -> set[Literal]:
     """Least raw set closed under the rules that fire; no consistency collapse.
 
     A rule adds its head once its positive body is derived and
     ``fires(rule, derived)`` holds.  Rule order is irrelevant provided
     ``fires`` stays true as the derived set grows.  Every pass but the last
     derives a new head, so the loop ends within ``len(rules) + 1`` passes.
+    ``grow(head)``, when given, is called after each head is added, so a
+    firing test can keep its own view of the derived set up to date.
     """
     derived: set[Literal] = set()
     while True:
@@ -93,6 +99,8 @@ def derive(rules: Sequence[Rule], fires: Fires) -> set[Literal]:
         for r in rules:
             if r.head not in derived and r.pbody <= derived and fires(r, derived):
                 derived.add(r.head)
+                if grow:
+                    grow(r.head)
         if len(derived) == size:
             return derived
 
@@ -212,7 +220,8 @@ class LiveClosure:
             if self._pairs:
                 self._value = Interpretation.lit(self._universe)
             else:
-                self._value = Interpretation(frozenset(self._derived))
+                # No complementary pair: the set is consistent as it stands.
+                self._value = Interpretation.trusted(frozenset(self._derived))
         return self._value
 
     def _move_to(self, context: frozenset[Literal]) -> list[int]:

@@ -375,6 +375,23 @@ def check_theorems(
                 break
         else:
             battery.check(invariant, True)
+    # The defeat sets the engines read from bitsets (below, static, hit)
+    # must be the rules a scan with ``defeats`` finds below each rule.
+    lower = {
+        r: [g for g in rules if op.order.prefers(g.name, r.name)] for r in rules
+    }
+    detail = ""
+    for x in (x for pair in pairs[:10] for x in pair):
+        for r in rules:
+            scanned = tuple(g for g in lower[r] if prefwfs.defeats(r, g, x))
+            bits = prefwfs.defeated_rules(op, r, x)
+            if bits != scanned:
+                names = [[g.name for g in found] for found in (bits, scanned)]
+                detail = f"{r.name} at {x}: {names[0]} vs {names[1]}"
+                break
+        if detail:
+            break
+    battery.check("defeat-bits-agree", not detail, detail)
     for small, big in pairs:
         if not classical.a_op(rules, small, universe).issubset(
             classical.a_op(rules, big, universe)

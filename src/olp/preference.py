@@ -6,13 +6,19 @@ as it is active against the putative context and its head has not yet been
 derived.  Preferred answer sets are the fixpoints of the resulting
 consequence operator; its alternating composition yields a (deliberately
 skeptical) well-founded set used here as a negative baseline.
+
+The rules still in question form one live bitset over rule positions, which
+shrinks as literals are derived; a rule's test is one AND of it with the
+order's ``above`` mask for the rule.
 """
 
 from __future__ import annotations
 
-from .classical import Fires, derive, fire_step, head_candidates, is_active
+from typing import AbstractSet, Callable
+
+from .classical import Fires, derive, fire_step, head_candidates
 from .fixpoint import FixpointTrace, kleene_trace
-from .syntax import Interpretation, OrderedProgram
+from .syntax import Interpretation, Literal, OrderedProgram
 
 __all__ = [
     "tp_step",
@@ -24,25 +30,52 @@ __all__ = [
 ]
 
 
-def _fires(op: OrderedProgram, y: Interpretation) -> Fires:
+def _fires(
+    op: OrderedProgram, y: Interpretation, x: AbstractSet[Literal] = frozenset()
+) -> tuple[Fires, Callable[[Literal], None] | None]:
     """r fires at x when nbody(r) misses y and no rule r' above r is both
-    active wrt (y, x) and still unapplied (head(r') not in x)."""
-    return lambda r, x: not (r.nbody & y.literals) and not any(
-        higher.head not in x and is_active(higher, y, x)
-        for higher in op.rules_above[r.name]
-    )
+    active wrt (y, x) and still unapplied (head(r') not in x).
+
+    Returns the test and ``grow(lit)``, which tells the test that x gained
+    lit (None when the order is empty: the test then ignores x).  The test
+    reads x only through ``live``, the bitset of the rules active and
+    unapplied at x.  It starts as the rules whose positive body is in y and
+    only shrinks: a rule leaves it when its head, or a literal of its
+    negative body, joins x.
+    """
+    ys = y.literals
+    if not op.order:
+        return (lambda r, x: not (r.nbody & ys)), None
+    above, position, nb, hb = op.order.above, op.order.position, op.nb, op.hb
+    live = 0
+    for j, r in enumerate(op.rules):
+        if r.pbody <= ys:
+            live |= 1 << j
+
+    def grow(lit):
+        nonlocal live
+        live &= ~(nb.get(lit, 0) | hb.get(lit, 0))
+
+    for lit in x:
+        grow(lit)
+
+    def fires(r, x):
+        return not (r.nbody & ys) and not (above[position[r.name]] & live)
+
+    return fires, grow
 
 
 def tp_step(
     op: OrderedProgram, y: Interpretation, x: Interpretation
 ) -> Interpretation:
     """One derivation step relative to the putative context y."""
-    return fire_step(op.rules, _fires(op, y), x, op.universe)
+    fires, _ = _fires(op, y, x.literals)
+    return fire_step(op.rules, fires, x, op.universe)
 
 
 def cp_op(op: OrderedProgram, x: Interpretation) -> Interpretation:
     """Least set closed under the tp_step firing test, with x as context."""
-    return Interpretation.collapse(derive(op.rules, _fires(op, x)), op.universe)
+    return Interpretation.collapse(derive(op.rules, *_fires(op, x)), op.universe)
 
 
 def ap_op(op: OrderedProgram, x: Interpretation) -> Interpretation:

@@ -22,20 +22,39 @@ so a step re-tests only the rules its change of context touches.  The
 defeat-aware half, ``cpn_op``, is a worklist closure: a rule is tested
 when its positive body is complete, and again whenever a newly derived
 literal can shrink its removal set.
+
+Defeat sets are bitsets over rule positions, never rescans of the rules
+below a rule.  Rule i defeats the lower rule g at state x when head(i) or
+a literal of x is in nbody(g), so its defeat set is
+``below[i] & (static[i] | hit(x))``: ``below`` is the order's transpose,
+``static[i] = below[i] & nb[head(i)]`` is fixed per program, and
+``hit(x)``, the OR of ``nb[l]`` over x, is kept up to date as a closure
+derives literals, one OR per literal.  ``defeats`` stays as the
+reference of the battery invariant ``defeat-bits-agree``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from . import classical
 from .fixpoint import FixpointTrace, kleene_trace
-from .syntax import Interpretation, Literal, OrderedProgram, PartialModel, Rule
+from .syntax import (
+    Interpretation,
+    Literal,
+    OrderedProgram,
+    PartialModel,
+    Rule,
+    bit_positions,
+)
 
 __all__ = [
     "VARIANTS",
     "DefeatContext",
     "defeats",
+    "hit_bits",
+    "defeat_bits",
     "defeated_rules",
     "d_set",
     "d_set_simplistic",
@@ -71,25 +90,49 @@ def _check_variant(variant: str) -> None:
 def defeats(
     r: Rule, r2: Rule, x: Interpretation | frozenset[Literal]
 ) -> bool:
-    """True iff the head of r together with x meets the negative body of r2."""
+    """True iff the head of r together with x meets the negative body of r2.
+
+    The reference for the defeat bitsets; no engine calls it.
+    """
     xs = x.literals if isinstance(x, Interpretation) else x
     return r.head in r2.nbody or not r2.nbody.isdisjoint(xs)
+
+
+def hit_bits(op: OrderedProgram, x: Iterable[Literal]) -> int:
+    """hit(x): the rules with a literal of x in their negative body, as a
+    bitset over rule positions (the OR of ``op.nb[l]`` over x)."""
+    nb = op.nb
+    hit = 0
+    for lit in x:
+        hit |= nb.get(lit, 0)
+    return hit
+
+
+def defeat_bits(op: OrderedProgram, i: int, hit: int) -> int:
+    """The rules strictly below rule i that it defeats at a state x with
+    hit(x) = ``hit``, as a bitset over rule positions.
+
+    Rule i defeats a lower rule g when head(i) is in nbody(g), which
+    ``op.static[i]`` holds for every state, or when x meets nbody(g), which
+    is bit g of hit(x).
+    """
+    return op.order.below[i] & (op.static[i] | hit)
 
 
 def defeated_rules(
     op: OrderedProgram, r: Rule, x: Interpretation | frozenset[Literal]
 ) -> tuple[Rule, ...]:
-    """The rules strictly below r that r defeats at state x."""
-    return tuple(
-        lower for lower in op.rules_below[r.name] if defeats(r, lower, x)
-    )
+    """The rules strictly below r that r defeats at state x, in rule order."""
+    bits = defeat_bits(op, op.order.position[r.name], hit_bits(op, x))
+    return tuple(op.rules[j] for j in bit_positions(bits))
 
 
 def d_set(
     op: OrderedProgram, r: Rule, x: Interpretation, y: Interpretation
 ) -> frozenset[Literal]:
     """Literals of y removable from r's blocking context at state x."""
-    return y.literals - _kept(op, r, x, y, VARIANT_PAPER, y.literals)
+    i = op.order.position[r.name]
+    return y.literals - _kept(op, i, hit_bits(op, x), y, VARIANT_PAPER, y.literals)
 
 
 def d_set_simplistic(
@@ -101,34 +144,43 @@ def d_set_simplistic(
 
 def _kept(
     op: OrderedProgram,
-    r: Rule,
-    x: Interpretation | frozenset[Literal],
+    i: int,
+    hit: int,
     y: Interpretation,
     variant: str,
     among: frozenset[Literal],
 ) -> frozenset[Literal]:
-    """The literals of ``among`` (a subset of y) that stay in r's blocking
-    context at state x under the removal policy."""
+    """The literals of ``among`` (a subset of y) that stay in rule i's
+    blocking context under the removal policy, at a state x with hit(x) =
+    ``hit``."""
+    if not among:
+        return among
+    defeated, hb = defeat_bits(op, i, hit), op.hb
     if variant == VARIANT_SIMPLISTIC:
-        return among - d_set_simplistic(op, r, x) if among else among
+        # A literal goes iff it is the head of a defeated rule.
+        return frozenset(lit for lit in among if not hb.get(lit, 0) & defeated)
     # A literal stays iff some rule that can support it within y is not
-    # both strictly below r and defeated; an unsupported literal goes.
+    # defeated by rule i; an unsupported literal goes.
+    rules, ys = op.rules, y.literals
     return frozenset(
         lit
         for lit in among
         if any(
-            not op.order.prefers(gen.name, r.name) or not defeats(r, gen, x)
-            for gen in op.generators_of.get(lit, ())
-            if gen.pbody <= y.literals
+            rules[g].pbody <= ys
+            for g in bit_positions(hb.get(lit, 0) & ~defeated)
         )
     )
 
 
-def _fires(op: OrderedProgram, y: Interpretation, variant: str) -> classical.Fires:
-    # r fires iff no negative-body literal survives in y after removal;
-    # only literals in nbody(r) & y need a removability check.
+def _fires(
+    op: OrderedProgram, y: Interpretation, variant: str
+) -> Callable[[int, int], bool]:
+    """``fires(i, hit)``: rule i fires against y at a state x with hit(x) =
+    ``hit``, that is no negative-body literal survives in y after removal;
+    only literals in nbody(i) & y need a removability check."""
     _check_variant(variant)
-    return lambda r, x: not _kept(op, r, x, y, variant, r.nbody & y.literals)
+    rules, ys = op.rules, y.literals
+    return lambda i, hit: not _kept(op, i, hit, y, variant, rules[i].nbody & ys)
 
 
 def tpn_step(
@@ -138,7 +190,10 @@ def tpn_step(
     variant: str = VARIANT_PAPER,
 ) -> Interpretation:
     """Heads of rules active wrt (x, y minus their removal set)."""
-    return classical.fire_step(op.rules, _fires(op, y, variant), x, op.universe)
+    fires, position, hit = _fires(op, y, variant), op.order.position, hit_bits(op, x)
+    return classical.fire_step(
+        op.rules, lambda r, xs: fires(position[r.name], hit), x, op.universe
+    )
 
 
 def cpn_op(
@@ -151,19 +206,22 @@ def cpn_op(
     literal l that can change its test: l defeats the rules g with l in
     their negative body, which ``_kept`` reads only for a rule r with
     head(g) in nbody(r).  That is the one place the test reads the derived
-    set, under either removal policy.
+    set, under either removal policy; it reads it as hit(derived), which
+    each derived literal updates once.
     """
     fires = _fires(op, x, variant)
-    rules, (by_pbody, by_nbody, _) = op.rules, op.rule_index
+    rules, (by_pbody, by_nbody, _), nb = op.rules, op.rule_index, op.nb
     missing = [len(r.pbody) for r in rules]
     work = [i for i, n in enumerate(missing) if not n]
     derived: set[Literal] = set()
+    hit = 0
     while work:
         i = work.pop()
         head = rules[i].head
-        if missing[i] or head in derived or not fires(rules[i], derived):
+        if missing[i] or head in derived or not fires(i, hit):
             continue
         derived.add(head)
+        hit |= nb.get(head, 0)
         for j in by_pbody.get(head, ()):
             missing[j] -= 1
             if not missing[j]:
@@ -241,7 +299,8 @@ def defeat_contexts(
     """Per-rule removal sets at state (x, y), for traces and diagnostics."""
     _check_variant(variant)
     result = {}
-    for r in op.rules:
-        kept = _kept(op, r, x, y, variant, y.literals)
+    hit = hit_bits(op, x)
+    for i, r in enumerate(op.rules):
+        kept = _kept(op, i, hit, y, variant, y.literals)
         result[r.name] = DefeatContext(r.name, y.literals - kept, kept)
     return result

@@ -3,6 +3,13 @@
 All types are immutable values; they can be shared freely across threads.
 An ordered program couples a finite rule set with a strict partial order on
 rule names (``r1 < r2`` meaning r2 has higher priority).
+
+The order is kept closed as Python-int bitsets over rule positions, one
+``above`` and one ``below`` mask per rule, each built by one Kahn pass, so
+the O(n^2) closed pairs are never listed unless ``pairs`` is read.  A
+program adds, on first use, ``nb[l]`` and ``hb[l]`` (the rules with l in
+their negative body, and with head l) and ``static[i] = below[i] &
+nb[head(i)]``, from which ``prefwfs`` forms defeat sets.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ __all__ = [
     "literal_universe",
     "mentioned_literals",
     "index_rules",
+    "bit_positions",
     "validate_order",
     "is_consistent",
     "pos",
@@ -179,22 +187,25 @@ class PreferenceOrder:
     """A strict partial order on rule names, stored closed as bitsets.
 
     Bit j of ``above[i]`` is set when rule ``rule_names[j]`` has higher
-    priority than rule ``rule_names[i]``.  ``generators`` keeps the pairs as
-    originally declared so that a program can be rendered back without
-    materialising the closure; orders are equal when their declared pairs
-    are.
+    priority than rule ``rule_names[i]``; ``below`` is the transpose, bit j
+    of ``below[i]`` set when rule j has lower priority than rule i.
+    ``generators`` keeps the pairs as originally declared so that a program
+    can be rendered back without materialising the closure; orders are
+    equal when their declared pairs are.
     """
 
     generators: frozenset[tuple[str, str]] = frozenset()
     rule_names: tuple[str, ...] = field(default=(), compare=False)
     above: tuple[int, ...] = field(default=(), compare=False)
+    below: tuple[int, ...] = field(default=(), compare=False)
 
     @classmethod
     def empty(cls) -> "PreferenceOrder":
         return cls()
 
     @cached_property
-    def _position(self) -> dict[str, int]:
+    def position(self) -> dict[str, int]:
+        """Each rule name's bit position."""
         return {name: i for i, name in enumerate(self.rule_names)}
 
     @cached_property
@@ -204,28 +215,44 @@ class PreferenceOrder:
         return frozenset(
             (names[i], names[j])
             for i, bits in enumerate(self.above)
-            for j in _bits(bits)
+            for j in bit_positions(bits)
         )
 
     def prefers(self, lower: str, higher: str) -> bool:
-        i = self._position.get(lower)
-        j = self._position.get(higher)
+        i = self.position.get(lower)
+        j = self.position.get(higher)
         return i is not None and j is not None and bool(self.above[i] >> j & 1)
-
-    def names(self) -> frozenset[str]:
-        # Closing the declared pairs adds no name.
-        return frozenset(n for pair in self.generators for n in pair)
 
     def __bool__(self) -> bool:
         return any(self.above)
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bit_positions(mask: int) -> Iterator[int]:
     """Positions of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _kahn(
+    out: list[list[int]], into: list[list[int]]
+) -> tuple[list[int], list[int]]:
+    """Kahn's algorithm over the edges ``out`` (``into`` reversed): each
+    rule's bitset of the rules it reaches, and each rule's count of edges
+    left unresolved, non-zero only on and behind a cycle.  A rule's set is
+    final once every rule it has an edge to is done.
+    """
+    waiting = [len(edges) for edges in out]
+    reach = [0] * len(out)
+    done = [i for i, count in enumerate(waiting) if not count]
+    for j in done:
+        for i in into[j]:
+            reach[i] |= reach[j] | 1 << j
+            waiting[i] -= 1
+            if not waiting[i]:
+                done.append(i)
+    return reach, waiting
 
 
 def validate_order(
@@ -244,37 +271,37 @@ def validate_order(
         for name in pair:
             if name not in position:
                 raise UnknownRuleError(name)
-    direct = [0] * len(names)
+    if not pairs:
+        unordered = (0,) * len(names)
+        return PreferenceOrder(pairs, names, unordered, unordered)
+    upper: list[list[int]] = [[] for _ in names]
     lower: list[list[int]] = [[] for _ in names]
     for a, b in pairs:
-        direct[position[a]] |= 1 << position[b]
+        upper[position[a]].append(position[b])
         lower[position[b]].append(position[a])
-    # Kahn's algorithm from the top: a rule's closure is final once every
-    # rule directly above it is done.
-    waiting = [bits.bit_count() for bits in direct]
-    above = [0] * len(names)
-    done = [i for i, count in enumerate(waiting) if not count]
-    for j in done:
-        for i in lower[j]:
-            above[i] |= above[j] | 1 << j
-            waiting[i] -= 1
-            if not waiting[i]:
-                done.append(i)
-    if len(done) < len(names):
+    above, waiting = _kahn(upper, lower)
+    if any(waiting):
         # Every rule left waits on a rule above it that is also left, so
         # climbing through those rules must revisit one: it is on a cycle.
         i = next(i for i, count in enumerate(waiting) if count)
         seen = set()
         while i not in seen:
             seen.add(i)
-            i = next(j for j in _bits(direct[i]) if waiting[j])
+            i = next(j for j in upper[i] if waiting[j])
         raise CycleError(names[i])
-    return PreferenceOrder(pairs, names, tuple(above))
+    below, _ = _kahn(lower, upper)
+    return PreferenceOrder(pairs, names, tuple(above), tuple(below))
 
 
 @dataclass(frozen=True)
 class OrderedProgram:
-    """A finite rule sequence plus a validated preference order."""
+    """A finite rule sequence plus a validated preference order.
+
+    The order's bitsets are over this program's rule positions: bit i is
+    ``rules[i]``.  ``nb``, ``hb`` and ``static`` are built on first use;
+    they serve the defeat sets of ``prefwfs`` and the live set of
+    ``preference``.
+    """
 
     rules: tuple[Rule, ...] = ()
     order: PreferenceOrder = field(default_factory=PreferenceOrder.empty)
@@ -285,9 +312,13 @@ class OrderedProgram:
             if r.name in seen:
                 raise DuplicateRuleError(r.name)
             seen.add(r.name)
-        for name in self.order.names():
-            if name not in seen:
-                raise UnknownRuleError(name)
+        names = tuple(r.name for r in self.rules)
+        if self.order.rule_names != names:
+            # Close the order over this program's rules, so that bit i of the
+            # order's bitsets is always rule i; this also rejects unknown names.
+            object.__setattr__(
+                self, "order", validate_order(self.order.generators, self.rules)
+            )
 
     @cached_property
     def by_name(self) -> dict[str, Rule]:
@@ -298,36 +329,38 @@ class OrderedProgram:
         return literal_universe(self)
 
     @cached_property
-    def rules_above(self) -> dict[str, tuple[Rule, ...]]:
-        """For each rule name, the rules of strictly higher priority."""
-        names = self.order.rule_names
-        above = dict.fromkeys(self.by_name, ())
-        for name, bits in zip(names, self.order.above):
-            if bits:
-                above[name] = tuple(self.by_name[names[j]] for j in _bits(bits))
-        return above
+    def nb(self) -> dict[Literal, int]:
+        """For each literal l, the rules with l in their negative body, as a
+        bitset over rule positions."""
+        acc: dict[Literal, int] = {}
+        for i, r in enumerate(self.rules):
+            for lit in r.nbody:
+                acc[lit] = acc.get(lit, 0) | 1 << i
+        return acc
 
     @cached_property
-    def rules_below(self) -> dict[str, tuple[Rule, ...]]:
-        """For each rule name, the rules of strictly lower priority."""
-        below: dict[str, list[Rule]] = {r.name: [] for r in self.rules}
-        for r in self.rules:
-            for higher in self.rules_above[r.name]:
-                below[higher.name].append(r)
-        return {name: tuple(rs) for name, rs in below.items()}
+    def hb(self) -> dict[Literal, int]:
+        """For each literal l, the rules with head l, as a bitset over rule
+        positions."""
+        acc: dict[Literal, int] = {}
+        for i, r in enumerate(self.rules):
+            acc[r.head] = acc.get(r.head, 0) | 1 << i
+        return acc
+
+    @cached_property
+    def static(self) -> tuple[int, ...]:
+        """For each rule i, ``below[i] & nb[head(i)]``: the lower rules that
+        rule i defeats at every state, whatever has been derived."""
+        nb = self.nb
+        return tuple(
+            bits and bits & nb.get(r.head, 0)
+            for r, bits in zip(self.rules, self.order.below)
+        )
 
     @cached_property
     def rule_index(self) -> RuleIndex:
         """Rule positions by body and head literal (see ``index_rules``)."""
         return index_rules(self.rules)
-
-    @cached_property
-    def generators_of(self) -> dict[Literal, tuple[Rule, ...]]:
-        """Rules indexed by head literal."""
-        acc: dict[Literal, list[Rule]] = {}
-        for r in self.rules:
-            acc.setdefault(r.head, []).append(r)
-        return {head: tuple(rs) for head, rs in acc.items()}
 
     def strip_order(self) -> "OrderedProgram":
         return OrderedProgram(self.rules, PreferenceOrder.empty())
@@ -417,6 +450,15 @@ class Interpretation:
     @classmethod
     def empty(cls) -> "Interpretation":
         return cls(frozenset())
+
+    @classmethod
+    def trusted(cls, literals: frozenset[Literal]) -> "Interpretation":
+        """The consistent set ``literals``, unchecked: only for callers that
+        know it has no complementary pair (every other constructor checks)."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "literals", literals)
+        object.__setattr__(value, "is_lit", False)
+        return value
 
     @classmethod
     def of(cls, literals: Iterable[Literal]) -> "Interpretation":

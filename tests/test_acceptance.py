@@ -123,6 +123,7 @@ THEOREM_INVARIANTS = (
     "cpn-op-routes-agree",
     "cpn-simplistic-routes-agree",
     "c-star-pref-routes-agree",
+    "defeat-bits-agree",
     "a-monotone",
     "cp-anti-monotone",
     "ap-monotone",

@@ -320,15 +320,16 @@ class TestParserBuiltOnce:
         assert run(capsys, *GOOD_ARGV) == (0, fresh_process_output, "")
 
 
-def _count_every_binding(monkeypatch, names):
-    """Count calls of the named olp.fixpoint functions through every module
-    that binds them."""
+def _count_every_binding(monkeypatch, names, source=None):
+    """Count calls of the named functions of ``source`` (olp.fixpoint by
+    default) through every module that binds them."""
     from olp import fixpoint
 
+    source = source or fixpoint
     calls = Counter()
     modules = [m for n, m in sys.modules.items() if n == "olp" or n.startswith("olp.")]
     for name in names:
-        original = getattr(fixpoint, name)
+        original = getattr(source, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             calls[_name] += 1
@@ -379,6 +380,38 @@ class TestOneFixpointPerSolve:
         code, _, _ = run(capsys, *argv, *(["--trace"] if trace else []))
         assert code == 0
         assert calls == {"kleene": 1}
+
+
+class TestDefeatSetsScale:
+    """The scanning engines read the order and the defeat relation as
+    bitsets: no solve rescans the rules below or above a tested rule."""
+
+    @pytest.fixture(scope="class")
+    def chain200(self, tmp_path_factory):
+        from olp.oracle import chain_program
+        from olp.parser import render_program
+
+        path = tmp_path_factory.mktemp("chain") / "chain200.olp"
+        path.write_text(render_program(chain_program(200)) + "\n")
+        return path
+
+    @pytest.mark.parametrize("mode", ["brewka", "pwfs-simplistic", "lfp-ap"])
+    def test_solve_calls_no_defeats_scan(self, capsys, monkeypatch, chain200, mode):
+        from olp import prefwfs
+
+        calls = _count_every_binding(monkeypatch, ("defeats",), source=prefwfs)
+        code, out, _ = run(capsys, "solve", str(chain200), "--mode", mode, "--json")
+        assert code == 0 and json.loads(out)["mode"] == mode
+        assert calls == {}
+
+    def test_no_tuple_views_of_the_order(self):
+        from olp import brewka, prefwfs
+        from olp.syntax import OrderedProgram
+
+        assert not hasattr(OrderedProgram, "rules_above")
+        assert not hasattr(OrderedProgram, "rules_below")
+        # perfbench's tracer names brewka.defeated_rules.
+        assert brewka.defeated_rules is prefwfs.defeated_rules
 
 
 class TestFuzz:

@@ -5,12 +5,19 @@ and bounded, so every run checks the same examples.  The stateful closures
 are checked against their stateless references: the live closure against
 ``c_op``, the worklist ``cpn_op`` against iterating ``tpn_step``, and the
 well-founded fixpoints against ``kleene`` over ``a_op`` and ``apn_op``.
+
+A second family is defeat-heavy: few, shared heads, negative bodies that
+name the heads of lower-ranked rules, and dense orders.  On it the bitset
+defeat sets are checked against a scan with ``defeats``, and the
+defeat-aware closures against their step routes.
 """
+
+import random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from olp import classical, prefwfs
+from olp import brewka, classical, prefwfs
 from olp.fixpoint import iterate_union, kleene
 from olp.prefwfs import VARIANTS
 from olp.syntax import Interpretation, neg, pos, program, rule
@@ -50,6 +57,36 @@ def programs(draw):
     )
 
 
+@st.composite
+def defeat_heavy_programs(draw):
+    # The whole shape comes from one drawn seed: drawing each choice
+    # through hypothesis costs more than the checks, and its small-first
+    # draws would keep the programs small.
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    atoms = [f"p{k}" for k in range(rng.randint(2, MAX_ATOMS))]
+    literals = [lit for a in atoms for lit in (pos(a), neg(a))]
+    size = rng.randint(2, MAX_RULES)
+    heads = rng.sample(literals, rng.randint(1, min(len(literals), size * 2 // 3)))
+    head_of = [rng.choice(heads) for _ in range(size)]
+    rank = rng.sample(range(size), size)  # a higher rank is preferred
+    rules = []
+    for i, head in enumerate(head_of):
+        lower = [head_of[j] for j in range(size) if rank[j] < rank[i]]
+        nbody = set(rng.sample(lower, min(len(lower), rng.randint(1, 2))))
+        if rng.random() < 0.5:
+            nbody.add(rng.choice(head_of))
+        pbody = {rng.choice(literals)} if rng.random() < 0.3 else set()
+        rules.append(rule(f"r{i}", head, pbody, nbody))
+    density = rng.uniform(0.5, 1.0)
+    pairs = [
+        (f"r{i}", f"r{j}")
+        for i in range(size)
+        for j in range(size)
+        if rank[i] < rank[j] and rng.random() < density
+    ]
+    return program(rules, pairs)
+
+
 def contexts(op):
     """A consistent subset of the universe, or Lit."""
     atoms = sorted({lit.atom.name for lit in op.universe})
@@ -65,8 +102,8 @@ def contexts(op):
 
 
 @st.composite
-def programs_with_contexts(draw, length=10):
-    op = draw(programs())
+def programs_with_contexts(draw, length=10, family=programs):
+    op = draw(family())
     return op, draw(st.lists(contexts(op), min_size=3, max_size=length))
 
 
@@ -107,3 +144,44 @@ def test_fixpoints_match_kleene_over_the_plain_operators(op):
         assert list(trace.values()) == _reference_iterates(
             lambda x: prefwfs.apn_op(op, x, variant), op
         )
+
+
+@PROPERTY
+@given(programs_with_contexts(length=3, family=defeat_heavy_programs))
+def test_defeat_bits_match_the_defeats_scan(case):
+    op, sequence = case
+    for x in sequence:
+        for r in op.rules:
+            scanned = tuple(
+                g for g in op.rules
+                if op.order.prefers(g.name, r.name) and prefwfs.defeats(r, g, x)
+            )
+            assert prefwfs.defeated_rules(op, r, x) == scanned, (r.name, x)
+
+
+@PROPERTY
+@given(
+    programs_with_contexts(length=3, family=defeat_heavy_programs),
+    st.sampled_from(VARIANTS),
+)
+def test_defeat_heavy_cpn_op_matches_the_step_route(case, variant):
+    op, sequence = case
+    for x in sequence:
+        stepped = iterate_union(
+            lambda cur: prefwfs.tpn_step(op, x, cur, variant), op.universe
+        )
+        assert prefwfs.cpn_op(op, x, variant) == stepped, x
+
+
+@PROPERTY
+@given(programs_with_contexts(length=3, family=defeat_heavy_programs))
+def test_defeat_heavy_c_star_pref_matches_kleene_over_t_star_step(case):
+    op, sequence = case
+    for x in sequence:
+        y = x.literals
+        stepped, _ = kleene(
+            lambda cur: cur | brewka.t_star_step(op, y, cur),
+            frozenset(),
+            len(op.universe) + 1,
+        )
+        assert brewka.c_star_pref(op, y) == stepped, x

@@ -19,6 +19,7 @@ from olp.syntax import (
     PreferenceOrder,
     ProgramError,
     UnknownRuleError,
+    bit_positions,
     complement,
     literal_universe,
     program,
@@ -27,6 +28,11 @@ from olp.syntax import (
 )
 from olp.parser import parse_program
 from .conftest import A, B, NA, NB, ROOT, interp, load
+
+
+def _rules_at(op, bits):
+    """The rules of ``op`` at the set bits of ``bits``, in rule order."""
+    return tuple(op.rules[j] for j in bit_positions(bits))
 
 
 class TestLiterals:
@@ -174,11 +180,11 @@ class TestValidateOrder:
                 closed |= extra
             assert op.order.pairs == closed
             prefers = op.order.prefers
-            for r in op.rules:
-                assert op.rules_above[r.name] == tuple(
+            for i, r in enumerate(op.rules):
+                assert _rules_at(op, op.order.above[i]) == tuple(
                     h for h in op.rules if prefers(r.name, h.name)
                 )
-                assert op.rules_below[r.name] == tuple(
+                assert _rules_at(op, op.order.below[i]) == tuple(
                     l for l in op.rules if prefers(l.name, r.name)
                 )
 
@@ -238,6 +244,29 @@ class TestInterpretation:
         assert len(calls) == 1
 
 
+    def test_trusted_equals_the_checked_value(self):
+        trusted = Interpretation.trusted(frozenset({A, NB}))
+        assert trusted == Interpretation.of([A, NB])
+        assert hash(trusted) == hash(Interpretation.of([A, NB]))
+        assert not trusted.is_lit
+
+    def test_live_closure_values_skip_the_consistency_check(self, monkeypatch, ex3):
+        from olp import classical, syntax
+
+        contexts = [Interpretation.empty(), interp(A), interp(B)]
+        expected = [classical.c_op(ex3.rules, x, ex3.universe) for x in contexts]
+        calls = []
+
+        def counted(lits, _original=syntax.is_consistent):
+            calls.append(lits)
+            return _original(lits)
+
+        monkeypatch.setattr(syntax, "is_consistent", counted)
+        live = classical.LiveClosure(ex3.rules, ex3.universe)
+        assert [live(x) for x in contexts] == expected
+        assert calls == []
+
+
 class TestPartialModel:
     def test_overlap_is_rejected(self):
         with pytest.raises(ProgramError):
@@ -262,4 +291,26 @@ class TestOrderedProgram:
         twin1, twin2 = rule("r1", A, nbody=[B]), rule("r2", A, nbody=[B])
         p = program([twin1, twin2], {("r2", "r1")})
         assert len(p.rules) == 2
-        assert p.rules_below["r1"] == (twin2,)
+        assert _rules_at(p, p.order.below[0]) == (twin2,)
+
+    def test_order_bitsets_follow_the_rule_positions(self):
+        rules = [rule("r1", A), rule("r2", B, nbody=[A]), rule("r3", A, nbody=[B])]
+        p = program(rules, {("r2", "r1"), ("r3", "r2")})
+        flipped = OrderedProgram(tuple(reversed(p.rules)), p.order)
+        assert flipped.order == p.order
+        for op in (p, flipped):
+            for i, r in enumerate(op.rules):
+                assert _rules_at(op, op.order.below[i]) == tuple(
+                    g for g in op.rules if op.order.prefers(g.name, r.name)
+                )
+        assert OrderedProgram(p.rules).order.below == (0, 0, 0)
+        assert p.strip_order().order.above == (0, 0, 0)
+        with pytest.raises(UnknownRuleError):
+            OrderedProgram(p.rules[:2], p.order)
+
+    def test_negative_body_and_static_defeat_views(self):
+        # r1 defeats r2 at every state (a is in nbody(r2)), r2 defeats r3.
+        rules = [rule("r1", A), rule("r2", B, nbody=[A]), rule("r3", A, nbody=[B])]
+        p = program(rules, {("r2", "r1"), ("r3", "r2")})
+        assert p.nb == {A: 0b010, B: 0b100}
+        assert p.static == (0b010, 0b100, 0)
