@@ -3,7 +3,7 @@
 Implements the reduct, the one derivation loop that every consequence
 operator shares (each engine supplies only its firing test), the closure
 of basic programs, the immediate consequence operator with a blocking
-context, answer sets by exhaustive candidate enumeration, and the
+context, answer sets by a search between alternating bounds, and the
 well-founded model as the least fixpoint of ``a_op = c_op . c_op``.
 
 The alternating fixpoints do not close from scratch at every step: each
@@ -12,8 +12,10 @@ between calls and, for a new context, re-tests only the rules whose
 counters the change touches.  ``derive`` and ``c_op`` stay the plain,
 stateless references that the theorem battery checks it against.
 
-The enumerators here are desk-scale tools, deliberately direct; they are
-not solvers.
+The answer-set search branches only on the heads that its bounds leave
+undecided, as smodels does (Simons, Niemela & Soininen, AIJ 2002); it is a
+desk-scale tool, not a solver, and ``head_candidates`` stays as the direct
+enumeration that the theorem battery checks it against.
 """
 
 from __future__ import annotations
@@ -294,6 +296,8 @@ def head_candidates(
 
     Any fixpoint of the consequence operators contains only rule heads or
     equals the universe, so this space is exhaustive for fixpoint searches.
+    No engine enumerates it: it is the theorem battery's reference for the
+    answer-set search.
     """
     heads = sorted({r.head for r in rules}, key=str)
     if len(heads) > MAX_ENUM_HEADS:
@@ -308,14 +312,61 @@ def head_candidates(
         yield Interpretation.lit(universe)
 
 
+def _tighten(
+    rules: Sequence[Rule], lo: frozenset[Literal], hi: frozenset[Literal]
+) -> tuple[frozenset[Literal], frozenset[Literal]] | None:
+    """Bounds lo <= X <= hi on every consistent answer set X between the
+    given ones, tightened to a fixpoint; None when no such X exists.
+
+    X = c_star(X), and c_star shrinks as its context grows, so X lies in
+    c_star(lo) and contains c_star(hi).  At the fixpoint, lo == hi means
+    c_star(lo) == lo: lo is then an answer set.
+    """
+    while True:
+        hi = hi & c_star(rules, lo)
+        grown = lo | c_star(rules, hi)
+        if not grown <= hi or not is_consistent(grown):
+            return None
+        if grown == lo:
+            return lo, hi
+        lo = grown
+
+
 def answer_sets(
     rules: Sequence[Rule], universe: frozenset[Literal]
 ) -> frozenset[Interpretation]:
-    """All x with cn(reduct(rules, x)) = x, by candidate enumeration."""
-    return frozenset(
-        x for x in head_candidates(rules, universe)
-        if c_op(rules, x, universe) == x
-    )
+    """All x with cn(reduct(rules, x)) = x.
+
+    The consistent ones by a search from the bounds (empty set, heads): it
+    splits the tightened bounds on one undecided head at a time (in or
+    out), so it never visits a candidate the bounds exclude.  Lit is tested
+    once.  More than ``MAX_ENUM_HEADS`` heads left undecided at the root is
+    an input error.
+    """
+    found = set()
+    lit = Interpretation.lit(universe)
+    if universe and c_op(rules, lit, universe) == lit:
+        found.add(lit)
+    root = _tighten(rules, frozenset(), frozenset(r.head for r in rules))
+    undecided = len(root[1] - root[0]) if root else 0
+    if undecided > MAX_ENUM_HEADS:
+        raise ProgramError(
+            f"answer-set search over {undecided} undecided heads is not desk-scale"
+        )
+    stack = [root] if root else []
+    while stack:
+        lo, hi = stack.pop()
+        if lo == hi:
+            found.add(Interpretation.trusted(lo))  # _tighten checked it
+            continue
+        head = next(iter(hi - lo))
+        for bounds in (
+            _tighten(rules, lo | {head}, hi),
+            _tighten(rules, lo, hi - {head}),
+        ):
+            if bounds:
+                stack.append(bounds)
+    return frozenset(found)
 
 
 def well_founded_fixpoint(

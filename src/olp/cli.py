@@ -107,6 +107,7 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
         if args.trace:
             payload["trace"] = _model_trace(op, trace, variant)
         return payload
+    visible = _visible(op, args.atoms_only)
     if mode in ("as", "pas"):
         if mode == "as":
             sets = classical.answer_sets(op.rules, op.universe)
@@ -114,11 +115,11 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
             sets = preference.preferred_answer_sets(op)
         return {
             "mode": mode,
-            "answer_sets": sorted(_sorted_strs(x.literals) for x in sets),
+            "answer_sets": sorted(_sorted_strs(x.literals & visible) for x in sets),
         }
     if mode == "lfp-ap":
         value, trace = preference.lfp_ap_fixpoint(op)
-        payload = {"mode": mode, "set": _sorted_strs(value.literals)}
+        payload = {"mode": mode, "set": _sorted_strs(value.literals & visible)}
         if args.trace:
             payload["trace"] = [
                 {"step": i, "set": _sorted_strs(v.literals)}

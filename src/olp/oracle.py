@@ -487,11 +487,24 @@ def check_theorems(
         all(wfs_model.true_set <= x.literals for x in engine_as),
     )
 
-    preferred = preference.preferred_answer_sets(op)
+    # ``preferred_answer_sets`` filters the answer-set search, so the subset
+    # theorem is checked on the fixpoints of cp_op over the whole candidate
+    # space, and the search is checked against that enumeration.
+    enumerated = frozenset(
+        x for x in classical.head_candidates(rules, universe)
+        if preference.cp_op(op, x) == x
+    )
     battery.check(
         "preferred-subset-of-answer-sets",
-        preferred <= engine_as,
-        f"extra {sorted(map(str, preferred - engine_as))}",
+        enumerated <= engine_as,
+        f"extra {sorted(map(str, enumerated - engine_as))}",
+    )
+    preferred = preference.preferred_answer_sets(op)
+    battery.check(
+        "preferred-search-matches-enumeration",
+        preferred == enumerated,
+        f"search {sorted(map(str, preferred))} "
+        f"enumeration {sorted(map(str, enumerated))}",
     )
     wf_set = preference.lfp_ap(op)
     battery.check(

@@ -4,8 +4,10 @@ A rule fires only when it is active in the current derivation state and no
 strictly higher rule is still "in question": a higher rule blocks as long
 as it is active against the putative context and its head has not yet been
 derived.  Preferred answer sets are the fixpoints of the resulting
-consequence operator; its alternating composition yields a (deliberately
-skeptical) well-founded set used here as a negative baseline.
+consequence operator; every one is an answer set, so they are found by
+filtering the classical answer-set search.  The alternating composition of
+the operator yields a (deliberately skeptical) well-founded set used here as
+a negative baseline.
 
 The rules still in question form one live bitset over rule positions, which
 shrinks as literals are derived; a rule's test is one AND of it with the
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Callable
 
-from .classical import Fires, derive, fire_step, head_candidates
+from .classical import Fires, answer_sets, derive, fire_step
 from .fixpoint import FixpointTrace, kleene_trace
 from .syntax import Interpretation, Literal, OrderedProgram
 
@@ -84,10 +86,13 @@ def ap_op(op: OrderedProgram, x: Interpretation) -> Interpretation:
 
 
 def preferred_answer_sets(op: OrderedProgram) -> frozenset[Interpretation]:
-    """All fixpoints of cp_op over the head-candidate space."""
+    """All fixpoints of cp_op: the answer sets x with cp_op(op, x) == x.
+
+    Every fixpoint of cp_op is an answer set; the battery checks this
+    against the fixpoints of cp_op over ``head_candidates``.
+    """
     return frozenset(
-        x for x in head_candidates(op.rules, op.universe)
-        if cp_op(op, x) == x
+        x for x in answer_sets(op.rules, op.universe) if cp_op(op, x) == x
     )
 
 

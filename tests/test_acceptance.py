@@ -137,6 +137,7 @@ THEOREM_INVARIANTS = (
     "lfp-ap-approximates-preferred",
     "two-valued-unique-preferred",
     "preferred-subset-of-answer-sets",
+    "preferred-search-matches-enumeration",
     "empty-order-collapse",
 )
 

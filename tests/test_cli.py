@@ -118,6 +118,18 @@ class TestSolveText:
         )
         assert out == "true: {p, q} false: {-p, -q} unknown: {}\n"
 
+    @pytest.mark.parametrize(
+        "mode, label",
+        [("as", "answer set"), ("pas", "preferred answer set"), ("lfp-ap", "well-founded set")],
+    )
+    def test_atoms_only_hides_unmentioned_negations_of_lit(self, capsys, tmp_path, mode, label):
+        path = tmp_path / "contradiction.olp"
+        path.write_text("a.\n-a.\nb.\n")
+        _, full, _ = run(capsys, "solve", str(path), "--mode", mode)
+        _, shown, _ = run(capsys, "solve", str(path), "--mode", mode, "--atoms-only")
+        assert full == f"{label}: {{-a, -b, a, b}}\n"
+        assert shown == f"{label}: {{-a, a, b}}\n"
+
     def test_answer_set_listing(self, capsys):
         _, out, _ = run(capsys, "solve", str(CORPUS / "ex3.olp"), "--mode", "as")
         assert out == "answer set: {a}\nanswer set: {b}\n"
@@ -225,13 +237,20 @@ class TestSolveErrors:
         )
 
 
-TWENTY_FIVE_HEADS = "".join(f"p{k}.\n" for k in range(25)).encode()
+TWENTY_FIVE_FACTS = "".join(f"p{k}.\n" for k in range(25)).encode()
+# 11 independent even loops: 22 heads that the answer-set bounds leave
+# undecided, past the search cap of 20.
+ELEVEN_EVEN_LOOPS = "".join(
+    f"p{k} :- not q{k}.\nq{k} :- not p{k}.\n" for k in range(11)
+).encode()
 
 
 # ``{file}`` is an input file holding ``content``; ``{dir}`` a directory.
 INPUT_ERRORS = [
-    ("as-25-heads", ["solve", "{file}", "--mode", "as"], TWENTY_FIVE_HEADS, 1),
-    ("pas-25-heads", ["solve", "{file}", "--mode", "pas"], TWENTY_FIVE_HEADS, 1),
+    ("as-25-heads", ["solve", "{file}", "--mode", "as"], ELEVEN_EVEN_LOOPS, 1),
+    ("pas-25-heads", ["solve", "{file}", "--mode", "pas"], ELEVEN_EVEN_LOOPS, 1),
+    ("as-25-facts", ["solve", "{file}", "--mode", "as"], TWENTY_FIVE_FACTS, 0),
+    ("pas-25-facts", ["solve", "{file}", "--mode", "pas"], TWENTY_FIVE_FACTS, 0),
     ("non-utf8", ["solve", "{file}", "--mode", "wfs"], b"r1: a.\n\xff\xfe\n", 1),
     ("empty", ["solve", "{file}", "--mode", "wfs"], b"", 0),
     ("comment-only", ["solve", "{file}", "--mode", "wfs"], b"% only a comment\n", 0),
@@ -412,6 +431,31 @@ class TestDefeatSetsScale:
         assert not hasattr(OrderedProgram, "rules_below")
         # perfbench's tracer names brewka.defeated_rules.
         assert brewka.defeated_rules is prefwfs.defeated_rules
+
+
+class TestAnswerSetSearch:
+    """On a chain the well-founded model is total, so the answer-set bounds
+    decide every head and the search never branches."""
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_chain_has_the_wfs_true_set_as_its_only_answer_set(self, capsys, tmp_path, n):
+        from olp.oracle import chain_program
+        from olp.parser import render_program
+
+        path = tmp_path / f"chain{n}.olp"
+        path.write_text(render_program(chain_program(n)) + "\n")
+        code, out, _ = run(capsys, "solve", str(path), "--mode", "as", "--json")
+        assert code == 0
+        code, wfs, _ = run(capsys, "solve", str(path), "--mode", "wfs", "--json")
+        assert code == 0 and not json.loads(wfs)["unknown"]
+        assert json.loads(out)["answer_sets"] == [json.loads(wfs)["true"]]
+
+    def test_cap_message_names_the_undecided_heads(self, capsys, tmp_path):
+        path = tmp_path / "loops.olp"
+        path.write_bytes(ELEVEN_EVEN_LOOPS)
+        code, _, err = run(capsys, "solve", str(path), "--mode", "as")
+        assert code == 1
+        assert err == "error: answer-set search over 22 undecided heads is not desk-scale\n"
 
 
 class TestFuzz:

@@ -10,6 +10,11 @@ A second family is defeat-heavy: few, shared heads, negative bodies that
 name the heads of lower-ranked rules, and dense orders.  On it the bitset
 defeat sets are checked against a scan with ``defeats``, and the
 defeat-aware closures against their step routes.
+
+The answer-set searches are checked against the direct enumeration over
+``head_candidates`` on both families, their heads capped so that the
+enumeration stays cheap, and on a third family of even loops, which has
+many answer sets and so exercises both branches of the search.
 """
 
 import random
@@ -17,13 +22,14 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from olp import brewka, classical, prefwfs
+from olp import brewka, classical, preference, prefwfs
 from olp.fixpoint import iterate_union, kleene
 from olp.prefwfs import VARIANTS
 from olp.syntax import Interpretation, neg, pos, program, rule
 
 MAX_ATOMS = 12
 MAX_RULES = 24
+MAX_ENUMERATED_HEADS = 10
 
 PROPERTY = settings(
     derandomize=True,
@@ -35,7 +41,7 @@ PROPERTY = settings(
 
 
 @st.composite
-def programs(draw):
+def programs(draw, max_heads=None):
     atoms = [f"p{k}" for k in range(draw(st.integers(1, MAX_ATOMS)))]
     literal = st.builds(
         lambda name, negated: neg(name) if negated else pos(name),
@@ -43,7 +49,12 @@ def programs(draw):
         st.booleans(),
     )
     bodies = st.frozensets(literal, max_size=2)
-    heads = draw(st.lists(literal, min_size=2, max_size=MAX_RULES))
+    head = literal
+    if max_heads:
+        head = st.sampled_from(
+            draw(st.lists(literal, min_size=1, max_size=max_heads, unique=True))
+        )
+    heads = draw(st.lists(head, min_size=2, max_size=MAX_RULES))
     rules = [
         rule(f"r{i}", head, draw(bodies), draw(bodies)) for i, head in enumerate(heads)
     ]
@@ -58,7 +69,7 @@ def programs(draw):
 
 
 @st.composite
-def defeat_heavy_programs(draw):
+def defeat_heavy_programs(draw, max_heads=None):
     # The whole shape comes from one drawn seed: drawing each choice
     # through hypothesis costs more than the checks, and its small-first
     # draws would keep the programs small.
@@ -66,7 +77,8 @@ def defeat_heavy_programs(draw):
     atoms = [f"p{k}" for k in range(rng.randint(2, MAX_ATOMS))]
     literals = [lit for a in atoms for lit in (pos(a), neg(a))]
     size = rng.randint(2, MAX_RULES)
-    heads = rng.sample(literals, rng.randint(1, min(len(literals), size * 2 // 3)))
+    most = min(len(literals), size * 2 // 3, max_heads or len(literals))
+    heads = rng.sample(literals, rng.randint(1, most))
     head_of = [rng.choice(heads) for _ in range(size)]
     rank = rng.sample(range(size), size)  # a higher rank is preferred
     rules = []
@@ -83,6 +95,33 @@ def defeat_heavy_programs(draw):
         for i in range(size)
         for j in range(size)
         if rank[i] < rank[j] and rng.random() < density
+    ]
+    return program(rules, pairs)
+
+
+@st.composite
+def even_loop_programs(draw):
+    """Up to 5 even loops ``p :- not q. q :- not p.``, so up to 32 answer
+    sets, with a few rules across the loops and a drawn order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    loops = rng.randint(1, MAX_ENUMERATED_HEADS // 2)
+    rules = []
+    for k in range(loops):
+        rules.append(rule(f"p{k}", pos(f"p{k}"), (), {pos(f"q{k}")}))
+        rules.append(rule(f"q{k}", pos(f"q{k}"), (), {pos(f"p{k}")}))
+    loop_literals = [lit for k in range(loops) for lit in (pos(f"p{k}"), pos(f"q{k}"))]
+    # Heads outside the loops stay within the enumeration's head cap.
+    extra = [neg("p0"), *(pos(f"x{k}") for k in range(MAX_ENUMERATED_HEADS - 2 * loops))]
+    for i in range(rng.randint(0, 4)):
+        pbody = set(rng.sample(loop_literals, rng.randint(0, 2)))
+        nbody = set(rng.sample(loop_literals + extra, rng.randint(0, 2)))
+        rules.append(rule(f"x{i}", rng.choice(extra), pbody, nbody))
+    rank = rng.sample(range(len(rules)), len(rules))
+    pairs = [
+        (rules[i].name, rules[j].name)
+        for i in range(len(rules))
+        for j in range(len(rules))
+        if rank[i] < rank[j] and rng.random() < 0.2
     ]
     return program(rules, pairs)
 
@@ -185,3 +224,32 @@ def test_defeat_heavy_c_star_pref_matches_kleene_over_t_star_step(case):
             len(op.universe) + 1,
         )
         assert brewka.c_star_pref(op, y) == stepped, x
+
+
+def _search_matches_enumeration(op):
+    rules, universe = op.rules, op.universe
+    candidates = list(classical.head_candidates(rules, universe))
+    assert classical.answer_sets(rules, universe) == {
+        x for x in candidates if classical.c_op(rules, x, universe) == x
+    }
+    assert preference.preferred_answer_sets(op) == {
+        x for x in candidates if preference.cp_op(op, x) == x
+    }
+
+
+@PROPERTY
+@given(programs(max_heads=MAX_ENUMERATED_HEADS))
+def test_answer_set_searches_match_the_enumeration(op):
+    _search_matches_enumeration(op)
+
+
+@PROPERTY
+@given(defeat_heavy_programs(max_heads=MAX_ENUMERATED_HEADS))
+def test_defeat_heavy_answer_set_searches_match_the_enumeration(op):
+    _search_matches_enumeration(op)
+
+
+@PROPERTY
+@given(even_loop_programs())
+def test_even_loop_answer_set_searches_match_the_enumeration(op):
+    _search_matches_enumeration(op)
