@@ -110,8 +110,8 @@ def even_loop_programs(draw):
         rules.append(rule(f"p{k}", pos(f"p{k}"), (), {pos(f"q{k}")}))
         rules.append(rule(f"q{k}", pos(f"q{k}"), (), {pos(f"p{k}")}))
     loop_literals = [lit for k in range(loops) for lit in (pos(f"p{k}"), pos(f"q{k}"))]
-    # Heads outside the loops stay within the enumeration's head cap.
-    extra = [neg("p0"), *(pos(f"x{k}") for k in range(MAX_ENUMERATED_HEADS - 2 * loops))]
+    # With the loops' heads, at most MAX_ENUMERATED_HEADS distinct heads.
+    extra = [neg("p0"), *(pos(f"x{k}") for k in range(MAX_ENUMERATED_HEADS - 2 * loops - 1))]
     for i in range(rng.randint(0, 4)):
         pbody = set(rng.sample(loop_literals, rng.randint(0, 2)))
         nbody = set(rng.sample(loop_literals + extra, rng.randint(0, 2)))
