@@ -235,6 +235,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise UsageError(f"--count must not be negative, got {args.count}")
     try:
         base = GeneratorConfig(
             max_atoms=args.max_atoms,

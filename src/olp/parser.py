@@ -20,6 +20,7 @@ used as a rule name or atom.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -74,139 +75,119 @@ class ParseError(Exception):
         self.message = message
 
 
-# One match per token: the whitespace and comments before it, then an
-# identifier (group 1), a punctuation mark (group 2), a stray character
-# (group 3), or no group at the end of the input.
+# One match per word: the whitespace and comments before it, then an
+# identifier, a punctuation mark, a stray character, or "" at the end of
+# the input.  A word's kind is read off the word itself.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]|%[^\n]*)*(?:([a-z][A-Za-z0-9_]*)|(:-|[:<,.-])|(.)|\Z)", re.DOTALL
+    r"(?:[ \t\r\n]|%[^\n]*)*([a-z][A-Za-z0-9_]*|:-|[:<,.-]|.|\Z)", re.DOTALL
 )
+# The words that are not identifiers: the punctuation marks, the reserved
+# word not, and "" at the end of the input.
+_RESERVED = frozenset({":-", ":", "<", ",", ".", "-", "not", ""})
 
 
-def _error(text: str, kind: ParseErrorKind, token: tuple, message: str) -> ParseError:
-    """An error spanning ``token``; every character is one column."""
-    _, word, offset = token
+def _error(text: str, k: int, kind: ParseErrorKind, message: str) -> ParseError:
+    """An error spanning word ``k`` of ``text``; every character is one column.
+
+    Offsets are found again only here, so a parse that succeeds keeps none.
+    """
+    match = next(itertools.islice(_TOKEN_RE.finditer(text), k, None))
+    offset = match.start(1)
     line_start = text.rfind("\n", 0, offset) + 1
-    span = SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, len(word))
+    span = SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, len(match[1]))
     return ParseError(kind, span, message)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, offset)`` tuples ending with an ``eof`` token; the
-    kind is ``ident``, ``not`` or the punctuation mark itself."""
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        group = match.lastindex
-        if group is None:
-            break
-        word, offset = match[group], match.start(group)
-        if group == 3:
-            message = f"unexpected character {word!r}"
-            raise _error(text, ParseErrorKind.LEXICAL, (word, word, offset), message)
-        kind = word if group == 2 else "not" if word == "not" else "ident"
-        tokens.append((kind, word, offset))
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over the tokens of ``text``.
-
-    Each distinct literal is built once per parse: rules share literal and
-    atom objects, and a literal and its complement cache each other.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.literals: dict[tuple[str, bool], Literal] = {}
-
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        # Nothing is taken past eof, and nothing looks ahead from it.
-        return self.tokens[self.pos + ahead]
-
-    def take(self) -> tuple[str, str, int]:
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def accept(self, kind: str) -> bool:
-        """Take the next token if it is of ``kind``."""
-        if self.tokens[self.pos][0] == kind:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            found = tok[1] or "end of input"
-            raise _error(self.text, ParseErrorKind.SYNTAX, tok, f"expected {what}, found {found!r}")
-        self.pos += 1
-        return tok
-
-    def literal(self) -> Literal:
-        negated = self.accept("-")
-        name = self.expect("ident", "an atom")[1]
-        lit = self.literals.get((name, negated))
-        if lit is None:
-            twin = self.literals.get((name, not negated))
-            lit = twin.complement() if twin else Literal(Atom(name), negated)
-            self.literals[name, negated] = lit
-        return lit
-
-    def rule_tail(self, name_tok: tuple[str, str, int] | None):
-        head = self.literal()
-        pbody: list[Literal] = []
-        nbody: list[Literal] = []
-        if self.accept(":-"):
-            while True:
-                (nbody if self.accept("not") else pbody).append(self.literal())
-                if not self.accept(","):
-                    break
-        self.expect(".", "'.'")
-        return name_tok, head, frozenset(pbody), frozenset(nbody)
+def _expected(text: str, words: list[str], k: int, what: str) -> ParseError:
+    found = words[k] or "end of input"
+    return _error(text, k, ParseErrorKind.SYNTAX, f"expected {what}, found {found!r}")
 
 
 def parse_program(text: str) -> OrderedProgram:
     """Parse ``.olp`` text into a validated program.
 
     Raises ParseError with a span inside the input and one of the kinds
-    lexical, syntax, duplicate-name, cyclic-order, unknown-rule.
+    lexical, syntax, duplicate-name, cyclic-order, unknown-rule.  The text
+    is split into words by one regex scan; a stray character anywhere is
+    reported before any syntax error.  Each atom's two literals are built
+    once per parse, as a complement pair: rules share literal and atom
+    objects.
     """
-    parser = _Parser(text)
-    raw_rules = []
-    prefs: list[tuple[tuple[str, str, int], str]] = []
-    while (tok := parser.peek())[0] != "eof":
-        ahead = parser.peek(1)[0]
-        if tok[0] == "ident" and ahead == ":":
-            parser.take()
-            parser.take()
-            raw_rules.append(parser.rule_tail(tok))
-        elif tok[0] == "ident" and ahead == "<":
-            parser.take()
-            parser.take()
-            higher = parser.expect("ident", "a rule name")[1]
-            parser.expect(".", "'.'")
-            prefs.append((tok, higher))
-        elif tok[0] in ("ident", "-"):
-            raw_rules.append(parser.rule_tail(None))
+    words = _TOKEN_RE.findall(text)
+    strays = [w for w in set(words) if w not in _RESERVED and not "a" <= w[0] <= "z"]
+    if strays:
+        k = min(map(words.index, strays))
+        raise _error(text, k, ParseErrorKind.LEXICAL, f"unexpected character {words[k]!r}")
+
+    literals: dict[str, tuple[Literal, Literal]] = {}  # atom -> (positive, negated)
+    raw_rules = []  # (index of the name word or None, head, pbody, nbody)
+    prefs: list[tuple[int, str, str]] = []  # (index of the lower word, lower, higher)
+    i = 0
+    while word := words[i]:
+        # Every word but "" has a successor, and so does a name before "<".
+        follow = words[i + 1]
+        if word not in _RESERVED and follow == "<":
+            if words[i + 2] in _RESERVED:
+                raise _expected(text, words, i + 2, "a rule name")
+            if words[i + 3] != ".":
+                raise _expected(text, words, i + 3, "'.'")
+            prefs.append((i, word, words[i + 2]))
+            i += 4
+            continue
+        if word not in _RESERVED and follow == ":":
+            name_at = i
+            i += 2
+        elif word in _RESERVED and word != "-":
+            message = f"expected a rule or preference, found {word!r}"
+            raise _error(text, i, ParseErrorKind.SYNTAX, message)
         else:
-            message = f"expected a rule or preference, found {tok[1]!r}"
-            raise _error(text, ParseErrorKind.SYNTAX, tok, message)
+            name_at = None
+        # The head, then body elements; "not" is read only in the body.
+        head = None
+        pbody: list[Literal] = []
+        nbody: list[Literal] = []
+        separator = ":-"
+        while True:
+            default_negated = head is not None and words[i] == "not"
+            i += default_negated
+            negated = words[i] == "-"
+            i += negated
+            name = words[i]
+            if name in _RESERVED:
+                raise _expected(text, words, i, "an atom")
+            pair = literals.get(name)
+            if pair is None:
+                positive = Literal(Atom(name))
+                pair = literals[name] = (positive, positive.complement())
+            lit = pair[negated]
+            if head is None:
+                head = lit
+            else:
+                (nbody if default_negated else pbody).append(lit)
+            i += 1
+            if words[i] != separator:
+                break
+            i += 1
+            separator = ","
+        if words[i] != ".":
+            raise _expected(text, words, i, "'.'")
+        i += 1
+        raw_rules.append((name_at, head, frozenset(pbody), frozenset(nbody)))
 
     taken: set[str] = set()
-    for name_tok, *_ in raw_rules:
-        if name_tok is not None:
-            if name_tok[1] in taken:
-                message = f"rule name {name_tok[1]!r} is already in use"
-                raise _error(text, ParseErrorKind.DUPLICATE_NAME, name_tok, message)
-            taken.add(name_tok[1])
+    for name_at, *_ in raw_rules:
+        if name_at is not None:
+            if words[name_at] in taken:
+                message = f"rule name {words[name_at]!r} is already in use"
+                raise _error(text, name_at, ParseErrorKind.DUPLICATE_NAME, message)
+            taken.add(words[name_at])
 
     rules: list[Rule] = []
     counter = 1
-    for name_tok, head, pbody, nbody in raw_rules:
-        name = name_tok and name_tok[1]
-        if name is None:
+    for name_at, head, pbody, nbody in raw_rules:
+        if name_at is not None:
+            name = words[name_at]
+        else:
             while f"r{counter}" in taken:
                 counter += 1
             name = f"r{counter}"
@@ -215,16 +196,16 @@ def parse_program(text: str) -> OrderedProgram:
         rules.append(Rule(name, head, pbody, nbody))
 
     try:
-        order = validate_order({(a[1], b) for a, b in prefs}, rules)
+        order = validate_order({(a, b) for _, a, b in prefs}, rules)
     except UnknownRuleError as exc:
         # Name the first unknown rule in source order.
-        lower, name = next((a, n) for a, b in prefs for n in (a[1], b) if n not in taken)
+        at, name = next((k, n) for k, a, b in prefs for n in (a, b) if n not in taken)
         message = f"preference mentions unknown rule {name!r}"
-        raise _error(text, ParseErrorKind.UNKNOWN_RULE, lower, message) from exc
+        raise _error(text, at, ParseErrorKind.UNKNOWN_RULE, message) from exc
     except CycleError as exc:
-        lower = next(a for a, b in prefs if exc.name in (a[1], b))
+        at = next(k for k, a, b in prefs if exc.name in (a, b))
         message = f"cyclic preference through rule {exc.name!r}"
-        raise _error(text, ParseErrorKind.CYCLIC_ORDER, lower, message) from exc
+        raise _error(text, at, ParseErrorKind.CYCLIC_ORDER, message) from exc
     return OrderedProgram(tuple(rules), order)
 
 

@@ -255,8 +255,14 @@ INPUT_ERRORS = [
     ("empty", ["solve", "{file}", "--mode", "wfs"], b"", 0),
     ("comment-only", ["solve", "{file}", "--mode", "wfs"], b"% only a comment\n", 0),
     ("directory", ["solve", "{dir}", "--mode", "wfs"], None, 2),
+    ("nul-byte", ["solve", "{file}", "--mode", "wfs"], b"r1: a.\nr2: b\x00.\n", 1),
+    ("utf8-bom", ["solve", "{file}", "--mode", "wfs"], b"\xef\xbb\xbfr1: a.\n", 1),
+    ("lone-cr-line-ends", ["solve", "{file}", "--mode", "pwfs"], b"r1: a :- not b.\rr2: b.\rr2 < r1.\r", 0),
+    ("identifier-10k-chars", ["solve", "{file}", "--mode", "wfs"], b"r1: " + b"a" * 10**4 + b".\n", 0),
+    ("check-20k-rules", ["check", "{file}"], b"".join(b"p%d :- not q%d.\n" % (k, k) for k in range(2 * 10**4)), 0),
     ("fuzz-max-atoms-9", ["fuzz", "--max-atoms", "9"], None, 1),
     ("fuzz-max-rules-0", ["fuzz", "--max-rules", "0"], None, 1),
+    ("fuzz-count-negative", ["fuzz", "--count", "-1"], None, 1),
     ("bench-sizes-abc", ["bench", "--sizes", "abc"], None, 1),
     ("bench-sizes-0", ["bench", "--sizes", "0"], None, 1),
     ("bench-sizes-negative", ["bench", "--sizes", "-3"], None, 1),
