@@ -243,6 +243,11 @@ TWENTY_FIVE_FACTS = "".join(f"p{k}.\n" for k in range(25)).encode()
 ELEVEN_EVEN_LOOPS = "".join(
     f"p{k} :- not q{k}.\nq{k} :- not p{k}.\n" for k in range(11)
 ).encode()
+LONG_IDENTIFIER = b"r1: " + b"a" * 10**4 + b".\n"
+# An order-free program of 2*10**4 rules: parsing it needs no recursion.
+TWENTY_THOUSAND_RULES = "".join(
+    f"p{k} :- not q{k}.\n" for k in range(2 * 10**4)
+).encode()
 
 
 # ``{file}`` is an input file holding ``content``; ``{dir}`` a directory.
@@ -257,9 +262,9 @@ INPUT_ERRORS = [
     ("directory", ["solve", "{dir}", "--mode", "wfs"], None, 2),
     ("nul-byte", ["solve", "{file}", "--mode", "wfs"], b"r1: a.\nr2: b\x00.\n", 1),
     ("utf8-bom", ["solve", "{file}", "--mode", "wfs"], b"\xef\xbb\xbfr1: a.\n", 1),
-    ("lone-cr-line-ends", ["solve", "{file}", "--mode", "pwfs"], b"r1: a :- not b.\rr2: b.\rr2 < r1.\r", 0),
-    ("identifier-10k-chars", ["solve", "{file}", "--mode", "wfs"], b"r1: " + b"a" * 10**4 + b".\n", 0),
-    ("check-20k-rules", ["check", "{file}"], b"".join(b"p%d :- not q%d.\n" % (k, k) for k in range(2 * 10**4)), 0),
+    ("lone-cr-line-ends", ["solve", "{file}", "--mode", "pwfs"], b"a :- not b.\rb.\rr2 < r1.\r", 0),
+    ("identifier-10k-chars", ["solve", "{file}", "--mode", "wfs"], LONG_IDENTIFIER, 0),
+    ("check-20k-rules", ["check", "{file}"], TWENTY_THOUSAND_RULES, 0),
     ("fuzz-max-atoms-9", ["fuzz", "--max-atoms", "9"], None, 1),
     ("fuzz-max-rules-0", ["fuzz", "--max-rules", "0"], None, 1),
     ("fuzz-count-negative", ["fuzz", "--count", "-1"], None, 1),
