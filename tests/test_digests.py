@@ -5,9 +5,13 @@
 chain programs and the first 200 programs of the criterion-7 batch, and of
 ``--json --trace`` for every mode that has a trace over the corpus and the
 chains.  Each of the other 800 programs of that batch gets one digest, taken
-over its ``--json`` outputs in all modes, in ``MODES`` order.  A refactor
-of an engine must reproduce every digest.  After an intended change of
-output, re-record with
+over its ``--json`` outputs in all modes, in ``MODES`` order.  The layered
+random texts of the benchmark (``perfbench/workloads.random_text``) get
+``--json`` digests in the modes the benchmark runs on them: they have
+classical negation, shared heads and up to 320 literals, which the
+generator's 6-atom programs never reach.  A refactor of an engine must
+reproduce every digest.  After an intended change of output, re-record
+with
 
     PYTHONPATH=src python -m tests.test_digests
 """
@@ -30,6 +34,20 @@ TRACE_MODES = ("wfs", "pwfs", "pwfs-simplistic", "brewka", "lfp-ap")
 BATCH_SEED = 20260811
 BATCH_PROGRAMS = 200
 BATCH_SIZE = 1000
+RANDOM_SEED = 1
+
+
+def _random_programs() -> dict[str, tuple[str, tuple[str, ...]]]:
+    """The benchmark's random texts, by name, with the modes run on each."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return {
+        f"random{family}-{atoms}x{rules}": (
+            workloads.random_text(family, atoms, rules, RANDOM_SEED), modes
+        )
+        for family, atoms, rules, modes in workloads.RANDOM_PROGRAMS
+    }
 
 
 def _programs(workdir: Path) -> dict[str, Path]:
@@ -41,26 +59,28 @@ def _programs(workdir: Path) -> dict[str, Path]:
     for i in range(BATCH_SIZE):
         seed = BATCH_SEED + i
         generated[f"g{seed}"] = generate_program(GeneratorConfig(seed=seed))
-    for name, op in generated.items():
+    texts = {name: render_program(op) for name, op in generated.items()}
+    texts.update((name, text) for name, (text, _) in _random_programs().items())
+    for name, text in texts.items():
         paths[name] = workdir / f"{name}.olp"
-        paths[name].write_text(render_program(op), encoding="utf-8")
+        paths[name].write_text(text, encoding="utf-8")
     return paths
 
 
 def _jobs(paths: dict[str, Path]):
     """Pairs of a job name and the argvs whose outputs its digest covers."""
+    random_modes = {name: modes for name, (_, modes) in _random_programs().items()}
     for name, path in paths.items():
+        if name in random_modes:
+            for mode in random_modes[name]:
+                yield f"{name}/{mode}", [[str(path), "--mode", mode, "--json"]]
+            continue
         if name.startswith("g") and int(name[1:]) >= BATCH_SEED + BATCH_PROGRAMS:
             yield f"{name}/all-modes", [
                 [str(path), "--mode", mode, "--json"] for mode in MODES
             ]
             continue
         for mode in MODES:
-            # The digests were recorded while chain60's 60 heads were past
-            # the answer-set cap, so they hold no chain60 as/pas job; the
-            # CLI tests check that its only answer set is the wfs true set.
-            if name == "chain60" and mode in ("as", "pas"):
-                continue
             yield f"{name}/{mode}", [[str(path), "--mode", mode, "--json"]]
         if name.startswith(("corpus-", "chain")):
             for mode in TRACE_MODES:
