@@ -14,8 +14,9 @@ alternating operator.
 
 The rules a test closes are a bitset over rule positions, the reduct's
 rules minus the defeat set ``prefwfs.defeat_bits``; it keys the closure
-cache, so a test builds no rule tuple unless it closes a rule set for the
-first time.
+cache, whose values are literal bitsets, so a test closes a rule set only
+the first time it meets it.  The public functions take and return literal
+sets; everything between is bits.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 from .classical import Fires, c_star, cl, derive
 from .fixpoint import kleene
 from .prefwfs import defeat_bits, defeated_rules, hit_bits
-from .syntax import Literal, OrderedProgram, Rule, bit_positions
+from .syntax import Literal, OrderedProgram, bit_positions, bits_of, literals_of
 
 __all__ = [
     "cl",
@@ -39,40 +40,37 @@ __all__ = [
 
 
 def _fires(
-    op: OrderedProgram,
-    y: frozenset[Literal],
-    closed: dict[int, frozenset[Literal]],
-    x: frozenset[Literal] = frozenset(),
-) -> tuple[Fires, Callable[[Literal], None]]:
-    """r fires at x when nbody(r) misses cl(reduct(rules, y)) without the
-    reducts of the rules r defeats at x.
+    op: OrderedProgram, y: int, closed: dict[int, int], x: int = 0
+) -> tuple[Fires, Callable[[int], None]]:
+    """Rule i fires at x when nbody(i) misses cl(reduct(rules, y)) without
+    the reducts of the rules i defeats at x; x and y are bitsets.
 
     Returns the test and ``grow(lit)``, which tells the test that x gained
-    lit: the test reads x only through hit(x), kept up to date by ``grow``
-    from its value at the given ``x``.  The rules closed are a bitset over
-    rule positions, ``base & ~defeat_bits``, and ``closed`` holds the
-    closures already made, keyed by that bitset; a closure depends on
-    nothing else, so one cache serves every context y of an alternation.
+    the literal id lit: the test reads x only through hit(x), kept up to
+    date by ``grow`` from its value at the given ``x``.  The rules closed
+    are a bitset over rule positions, ``base & ~defeat_bits``, and
+    ``closed`` holds the closures already made, keyed by that bitset; a
+    closure depends on nothing else, so one cache serves every context y
+    of an alternation.
     """
-    below, position, nb = op.order.below, op.order.position, op.nb
-    base: dict[int, Rule] = {}
-    base_bits = 0
-    for i, r in enumerate(op.rules):
-        if not (r.nbody & y):
-            base[i] = r.reduct_rule()
-            base_bits |= 1 << i
+    rules, below, nb_of = op.rules, op.order.below, op.nb_of
+    base = 0
+    for i, r in enumerate(rules):
+        if not r.nmask & y:
+            base |= 1 << i
     hit = hit_bits(op, x)
 
     def grow(lit):
         nonlocal hit
-        hit |= nb.get(lit, 0)
+        hit |= nb_of.get(lit, 0)
 
-    def fires(r, x):
-        i = position[r.name]
-        key = base_bits & ~defeat_bits(op, i, hit) if below[i] else base_bits
-        if key not in closed:
-            closed[key] = cl(tuple(base[j] for j in bit_positions(key)))
-        return not (r.nbody & closed[key])
+    def fires(i, x):
+        key = base & ~defeat_bits(op, i, hit) if below[i] else base
+        context = closed.get(key)
+        if context is None:
+            # The closure of the reducts: derive never reads a negative body.
+            context = closed[key] = derive([rules[j] for j in bit_positions(key)])
+        return not rules[i].nmask & context
 
     return fires, grow
 
@@ -81,13 +79,16 @@ def t_star_step(
     op: OrderedProgram, y: frozenset[Literal], x: frozenset[Literal]
 ) -> frozenset[Literal]:
     """One derivation step against defeat-pruned reduct closures."""
-    fires, _ = _fires(op, y, {}, x)
-    return frozenset(r.head for r in op.rules if r.pbody <= x and fires(r, x))
+    xs = bits_of(x)
+    fires, _ = _fires(op, bits_of(y), {}, xs)
+    return frozenset(
+        r.head for i, r in enumerate(op.rules) if r.pmask & xs == r.pmask and fires(i, xs)
+    )
 
 
 def c_star_pref(op: OrderedProgram, y: frozenset[Literal]) -> frozenset[Literal]:
     """Least raw set closed under the t_star_step firing test."""
-    return frozenset(derive(op.rules, *_fires(op, y, {})))
+    return literals_of(derive(op.rules, *_fires(op, bits_of(y), {})))
 
 
 def brewka_wf_iterates(op: OrderedProgram) -> list[frozenset[Literal]]:
@@ -95,9 +96,9 @@ def brewka_wf_iterates(op: OrderedProgram) -> list[frozenset[Literal]]:
 
     Every step shares one cache of closed rule sets.
     """
-    closed: dict[int, frozenset[Literal]] = {}
+    closed: dict[int, int] = {}
     _, values = kleene(
-        lambda x: frozenset(derive(op.rules, *_fires(op, x, closed))),
+        lambda x: literals_of(derive(op.rules, *_fires(op, bits_of(x), closed))),
         frozenset(),
         len(op.universe) + 1,
         "paraconsistent well-founded fixpoint",

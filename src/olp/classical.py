@@ -21,7 +21,7 @@ enumeration that the theorem battery checks it against.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .fixpoint import FixpointTrace, kleene_trace
 from .syntax import (
@@ -31,8 +31,12 @@ from .syntax import (
     ProgramError,
     Rule,
     RuleIndex,
+    bit_positions,
+    bits_of,
+    has_pair,
     index_rules,
     is_consistent,
+    literals_of,
 )
 
 __all__ = [
@@ -54,82 +58,89 @@ __all__ = [
 ]
 
 MAX_ENUM_HEADS = 20
-Fires = Callable[[Rule, AbstractSet[Literal]], bool]  # fires(rule, derived)
+Fires = Callable[[int, int], bool]  # fires(rule position, derived bits)
 
 
-def _literals(x: Interpretation | frozenset[Literal]) -> frozenset[Literal]:
-    return x.literals if isinstance(x, Interpretation) else x
-
-
-def is_active(
-    r: Rule,
-    x: Interpretation | frozenset[Literal],
-    y: Interpretation | frozenset[Literal],
-) -> bool:
+def is_active(r: Rule, x: Interpretation, y: Interpretation) -> bool:
     """True iff pbody(r) is contained in x and nbody(r) misses y."""
-    xs, ys = _literals(x), _literals(y)
-    return r.pbody <= xs and not (r.nbody & ys)
+    return not r.pmask & ~x.bits and not r.nmask & y.bits
 
 
-def reduct(
-    rules: Iterable[Rule], x: Interpretation | frozenset[Literal]
-) -> tuple[Rule, ...]:
+def reduct(rules: Iterable[Rule], x: Interpretation) -> tuple[Rule, ...]:
     """Drop rules whose negative body meets x; strip the rest to basic rules."""
-    xs = _literals(x)
-    return tuple(
-        r.reduct_rule() for r in rules if not (r.nbody & xs)
-    )
+    return tuple(r.reduct_rule() for r in rules if not r.nmask & x.bits)
 
 
 def derive(
     rules: Sequence[Rule],
-    fires: Fires,
-    grow: Callable[[Literal], None] | None = None,
-) -> set[Literal]:
-    """Least raw set closed under the rules that fire; no consistency collapse.
+    fires: Fires | None = None,
+    grow: Callable[[int], None] | None = None,
+) -> int:
+    """Least raw set, as bits, closed under the rules that fire; no
+    consistency collapse.
 
     A rule adds its head once its positive body is derived and
-    ``fires(rule, derived)`` holds.  Rule order is irrelevant provided
-    ``fires`` stays true as the derived set grows.  Every pass but the last
-    derives a new head, so the loop ends within ``len(rules) + 1`` passes.
-    ``grow(head)``, when given, is called after each head is added, so a
-    firing test can keep its own view of the derived set up to date.
+    ``fires(i, derived)`` holds, i being its position in ``rules`` (no test
+    means it always holds).  Rule order is irrelevant provided ``fires``
+    stays true as the derived set grows.  A pass re-tests only the rules
+    that have not fired, and every pass but the last fires one, so the loop
+    ends within ``len(rules) + 1`` passes.  ``grow(head)``, when given, is
+    called with the id of each head added, so a firing test can keep its
+    own view of the derived set up to date.
     """
-    derived: set[Literal] = set()
+    derived = 0
+    pending = range(len(rules))
     while True:
-        size = len(derived)
-        for r in rules:
-            if r.head not in derived and r.pbody <= derived and fires(r, derived):
-                derived.add(r.head)
+        waiting = []
+        for i in pending:
+            r = rules[i]
+            if derived & r.hbit:
+                continue
+            if r.pmask & derived == r.pmask and (fires is None or fires(i, derived)):
+                derived |= r.hbit
                 if grow:
-                    grow(r.head)
-        if len(derived) == size:
+                    grow(r.head_id)
+            else:
+                waiting.append(i)
+        if not waiting or len(waiting) == len(pending):
             return derived
+        pending = waiting
 
 
 def fire_step(
-    rules: Iterable[Rule], fires: Fires, x: Interpretation, universe: frozenset[Literal]
+    rules: Iterable[Rule],
+    fires: Fires | None,
+    x: Interpretation,
+    universe: frozenset[Literal],
 ) -> Interpretation:
     """One ``derive`` step: heads of the rules firing at x, collapsed; Lit stays."""
     if x.is_lit:
         return Interpretation.lit(universe)
-    xs = x.literals
-    return Interpretation.collapse(
-        (r.head for r in rules if r.pbody <= xs and fires(r, xs)), universe
-    )
+    xs = x.bits
+    heads = 0
+    for i, r in enumerate(rules):
+        if r.pmask & xs == r.pmask and (fires is None or fires(i, xs)):
+            heads |= r.hbit
+    return Interpretation.from_bits(heads, universe)
 
 
-def _misses(y: frozenset[Literal]) -> Fires:
-    """The firing test of the context y: the negative body misses y."""
-    return lambda r, derived: not (r.nbody & y)
+def _basic(rules: Sequence[Rule]) -> int:
+    """The closure of a basic program, as bits."""
+    for r in rules:
+        if r.nmask:
+            raise ProgramError(f"closure requires a basic program, got {r}")
+    return derive(rules)
+
+
+def _c_star(rules: Sequence[Rule], y: int) -> int:
+    """``c_star`` over bits: the closure of the rules whose negative body
+    misses y."""
+    return derive([r for r in rules if not r.nmask & y])
 
 
 def cl(rules: Sequence[Rule]) -> frozenset[Literal]:
     """Smallest set closed under a basic program; no consistency collapse."""
-    for r in rules:
-        if r.nbody:
-            raise ProgramError(f"closure requires a basic program, got {r}")
-    return frozenset(derive(rules, lambda r, derived: True))
+    return literals_of(_basic(rules))
 
 
 def cn(rules: Sequence[Rule], universe: frozenset[Literal]) -> Interpretation:
@@ -138,7 +149,7 @@ def cn(rules: Sequence[Rule], universe: frozenset[Literal]) -> Interpretation:
     Collapses to the full universe as soon as a complementary pair is
     derivable.
     """
-    return Interpretation.collapse(cl(rules), universe)
+    return Interpretation.from_bits(_basic(rules), universe)
 
 
 def t_step(
@@ -149,19 +160,19 @@ def t_step(
 ) -> Interpretation:
     """Heads of the rules active wrt (x, y); the whole universe if x is not
     consistent."""
-    return fire_step(rules, _misses(y.literals), x, universe)
+    return fire_step([r for r in rules if not r.nmask & y.bits], None, x, universe)
 
 
 def c_star(rules: Sequence[Rule], x: frozenset[Literal]) -> frozenset[Literal]:
     """Paraconsistent consequences of the reduct relative to x."""
-    return frozenset(derive(rules, _misses(x)))
+    return literals_of(_c_star(rules, bits_of(x)))
 
 
 def c_op(
     rules: Sequence[Rule], x: Interpretation, universe: frozenset[Literal]
 ) -> Interpretation:
     """Consequences of the reduct relative to x: c_star plus the collapse."""
-    return Interpretation.collapse(c_star(rules, x.literals), universe)
+    return Interpretation.from_bits(_c_star(rules, x.bits), universe)
 
 
 def a_op(
@@ -174,20 +185,20 @@ def a_op(
 class LiveClosure:
     """``c_op(rules, x, universe)`` for a sequence of contexts x, kept live.
 
-    The closure keeps its raw derived set (``c_star`` at the last context)
-    between calls, and two counters per rule: its positive-body literals
-    not derived yet, and its negative-body literals in the context.  A rule
-    fires when both reach zero; deriving a literal counts down the rules
-    with it in their positive body and puts those that reach zero on the
-    worklist (the counter-based Horn closure of Dowling & Gallier, J. Logic
-    Programming 1984).  A new context is diffed against the last one.  A
-    literal that leaves it frees the rules it alone blocked.  A literal
-    that joins it blocks rules, whose heads go, together with everything
-    derived through them; every rule that can derive a deleted literal
-    again is then re-tested (DRed's over-delete and re-derive: Gupta,
-    Mumick & Subrahmanian, SIGMOD 1993).  A running count of complementary
-    pairs decides the collapse to Lit.  A call costs the size of the change
-    and of what it retracts, plus one copy of the derived set.
+    The closure keeps its raw derived set (``c_star`` at the last context,
+    as bits) between calls, and two counters per rule: its positive-body
+    literals not derived yet, and its negative-body literals in the
+    context.  A rule fires when both reach zero; deriving a literal counts
+    down the rules with it in their positive body and puts those that reach
+    zero on the worklist (the counter-based Horn closure of Dowling &
+    Gallier, J. Logic Programming 1984).  A new context is diffed against
+    the last one (``new & ~old`` and ``old & ~new``).  A literal that
+    leaves it frees the rules it alone blocked.  A literal that joins it
+    blocks rules, whose heads go, together with everything derived through
+    them; every rule that can derive a deleted literal again is then
+    re-tested (DRed's over-delete and re-derive: Gupta, Mumick &
+    Subrahmanian, SIGMOD 1993).  A call costs the size of the change and of
+    what it retracts; the collapse to Lit is one test of the bits.
 
     ``index`` is ``index_rules(rules)`` where the caller has it already;
     it is read, never written, so closures over the same rules share it.
@@ -206,37 +217,35 @@ class LiveClosure:
         self._by_pbody, self._by_nbody, self._by_head = index
         self._missing = [len(r.pbody) for r in self._rules]
         self._blocks = [0] * len(self._rules)
+        self._watched = 0  # the literals that some negative body holds
+        for r in self._rules:
+            self._watched |= r.nmask
         self._work = [i for i, n in enumerate(self._missing) if not n]
-        self._derived: set[Literal] = set()
-        self._pairs = 0  # complementary pairs in the derived set
-        self._context: frozenset[Literal] = frozenset()
+        self._derived = 0
+        self._context = 0  # the watched literals of the last context
         self._value: Interpretation | None = None
 
     def __call__(self, x: Interpretation) -> Interpretation:
-        context = x.literals
-        if context is not self._context:
+        context = x.bits & self._watched
+        if context != self._context:
             self._retract(self._move_to(context))
         if self._work:
             self._fire()
         if self._value is None:
-            if self._pairs:
-                self._value = Interpretation.lit(self._universe)
-            else:
-                # No complementary pair: the set is consistent as it stands.
-                self._value = Interpretation.trusted(frozenset(self._derived))
+            self._value = Interpretation.from_bits(self._derived, self._universe)
         return self._value
 
-    def _move_to(self, context: frozenset[Literal]) -> list[int]:
+    def _move_to(self, context: int) -> list[int]:
         """Recount the blocks; queue the freed rules, return the newly
         blocked ones."""
         old, blocks, by_nbody = self._context, self._blocks, self._by_nbody
         blocked = []
-        for lit in context - old:
+        for lit in bit_positions(context & ~old):
             for i in by_nbody.get(lit, ()):
                 blocks[i] += 1
                 if blocks[i] == 1:
                     blocked.append(i)
-        for lit in old - context:
+        for lit in bit_positions(old & ~context):
             for i in by_nbody.get(lit, ()):
                 blocks[i] -= 1
                 if not blocks[i]:
@@ -248,44 +257,44 @@ class LiveClosure:
         """Over-delete what the blocked rules supported, then queue every
         rule that can derive a deleted literal again."""
         rules, derived = self._rules, self._derived
-        doomed = {rules[i].head for i in blocked} & derived
+        doomed = 0
+        for i in blocked:
+            doomed |= rules[i].hbit
+        doomed &= derived
         if not doomed:
             return
-        stack = list(doomed)
+        stack = list(bit_positions(doomed))
         while stack:
             for i in self._by_pbody.get(stack.pop(), ()):
-                head = rules[i].head
-                if head in derived and head not in doomed:
-                    doomed.add(head)
-                    stack.append(head)
+                r = rules[i]
+                if derived & r.hbit and not doomed & r.hbit:
+                    doomed |= r.hbit
+                    stack.append(r.head_id)
         missing, work = self._missing, self._work
-        for lit in doomed:
-            derived.remove(lit)
-            if lit.complement() in derived:
-                self._pairs -= 1
+        for lit in bit_positions(doomed):
             for i in self._by_pbody.get(lit, ()):
                 missing[i] += 1
             work.extend(self._by_head[lit])
+        self._derived = derived & ~doomed
         self._value = None
 
     def _fire(self) -> None:
         """Fire the queued rules until the worklist is empty."""
         rules, derived, work = self._rules, self._derived, self._work
         missing, blocks, by_pbody = self._missing, self._blocks, self._by_pbody
-        size = len(derived)
+        before = derived
         while work:
             i = work.pop()
-            head = rules[i].head
-            if missing[i] or blocks[i] or head in derived:
+            r = rules[i]
+            if missing[i] or blocks[i] or derived & r.hbit:
                 continue
-            derived.add(head)
-            if head.complement() in derived:
-                self._pairs += 1
-            for j in by_pbody.get(head, ()):
+            derived |= r.hbit
+            for j in by_pbody.get(r.head_id, ()):
                 missing[j] -= 1
                 if not missing[j]:
                     work.append(j)
-        if len(derived) != size:
+        if derived != before:
+            self._derived = derived
             self._value = None
 
 
@@ -312,20 +321,19 @@ def head_candidates(
         yield Interpretation.lit(universe)
 
 
-def _tighten(
-    rules: Sequence[Rule], lo: frozenset[Literal], hi: frozenset[Literal]
-) -> tuple[frozenset[Literal], frozenset[Literal]] | None:
-    """Bounds lo <= X <= hi on every consistent answer set X between the
-    given ones, tightened to a fixpoint; None when no such X exists.
+def _tighten(rules: Sequence[Rule], lo: int, hi: int) -> tuple[int, int] | None:
+    """Bounds lo <= X <= hi, as bits, on every consistent answer set X
+    between the given ones, tightened to a fixpoint; None when no such X
+    exists.
 
     X = c_star(X), and c_star shrinks as its context grows, so X lies in
     c_star(lo) and contains c_star(hi).  At the fixpoint, lo == hi means
     c_star(lo) == lo: lo is then an answer set.
     """
     while True:
-        hi = hi & c_star(rules, lo)
-        grown = lo | c_star(rules, hi)
-        if not grown <= hi or not is_consistent(grown):
+        hi &= _c_star(rules, lo)
+        grown = lo | _c_star(rules, hi)
+        if grown & ~hi or has_pair(grown):
             return None
         if grown == lo:
             return lo, hi
@@ -347,8 +355,11 @@ def answer_sets(
     lit = Interpretation.lit(universe)
     if universe and c_op(rules, lit, universe) == lit:
         found.add(lit)
-    root = _tighten(rules, frozenset(), frozenset(r.head for r in rules))
-    undecided = len(root[1] - root[0]) if root else 0
+    heads = 0
+    for r in rules:
+        heads |= r.hbit
+    root = _tighten(rules, 0, heads)
+    undecided = (root[1] & ~root[0]).bit_count() if root else 0
     if undecided > MAX_ENUM_HEADS:
         raise ProgramError(
             f"answer-set search over {undecided} undecided heads is not desk-scale"
@@ -357,12 +368,13 @@ def answer_sets(
     while stack:
         lo, hi = stack.pop()
         if lo == hi:
-            found.add(Interpretation.trusted(lo))  # _tighten checked it
+            found.add(Interpretation.from_bits(lo, universe))  # _tighten checked it
             continue
-        head = next(iter(hi - lo))
+        open_ = hi & ~lo
+        head = open_ & -open_
         for bounds in (
-            _tighten(rules, lo | {head}, hi),
-            _tighten(rules, lo, hi - {head}),
+            _tighten(rules, lo | head, hi),
+            _tighten(rules, lo, hi & ~head),
         ):
             if bounds:
                 stack.append(bounds)

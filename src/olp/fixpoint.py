@@ -30,22 +30,19 @@ class FixpointDivergence(RuntimeError):
     """Iteration did not converge within the structural bound.
 
     ``previous`` and ``last`` are the last two iterates, when known, and
-    ``difference`` the literals that differ between them; the one-line
-    message names those literals.
+    ``difference`` the literals that differ between them (an iterate is an
+    ``Interpretation`` or a raw literal set; both iterate their literals);
+    the one-line message names those literals.
     """
 
     def __init__(self, message: str, previous=None, last=None):
         self.previous, self.last = previous, last
         self.difference: frozenset[Literal] = frozenset()
         if previous is not None and last is not None:
-            self.difference = _literals(previous) ^ _literals(last)
+            self.difference = frozenset(previous) ^ frozenset(last)
             names = ", ".join(sorted(map(str, self.difference)))
             message += f"; its last two iterates differ on {{{names}}}"
         super().__init__(message)
-
-
-def _literals(value) -> frozenset[Literal]:
-    return value.literals if isinstance(value, Interpretation) else frozenset(value)
 
 
 @dataclass(frozen=True)
@@ -98,5 +95,5 @@ def iterate_union(
     The step operators used here are monotone and inflationary from the
     empty set, so the union equals the final iterate.
     """
-    value, _ = kleene_trace(step, universe, "consequence closure")
+    value, _ = kleene(step, Interpretation.empty(), len(universe) + 1, "consequence closure")
     return value

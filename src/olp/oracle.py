@@ -27,6 +27,7 @@ from .syntax import (
     ProgramError,
     Rule,
     is_consistent,
+    pos,
     validate_order,
 )
 
@@ -146,14 +147,12 @@ def generate_program(cfg: GeneratorConfig) -> OrderedProgram:
     discarding any pair whose addition would make the closure reflexive.
     """
     rng = random.Random(cfg.seed)
-    atoms = [Atom(name) for name in _ATOM_NAMES[: rng.randint(1, cfg.max_atoms)]]
-    # Each distinct literal is built once, beside its cached complement.
-    polarities = {p.atom: (p, p.complement()) for p in map(Literal, atoms)}
+    names = _ATOM_NAMES[: rng.randint(1, cfg.max_atoms)]
+    # The interned literals, each beside its cached complement.
+    polarities = [(p, p.complement()) for p in map(pos, names)]
 
     def literal() -> Literal:
-        return polarities[rng.choice(atoms)][
-            rng.random() < cfg.classical_negation_prob
-        ]
+        return rng.choice(polarities)[rng.random() < cfg.classical_negation_prob]
 
     n_rules = rng.randint(1, cfg.max_rules)
     rules = []
@@ -191,9 +190,9 @@ def chain_program(n: int) -> OrderedProgram:
     rules = tuple(
         Rule(
             f"r{i}",
-            Literal(Atom(f"a{i}")),
+            pos(f"a{i}"),
             frozenset(),
-            frozenset({Literal(Atom(f"a{i + 1}"))}),
+            frozenset({pos(f"a{i + 1}")}),
         )
         for i in range(1, n + 1)
     )

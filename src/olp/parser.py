@@ -25,12 +25,12 @@ import re
 from dataclasses import dataclass
 
 from .syntax import (
-    Atom,
     CycleError,
     Literal,
     OrderedProgram,
     Rule,
     UnknownRuleError,
+    interned_literal,
     validate_order,
 )
 
@@ -109,9 +109,9 @@ def parse_program(text: str) -> OrderedProgram:
     Raises ParseError with a span inside the input and one of the kinds
     lexical, syntax, duplicate-name, cyclic-order, unknown-rule.  The text
     is split into words by one regex scan; a stray character anywhere is
-    reported before any syntax error.  Each atom's two literals are built
-    once per parse, as a complement pair: rules share literal and atom
-    objects.
+    reported before any syntax error.  Each atom's two literals are looked
+    up once per parse, as the complement pair interned for its name: rules
+    share literal and atom objects, within a parse and across parses.
     """
     words = _TOKEN_RE.findall(text)
     strays = [w for w in set(words) if w not in _RESERVED and not "a" <= w[0] <= "z"]
@@ -157,7 +157,7 @@ def parse_program(text: str) -> OrderedProgram:
                 raise _expected(text, words, i, "an atom")
             pair = literals.get(name)
             if pair is None:
-                positive = Literal(Atom(name))
+                positive = interned_literal(name)
                 pair = literals[name] = (positive, positive.complement())
             lit = pair[negated]
             if head is None:

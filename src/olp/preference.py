@@ -16,11 +16,11 @@ order's ``above`` mask for the rule.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable
+from typing import Callable
 
 from .classical import Fires, answer_sets, derive, fire_step
 from .fixpoint import FixpointTrace, kleene_trace
-from .syntax import Interpretation, Literal, OrderedProgram
+from .syntax import Interpretation, OrderedProgram, bit_positions
 
 __all__ = [
     "tp_step",
@@ -33,36 +33,36 @@ __all__ = [
 
 
 def _fires(
-    op: OrderedProgram, y: Interpretation, x: AbstractSet[Literal] = frozenset()
-) -> tuple[Fires, Callable[[Literal], None] | None]:
-    """r fires at x when nbody(r) misses y and no rule r' above r is both
-    active wrt (y, x) and still unapplied (head(r') not in x).
+    op: OrderedProgram, y: Interpretation, x: int = 0
+) -> tuple[Fires, Callable[[int], None] | None]:
+    """Rule i fires at x when nbody(i) misses y and no rule r' above it is
+    both active wrt (y, x) and still unapplied (head(r') not in x).
 
     Returns the test and ``grow(lit)``, which tells the test that x gained
-    lit (None when the order is empty: the test then ignores x).  The test
-    reads x only through ``live``, the bitset of the rules active and
-    unapplied at x.  It starts as the rules whose positive body is in y and
-    only shrinks: a rule leaves it when its head, or a literal of its
-    negative body, joins x.
+    the literal id lit (None when the order is empty: the test then ignores
+    x).  The test reads x only through ``live``, the bitset of the rules
+    active and unapplied at x.  It starts as the rules whose positive body
+    is in y and only shrinks: a rule leaves it when its head, or a literal
+    of its negative body, joins x.
     """
-    ys = y.literals
+    ys, rules = y.bits, op.rules
     if not op.order:
-        return (lambda r, x: not (r.nbody & ys)), None
-    above, position, nb, hb = op.order.above, op.order.position, op.nb, op.hb
+        return (lambda i, x: not rules[i].nmask & ys), None
+    above, nb_of, hb_of = op.order.above, op.nb_of, op.hb_of
     live = 0
-    for j, r in enumerate(op.rules):
-        if r.pbody <= ys:
+    for j, r in enumerate(rules):
+        if r.pmask & ys == r.pmask:
             live |= 1 << j
 
     def grow(lit):
         nonlocal live
-        live &= ~(nb.get(lit, 0) | hb.get(lit, 0))
+        live &= ~(nb_of.get(lit, 0) | hb_of.get(lit, 0))
 
-    for lit in x:
+    for lit in bit_positions(x):
         grow(lit)
 
-    def fires(r, x):
-        return not (r.nbody & ys) and not (above[position[r.name]] & live)
+    def fires(i, x):
+        return not rules[i].nmask & ys and not above[i] & live
 
     return fires, grow
 
@@ -71,13 +71,13 @@ def tp_step(
     op: OrderedProgram, y: Interpretation, x: Interpretation
 ) -> Interpretation:
     """One derivation step relative to the putative context y."""
-    fires, _ = _fires(op, y, x.literals)
+    fires, _ = _fires(op, y, x.bits)
     return fire_step(op.rules, fires, x, op.universe)
 
 
 def cp_op(op: OrderedProgram, x: Interpretation) -> Interpretation:
     """Least set closed under the tp_step firing test, with x as context."""
-    return Interpretation.collapse(derive(op.rules, *_fires(op, x)), op.universe)
+    return Interpretation.from_bits(derive(op.rules, *_fires(op, x)), op.universe)
 
 
 def ap_op(op: OrderedProgram, x: Interpretation) -> Interpretation:

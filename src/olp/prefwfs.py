@@ -27,16 +27,18 @@ Defeat sets are bitsets over rule positions, never rescans of the rules
 below a rule.  Rule i defeats the lower rule g at state x when head(i) or
 a literal of x is in nbody(g), so its defeat set is
 ``below[i] & (static[i] | hit(x))``: ``below`` is the order's transpose,
-``static[i] = below[i] & nb[head(i)]`` is fixed per program, and
-``hit(x)``, the OR of ``nb[l]`` over x, is kept up to date as a closure
+``static[i] = below[i] & nb_of[head(i)]`` is fixed per program, and
+``hit(x)``, the OR of ``nb_of[l]`` over x, is kept up to date as a closure
 derives literals, one OR per literal.  ``defeats`` stays as the
-reference of the battery invariant ``defeat-bits-agree``.
+reference of the battery invariant ``defeat-bits-agree``.  Literal sets
+are bitsets of literal ids throughout (see ``syntax``); the removal sets
+are decoded to literals only for ``d_set`` and traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import classical
 from .fixpoint import FixpointTrace, kleene_trace
@@ -47,6 +49,8 @@ from .syntax import (
     PartialModel,
     Rule,
     bit_positions,
+    bits_of,
+    literals_of,
 )
 
 __all__ = [
@@ -87,24 +91,22 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def defeats(
-    r: Rule, r2: Rule, x: Interpretation | frozenset[Literal]
-) -> bool:
+def defeats(r: Rule, r2: Rule, x: Interpretation) -> bool:
     """True iff the head of r together with x meets the negative body of r2.
 
     The reference for the defeat bitsets; no engine calls it.
     """
-    xs = x.literals if isinstance(x, Interpretation) else x
-    return r.head in r2.nbody or not r2.nbody.isdisjoint(xs)
+    return bool(r2.nmask & (r.hbit | x.bits))
 
 
-def hit_bits(op: OrderedProgram, x: Iterable[Literal]) -> int:
-    """hit(x): the rules with a literal of x in their negative body, as a
-    bitset over rule positions (the OR of ``op.nb[l]`` over x)."""
-    nb = op.nb
+def hit_bits(op: OrderedProgram, x: int) -> int:
+    """hit(x): the rules with a literal of the bitset x in their negative
+    body, as a bitset over rule positions (the OR of ``op.nb_of[l]`` over
+    x)."""
+    nb_of = op.nb_of
     hit = 0
-    for lit in x:
-        hit |= nb.get(lit, 0)
+    for lit in bit_positions(x):
+        hit |= nb_of.get(lit, 0)
     return hit
 
 
@@ -122,8 +124,9 @@ def defeat_bits(op: OrderedProgram, i: int, hit: int) -> int:
 def defeated_rules(
     op: OrderedProgram, r: Rule, x: Interpretation | frozenset[Literal]
 ) -> tuple[Rule, ...]:
-    """The rules strictly below r that r defeats at state x, in rule order."""
-    bits = defeat_bits(op, op.order.position[r.name], hit_bits(op, x))
+    """The rules strictly below r that r defeats at state x (an
+    interpretation or a raw literal set), in rule order."""
+    bits = defeat_bits(op, op.order.position[r.name], hit_bits(op, bits_of(x)))
     return tuple(op.rules[j] for j in bit_positions(bits))
 
 
@@ -131,8 +134,9 @@ def d_set(
     op: OrderedProgram, r: Rule, x: Interpretation, y: Interpretation
 ) -> frozenset[Literal]:
     """Literals of y removable from r's blocking context at state x."""
-    i = op.order.position[r.name]
-    return y.literals - _kept(op, i, hit_bits(op, x), y, VARIANT_PAPER, y.literals)
+    i, ys = op.order.position[r.name], y.bits
+    kept = _kept(op, i, hit_bits(op, x.bits), VARIANT_PAPER, ys, _supporters(op, ys))
+    return literals_of(ys & ~kept)
 
 
 def d_set_simplistic(
@@ -142,34 +146,34 @@ def d_set_simplistic(
     return frozenset(lower.head for lower in defeated_rules(op, r, x))
 
 
+def _supporters(op: OrderedProgram, y: int) -> int:
+    """The rules whose positive body lies in the bitset y, as a bitset over
+    rule positions."""
+    bits = 0
+    for i, r in enumerate(op.rules):
+        if r.pmask & y == r.pmask:
+            bits |= 1 << i
+    return bits
+
+
 def _kept(
-    op: OrderedProgram,
-    i: int,
-    hit: int,
-    y: Interpretation,
-    variant: str,
-    among: frozenset[Literal],
-) -> frozenset[Literal]:
-    """The literals of ``among`` (a subset of y) that stay in rule i's
-    blocking context under the removal policy, at a state x with hit(x) =
-    ``hit``."""
-    if not among:
-        return among
-    defeated, hb = defeat_bits(op, i, hit), op.hb
-    if variant == VARIANT_SIMPLISTIC:
-        # A literal goes iff it is the head of a defeated rule.
-        return frozenset(lit for lit in among if not hb.get(lit, 0) & defeated)
-    # A literal stays iff some rule that can support it within y is not
-    # defeated by rule i; an unsupported literal goes.
-    rules, ys = op.rules, y.literals
-    return frozenset(
-        lit
-        for lit in among
-        if any(
-            rules[g].pbody <= ys
-            for g in bit_positions(hb.get(lit, 0) & ~defeated)
-        )
-    )
+    op: OrderedProgram, i: int, hit: int, variant: str, among: int, supporters: int
+) -> int:
+    """The literals of ``among`` (a bitset within a context y) that stay in
+    rule i's blocking context under the removal policy, at a state x with
+    hit(x) = ``hit``; ``supporters`` is ``_supporters(op, y)``."""
+    defeated, hb_of, kept = defeat_bits(op, i, hit), op.hb_of, 0
+    for lit in bit_positions(among):
+        if variant == VARIANT_SIMPLISTIC:
+            # A literal goes iff it is the head of a defeated rule.
+            stays = not hb_of.get(lit, 0) & defeated
+        else:
+            # A literal stays iff some rule that can support it within y is
+            # not defeated by rule i; an unsupported literal goes.
+            stays = hb_of.get(lit, 0) & supporters & ~defeated
+        if stays:
+            kept |= 1 << lit
+    return kept
 
 
 def _fires(
@@ -177,10 +181,22 @@ def _fires(
 ) -> Callable[[int, int], bool]:
     """``fires(i, hit)``: rule i fires against y at a state x with hit(x) =
     ``hit``, that is no negative-body literal survives in y after removal;
-    only literals in nbody(i) & y need a removability check."""
+    only literals in nbody(i) & y need a removability check, and the rules
+    that support literals within y are found at the first such check."""
     _check_variant(variant)
-    rules, ys = op.rules, y.literals
-    return lambda i, hit: not _kept(op, i, hit, y, variant, rules[i].nbody & ys)
+    rules, ys = op.rules, y.bits
+    supporters = None
+
+    def fires(i, hit):
+        nonlocal supporters
+        among = rules[i].nmask & ys
+        if not among:
+            return True
+        if supporters is None:
+            supporters = _supporters(op, ys)
+        return not _kept(op, i, hit, variant, among, supporters)
+
+    return fires
 
 
 def tpn_step(
@@ -190,10 +206,8 @@ def tpn_step(
     variant: str = VARIANT_PAPER,
 ) -> Interpretation:
     """Heads of rules active wrt (x, y minus their removal set)."""
-    fires, position, hit = _fires(op, y, variant), op.order.position, hit_bits(op, x)
-    return classical.fire_step(
-        op.rules, lambda r, xs: fires(position[r.name], hit), x, op.universe
-    )
+    fires, hit = _fires(op, y, variant), hit_bits(op, x.bits)
+    return classical.fire_step(op.rules, lambda i, xs: fires(i, hit), x, op.universe)
 
 
 def cpn_op(
@@ -201,34 +215,35 @@ def cpn_op(
 ) -> Interpretation:
     """Least set closed under the tpn_step firing test, with x as context.
 
-    A worklist closure.  A rule is tested once its positive body is derived
-    (a per-rule counter of missing literals), and again after each derived
-    literal l that can change its test: l defeats the rules g with l in
-    their negative body, which ``_kept`` reads only for a rule r with
-    head(g) in nbody(r).  That is the one place the test reads the derived
-    set, under either removal policy; it reads it as hit(derived), which
-    each derived literal updates once.
+    A worklist closure over bits.  A rule is tested once its positive body
+    is derived (a per-rule counter of missing literals), and again after
+    each derived literal l that can change its test: l defeats the rules g
+    with l in their negative body, which ``_kept`` reads only for a rule r
+    with head(g) in nbody(r).  That is the one place the test reads the
+    derived set, under either removal policy; it reads it as hit(derived),
+    which each derived literal updates once.
     """
     fires = _fires(op, x, variant)
-    rules, (by_pbody, by_nbody, _), nb = op.rules, op.rule_index, op.nb
+    rules, (by_pbody, by_nbody, _), nb_of = op.rules, op.rule_index, op.nb_of
     missing = [len(r.pbody) for r in rules]
     work = [i for i, n in enumerate(missing) if not n]
-    derived: set[Literal] = set()
+    derived = 0
     hit = 0
     while work:
         i = work.pop()
-        head = rules[i].head
-        if missing[i] or head in derived or not fires(i, hit):
+        r = rules[i]
+        if missing[i] or derived & r.hbit or not fires(i, hit):
             continue
-        derived.add(head)
-        hit |= nb.get(head, 0)
+        derived |= r.hbit
+        head = r.head_id
+        hit |= nb_of.get(head, 0)
         for j in by_pbody.get(head, ()):
             missing[j] -= 1
             if not missing[j]:
                 work.append(j)
         for g in by_nbody.get(head, ()):
-            work.extend(by_nbody.get(rules[g].head, ()))
-    return Interpretation.collapse(derived, op.universe)
+            work.extend(by_nbody.get(rules[g].head_id, ()))
+    return Interpretation.from_bits(derived, op.universe)
 
 
 def apn_op(
@@ -299,8 +314,11 @@ def defeat_contexts(
     """Per-rule removal sets at state (x, y), for traces and diagnostics."""
     _check_variant(variant)
     result = {}
-    hit = hit_bits(op, x)
+    ys, hit = y.bits, hit_bits(op, x.bits)
+    supporters = _supporters(op, ys)
     for i, r in enumerate(op.rules):
-        kept = _kept(op, i, hit, y, variant, y.literals)
-        result[r.name] = DefeatContext(r.name, y.literals - kept, kept)
+        kept = _kept(op, i, hit, variant, ys, supporters)
+        result[r.name] = DefeatContext(
+            r.name, literals_of(ys & ~kept), literals_of(kept)
+        )
     return result

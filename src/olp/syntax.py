@@ -1,22 +1,38 @@
 """Core syntax: literals, rules, ordered programs, interpretations.
 
-All types are immutable values; they can be shared freely across threads.
 An ordered program couples a finite rule set with a strict partial order on
 rule names (``r1 < r2`` meaning r2 has higher priority).
+
+Every engine computes on Python-int bitsets.  Each atom name is interned
+once per process as atom index k, and its literals get the ids ``2k``
+(positive) and ``2k + 1`` (negated), so ``complement(i) == i ^ 1`` and a
+set of literals is the int with those bits set.  A set holds a
+complementary pair exactly when ``bits & (bits >> 1) & EVEN`` is non-zero,
+where EVEN has bit 2k set for every atom k interned so far.  A ``Rule``
+carries its head id and the masks of its positive and negative bodies; an
+``Interpretation`` is its bits and the Lit flag, and decodes its literals
+only when they are read.
+
+Literals, rules, programs and interpretations are immutable values that
+can be shared across threads.  The intern table is the one piece of
+process-wide state: it only grows, a new atom is added under a lock, and
+an id never changes once given.  Ids differ between processes, so every
+value that holds one pickles as the literals it stands for.
 
 The order is kept closed as Python-int bitsets over rule positions, one
 ``above`` and one ``below`` mask per rule, each built by one Kahn pass, so
 the O(n^2) closed pairs are never listed unless ``pairs`` is read.  A
-program adds, on first use, ``nb[l]`` and ``hb[l]`` (the rules with l in
-their negative body, and with head l) and ``static[i] = below[i] &
-nb[head(i)]``, from which ``prefwfs`` forms defeat sets.
+program adds, on first use, ``nb_of[i]`` and ``hb_of[i]`` (the rules with
+literal id i in their negative body, and with head i) and ``static[r] =
+below[r] & nb_of[head(r)]``, from which ``prefwfs`` forms defeat sets.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -32,10 +48,14 @@ __all__ = [
     "UnknownRuleError",
     "DuplicateRuleError",
     "complement",
+    "interned_literal",
     "literal_universe",
     "mentioned_literals",
     "index_rules",
     "bit_positions",
+    "bits_of",
+    "literals_of",
+    "has_pair",
     "validate_order",
     "is_consistent",
     "pos",
@@ -75,6 +95,31 @@ class DuplicateRuleError(ProgramError):
         self.name = name
 
 
+_ATOMS: dict[str, int] = {}  # atom name -> atom index k
+_LITERALS: list["Literal"] = []  # literal id -> its literal
+_RULE_NAMES: set[str] = set()  # rule names already checked
+_EVEN = 0  # bit 2k for every interned atom k
+_intern_lock = threading.Lock()
+
+
+def _intern(name: str) -> int:
+    """The atom index of ``name``, checked and interned on first sight."""
+    k = _ATOMS.get(name)
+    if k is not None:
+        return k
+    if not IDENT_RE.match(name):
+        raise ProgramError(f"invalid atom name {name!r}")
+    global _EVEN
+    with _intern_lock:
+        k = _ATOMS.get(name)
+        if k is None:
+            k = len(_LITERALS) // 2
+            _LITERALS.extend((None, None))
+            _EVEN |= 1 << 2 * k
+            _ATOMS[name] = k
+    return k
+
+
 @dataclass(frozen=True, order=True)
 class Atom:
     """A propositional atom; names follow the identifier lexical class."""
@@ -82,8 +127,7 @@ class Atom:
     name: str
 
     def __post_init__(self):
-        if not IDENT_RE.match(self.name):
-            raise ProgramError(f"invalid atom name {self.name!r}")
+        _intern(self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -96,14 +140,20 @@ class Literal:
     The hash is computed once, at construction, and is the value the
     generated dataclass hash would give, ``hash((atom, negated))``: set
     iteration orders, and so the pairs the theorem battery samples, must
-    not depend on how a literal was built.  The complement is cached.
+    not depend on how a literal was built.  ``id`` is ``2k`` or ``2k + 1``
+    for the atom's index k.  The complement is cached.
     """
 
     atom: Atom
     negated: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.atom, self.negated)))
+        i = _intern(self.atom.name) << 1 | bool(self.negated)
+        state = self.__dict__
+        state["_hash"] = hash((self.atom, self.negated))
+        state["id"] = i
+        if _LITERALS[i] is None:
+            _LITERALS[i] = self
 
     def __hash__(self) -> int:
         return self._hash
@@ -125,12 +175,21 @@ class Literal:
         return f"-{self.atom}" if self.negated else str(self.atom)
 
 
+def interned_literal(name: str) -> Literal:
+    """The positive literal of the atom ``name`` that stands for its id in
+    this process (its cached complement is the negated one); built, and the
+    name checked, only on first sight."""
+    k = _ATOMS.get(name)
+    lit = None if k is None else _LITERALS[2 * k]
+    return Literal(Atom(name)) if lit is None else lit
+
+
 def pos(name: str) -> Literal:
-    return Literal(Atom(name))
+    return interned_literal(name)
 
 
 def neg(name: str) -> Literal:
-    return Literal(Atom(name), negated=True)
+    return interned_literal(name).complement()
 
 
 def complement(lit: Literal) -> Literal:
@@ -140,7 +199,11 @@ def complement(lit: Literal) -> Literal:
 
 @dataclass(frozen=True)
 class Rule:
-    """A named rule ``head :- pbody, not nbody``; empty bodies make a fact."""
+    """A named rule ``head :- pbody, not nbody``; empty bodies make a fact.
+
+    ``head_id`` is the head's literal id, ``hbit`` its bit, and ``pmask``
+    and ``nmask`` the bits of the two bodies.
+    """
 
     name: str
     head: Literal
@@ -148,8 +211,22 @@ class Rule:
     nbody: frozenset[Literal] = frozenset()
 
     def __post_init__(self):
-        if not IDENT_RE.match(self.name):
-            raise ProgramError(f"invalid rule name {self.name!r}")
+        if self.name not in _RULE_NAMES:
+            if not IDENT_RE.match(self.name):
+                raise ProgramError(f"invalid rule name {self.name!r}")
+            _RULE_NAMES.add(self.name)
+        pmask = nmask = 0
+        for lit in self.pbody:
+            pmask |= 1 << lit.id
+        for lit in self.nbody:
+            nmask |= 1 << lit.id
+        state, head = self.__dict__, self.head.id
+        state["head_id"], state["hbit"] = head, 1 << head
+        state["pmask"], state["nmask"] = pmask, nmask
+
+    def __reduce__(self):
+        # Rebuild on load: the ids and masks are this process's.
+        return Rule, (self.name, self.head, self.pbody, self.nbody)
 
     @property
     def basic(self) -> bool:
@@ -235,6 +312,24 @@ def bit_positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def bits_of(literals: Iterable[Literal]) -> int:
+    """The bitset of a collection of literals."""
+    bits = 0
+    for lit in literals:
+        bits |= 1 << lit.id
+    return bits
+
+
+def literals_of(bits: int) -> frozenset[Literal]:
+    """The literals of a bitset."""
+    return frozenset(_LITERALS[i] for i in bit_positions(bits))
+
+
+def has_pair(bits: int) -> int:
+    """Non-zero iff the bitset holds a literal together with its complement."""
+    return bits & (bits >> 1) & _EVEN
+
+
 def _kahn(
     out: list[list[int]], into: list[list[int]]
 ) -> tuple[list[int], list[int]]:
@@ -298,9 +393,9 @@ class OrderedProgram:
     """A finite rule sequence plus a validated preference order.
 
     The order's bitsets are over this program's rule positions: bit i is
-    ``rules[i]``.  ``nb``, ``hb`` and ``static`` are built on first use;
-    they serve the defeat sets of ``prefwfs`` and the live set of
-    ``preference``.
+    ``rules[i]``.  ``nb_of``, ``hb_of`` and ``static`` are built on first
+    use; they serve the defeat sets of ``prefwfs`` and the live set of
+    ``preference``.  ``nb`` and ``hb`` are the same maps keyed by literal.
     """
 
     rules: tuple[Rule, ...] = ()
@@ -329,38 +424,43 @@ class OrderedProgram:
         return literal_universe(self)
 
     @cached_property
+    def nb_of(self) -> dict[int, int]:
+        """For each literal id, the rules with it in their negative body, as
+        a bitset over rule positions."""
+        return {i: _rule_bits(at) for i, at in self.rule_index[1].items()}
+
+    @cached_property
+    def hb_of(self) -> dict[int, int]:
+        """For each literal id, the rules with it as head, as a bitset over
+        rule positions."""
+        return {i: _rule_bits(at) for i, at in self.rule_index[2].items()}
+
+    @cached_property
     def nb(self) -> dict[Literal, int]:
-        """For each literal l, the rules with l in their negative body, as a
-        bitset over rule positions."""
-        acc: dict[Literal, int] = {}
-        for i, r in enumerate(self.rules):
-            for lit in r.nbody:
-                acc[lit] = acc.get(lit, 0) | 1 << i
-        return acc
+        return {_LITERALS[i]: bits for i, bits in self.nb_of.items()}
 
     @cached_property
     def hb(self) -> dict[Literal, int]:
-        """For each literal l, the rules with head l, as a bitset over rule
-        positions."""
-        acc: dict[Literal, int] = {}
-        for i, r in enumerate(self.rules):
-            acc[r.head] = acc.get(r.head, 0) | 1 << i
-        return acc
+        return {_LITERALS[i]: bits for i, bits in self.hb_of.items()}
 
     @cached_property
     def static(self) -> tuple[int, ...]:
-        """For each rule i, ``below[i] & nb[head(i)]``: the lower rules that
-        rule i defeats at every state, whatever has been derived."""
-        nb = self.nb
+        """For each rule i, ``below[i] & nb_of[head(i)]``: the lower rules
+        that rule i defeats at every state, whatever has been derived."""
+        nb_of = self.nb_of
         return tuple(
-            bits and bits & nb.get(r.head, 0)
+            bits and bits & nb_of.get(r.head_id, 0)
             for r, bits in zip(self.rules, self.order.below)
         )
 
     @cached_property
     def rule_index(self) -> RuleIndex:
-        """Rule positions by body and head literal (see ``index_rules``)."""
+        """Rule positions by body and head literal id (see ``index_rules``)."""
         return index_rules(self.rules)
+
+    def __reduce__(self):
+        # Rebuild on load: the cached views are keyed by this process's ids.
+        return OrderedProgram, (self.rules, self.order)
 
     def strip_order(self) -> "OrderedProgram":
         return OrderedProgram(self.rules, PreferenceOrder.empty())
@@ -395,23 +495,30 @@ def literal_universe(source: OrderedProgram | Iterable[Rule]) -> frozenset[Liter
     return frozenset(lit for p in positive for lit in (p, p.complement()))
 
 
-Positions = dict[Literal, list[int]]
+Positions = dict[int, list[int]]
 RuleIndex = tuple[Positions, Positions, Positions]
 
 
 def index_rules(rules: Sequence[Rule]) -> RuleIndex:
-    """For each literal, the positions (in rule order) of the rules with it
-    in their positive body, in their negative body, and as their head."""
+    """For each literal id, the positions (in rule order) of the rules with
+    it in their positive body, in their negative body, and as their head."""
     by_pbody: Positions = {}
     by_nbody: Positions = {}
     by_head: Positions = {}
     for i, r in enumerate(rules):
-        by_head.setdefault(r.head, []).append(i)
+        by_head.setdefault(r.head_id, []).append(i)
         for lit in r.pbody:
-            by_pbody.setdefault(lit, []).append(i)
+            by_pbody.setdefault(lit.id, []).append(i)
         for lit in r.nbody:
-            by_nbody.setdefault(lit, []).append(i)
+            by_nbody.setdefault(lit.id, []).append(i)
     return by_pbody, by_nbody, by_head
+
+
+def _rule_bits(positions: list[int]) -> int:
+    bits = 0
+    for i in positions:
+        bits |= 1 << i
+    return bits
 
 
 def mentioned_literals(
@@ -423,41 +530,43 @@ def mentioned_literals(
 
 
 def is_consistent(literals: Iterable[Literal]) -> bool:
-    literals = frozenset(literals)
-    return not any(lit.complement() in literals for lit in literals)
+    return not has_pair(bits_of(literals))
 
 
-@dataclass(frozen=True)
 class Interpretation:
     """A consistent literal set, or the whole universe (``is_lit``).
 
-    The inconsistent case is always represented by the flag together with
-    the full universe, never by a raw contradictory set.
+    The value is ``bits``, its literals as a bitset, and the ``is_lit``
+    flag; equality and hash use only these two, and nothing assigns to them
+    after construction.  The inconsistent case is always represented by
+    the flag together with the full universe, never by a raw contradictory
+    set.  A value built from literals keeps the frozenset it was given; one
+    built from bits decodes ``literals`` when it is first read.
     """
 
-    literals: frozenset[Literal] = frozenset()
-    is_lit: bool = False
+    __slots__ = ("bits", "is_lit", "_literals")
 
-    def __post_init__(self):
-        if self.is_lit and not self.literals:
-            # The universe of an atom-free program is empty and consistent.
-            object.__setattr__(self, "is_lit", False)
-        elif not self.is_lit and not is_consistent(self.literals):
-            raise ProgramError(
-                "inconsistent interpretation must be flagged as Lit"
-            )
+    def __init__(self, literals: Iterable[Literal] = frozenset(), is_lit: bool = False):
+        literals = frozenset(literals)
+        bits = bits_of(literals)
+        if is_lit and not bits:
+            is_lit = False  # the universe of an atom-free program is consistent
+        elif not is_lit and has_pair(bits):
+            raise ProgramError("inconsistent interpretation must be flagged as Lit")
+        self.bits = bits
+        self.is_lit = is_lit
+        self._literals = literals
 
     @classmethod
     def empty(cls) -> "Interpretation":
-        return cls(frozenset())
+        return _EMPTY
 
     @classmethod
     def trusted(cls, literals: frozenset[Literal]) -> "Interpretation":
         """The consistent set ``literals``, unchecked: only for callers that
         know it has no complementary pair (every other constructor checks)."""
-        value = object.__new__(cls)
-        object.__setattr__(value, "literals", literals)
-        object.__setattr__(value, "is_lit", False)
+        value = _new(cls)
+        value.bits, value.is_lit, value._literals = bits_of(literals), False, literals
         return value
 
     @classmethod
@@ -473,31 +582,67 @@ class Interpretation:
         cls, literals: Iterable[Literal], universe: Iterable[Literal]
     ) -> "Interpretation":
         """``literals`` if consistent, else the whole universe as Lit."""
-        try:
-            return cls(frozenset(literals))  # __post_init__ tests consistency
-        except ProgramError:
-            return cls.lit(universe)
+        literals = frozenset(literals)
+        if is_consistent(literals):
+            return cls.trusted(literals)
+        return cls.lit(universe)
+
+    @classmethod
+    def from_bits(cls, bits: int, universe: Iterable[Literal]) -> "Interpretation":
+        """The set ``bits`` if consistent, else the whole universe as Lit."""
+        if bits & (bits >> 1) & _EVEN:
+            return _lit_over(frozenset(universe))
+        value = _new(cls)
+        value.bits, value.is_lit, value._literals = bits, False, None
+        return value
+
+    @property
+    def literals(self) -> frozenset[Literal]:
+        if self._literals is None:
+            self._literals = literals_of(self.bits)
+        return self._literals
 
     @property
     def consistent(self) -> bool:
         return not self.is_lit
 
+    def __eq__(self, other):
+        if type(other) is not Interpretation:
+            return NotImplemented
+        return self.bits == other.bits and self.is_lit == other.is_lit
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.is_lit))
+
+    def __reduce__(self):
+        # Rebuild on load from the literals: ids differ between processes.
+        return Interpretation, (self.literals, self.is_lit)
+
     def __contains__(self, lit: Literal) -> bool:
-        return lit in self.literals
+        return bool(self.bits >> lit.id & 1)
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self.literals)
 
     def __len__(self) -> int:
-        return len(self.literals)
+        return self.bits.bit_count()
 
     def issubset(self, other: "Interpretation") -> bool:
-        return self.literals <= other.literals
+        return not self.bits & ~other.bits
+
+    def __repr__(self) -> str:
+        return f"Interpretation(literals={self.literals!r}, is_lit={self.is_lit!r})"
 
     def __str__(self) -> str:
         if self.is_lit:
             return "Lit"
         return "{" + ", ".join(sorted(map(str, self.literals))) + "}"
+
+
+_new = object.__new__
+_EMPTY = Interpretation()
+# The engines collapse to Lit over the same few universes again and again.
+_lit_over = lru_cache(maxsize=16)(Interpretation.lit)
 
 
 @dataclass(frozen=True)
