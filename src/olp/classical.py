@@ -241,12 +241,12 @@ class LiveClosure:
         old, blocks, by_nbody = self._context, self._blocks, self._by_nbody
         blocked = []
         for lit in bit_positions(context & ~old):
-            for i in by_nbody.get(lit, ()):
+            for i in by_nbody[lit]:
                 blocks[i] += 1
                 if blocks[i] == 1:
                     blocked.append(i)
         for lit in bit_positions(old & ~context):
-            for i in by_nbody.get(lit, ()):
+            for i in by_nbody[lit]:
                 blocks[i] -= 1
                 if not blocks[i]:
                     self._work.append(i)

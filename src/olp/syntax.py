@@ -215,14 +215,9 @@ class Rule:
             if not IDENT_RE.match(self.name):
                 raise ProgramError(f"invalid rule name {self.name!r}")
             _RULE_NAMES.add(self.name)
-        pmask = nmask = 0
-        for lit in self.pbody:
-            pmask |= 1 << lit.id
-        for lit in self.nbody:
-            nmask |= 1 << lit.id
         state, head = self.__dict__, self.head.id
         state["head_id"], state["hbit"] = head, 1 << head
-        state["pmask"], state["nmask"] = pmask, nmask
+        state["pmask"], state["nmask"] = bits_of(self.pbody), bits_of(self.nbody)
 
     def __reduce__(self):
         # Rebuild on load: the ids and masks are this process's.
@@ -590,7 +585,7 @@ class Interpretation:
     @classmethod
     def from_bits(cls, bits: int, universe: Iterable[Literal]) -> "Interpretation":
         """The set ``bits`` if consistent, else the whole universe as Lit."""
-        if bits & (bits >> 1) & _EVEN:
+        if has_pair(bits):
             return _lit_over(frozenset(universe))
         value = _new(cls)
         value.bits, value.is_lit, value._literals = bits, False, None

@@ -11,8 +11,10 @@ order.
 
 import os
 import pickle
+import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,38 @@ class TestIdsAcrossProcesses:
         )
         assert done.returncode == 0, done.stderr.decode()
         assert done.stdout == b"ok\n"
+
+
+class TestInternTableUnderThreads:
+    def test_concurrent_interning_gives_each_name_one_index(self):
+        names = [f"t_{k}" for k in range(300)]
+        seen: list[list[Literal]] = []
+
+        def intern(seed):
+            order = names[:]
+            random.Random(seed).shuffle(order)
+            seen.append([neg(name) if k % 2 else pos(name) for k, name in enumerate(order)])
+
+        workers = [threading.Thread(target=intern, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(seen) == len(workers)
+        ids = {}
+        for lits in seen:
+            for lit in lits:
+                assert ids.setdefault(lit.atom.name, lit.id >> 1) == lit.id >> 1
+        assert len(set(ids.values())) == len(names)
+        for name, k in ids.items():
+            assert syntax._LITERALS[2 * k] == pos(name)
+            assert syntax.has_pair(3 << 2 * k)
 
 
 class TestNamesCheckedOnce:
