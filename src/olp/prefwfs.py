@@ -96,7 +96,7 @@ def defeats(r: Rule, r2: Rule, x: Interpretation) -> bool:
 
     The reference for the defeat bitsets; no engine calls it.
     """
-    return bool(r2.nmask & (r.hbit | x.bits))
+    return r.head in r2.nbody or not r2.nbody.isdisjoint(x.literals)
 
 
 def hit_bits(op: OrderedProgram, x: int) -> int:

@@ -14,10 +14,14 @@ carries its head id and the masks of its positive and negative bodies; an
 only when they are read.
 
 Literals, rules, programs and interpretations are immutable values that
-can be shared across threads.  The intern table is the one piece of
-process-wide state: it only grows, a new atom is added under a lock, and
-an id never changes once given.  Ids differ between processes, so every
-value that holds one pickles as the literals it stands for.
+can be shared across threads.  Two tables are process-wide state, and both
+only grow.  The intern table gives each atom its index under a lock, and
+an id never changes once given; the literal kept for an id is the first
+one built, and two threads that race store equal literals.  The set of
+rule names already checked against the identifier pattern is added to
+without the lock: a name that two threads check at once is checked twice.
+Ids differ between processes, so every value that holds one pickles as
+the literals it stands for.
 
 The order is kept closed as Python-int bitsets over rule positions, one
 ``above`` and one ``below`` mask per rule, each built by one Kahn pass, so
@@ -32,7 +36,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -532,8 +536,8 @@ class Interpretation:
     """A consistent literal set, or the whole universe (``is_lit``).
 
     The value is ``bits``, its literals as a bitset, and the ``is_lit``
-    flag; equality and hash use only these two, and nothing assigns to them
-    after construction.  The inconsistent case is always represented by
+    flag; equality and hash use only these two, and assigning to any
+    attribute raises, as it did on the frozen dataclass this replaced.  The inconsistent case is always represented by
     the flag together with the full universe, never by a raw contradictory
     set.  A value built from literals keeps the frozenset it was given; one
     built from bits decodes ``literals`` when it is first read.
@@ -548,9 +552,9 @@ class Interpretation:
             is_lit = False  # the universe of an atom-free program is consistent
         elif not is_lit and has_pair(bits):
             raise ProgramError("inconsistent interpretation must be flagged as Lit")
-        self.bits = bits
-        self.is_lit = is_lit
-        self._literals = literals
+        _set_bits(self, bits)
+        _set_is_lit(self, is_lit)
+        _set_literals(self, literals)
 
     @classmethod
     def empty(cls) -> "Interpretation":
@@ -561,7 +565,9 @@ class Interpretation:
         """The consistent set ``literals``, unchecked: only for callers that
         know it has no complementary pair (every other constructor checks)."""
         value = _new(cls)
-        value.bits, value.is_lit, value._literals = bits_of(literals), False, literals
+        _set_bits(value, bits_of(literals))
+        _set_is_lit(value, False)
+        _set_literals(value, literals)
         return value
 
     @classmethod
@@ -586,15 +592,17 @@ class Interpretation:
     def from_bits(cls, bits: int, universe: Iterable[Literal]) -> "Interpretation":
         """The set ``bits`` if consistent, else the whole universe as Lit."""
         if has_pair(bits):
-            return _lit_over(frozenset(universe))
+            return cls.lit(universe)
         value = _new(cls)
-        value.bits, value.is_lit, value._literals = bits, False, None
+        _set_bits(value, bits)
+        _set_is_lit(value, False)
+        _set_literals(value, None)
         return value
 
     @property
     def literals(self) -> frozenset[Literal]:
         if self._literals is None:
-            self._literals = literals_of(self.bits)
+            _set_literals(self, literals_of(self.bits))
         return self._literals
 
     @property
@@ -608,6 +616,12 @@ class Interpretation:
 
     def __hash__(self) -> int:
         return hash((self.bits, self.is_lit))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Interpretation is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Interpretation is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         # Rebuild on load from the literals: ids differ between processes.
@@ -634,10 +648,13 @@ class Interpretation:
         return "{" + ", ".join(sorted(map(str, self.literals))) + "}"
 
 
+# The constructors write the slots through their descriptors, past the
+# raising __setattr__.
 _new = object.__new__
+_set_bits = Interpretation.bits.__set__
+_set_is_lit = Interpretation.is_lit.__set__
+_set_literals = Interpretation._literals.__set__
 _EMPTY = Interpretation()
-# The engines collapse to Lit over the same few universes again and again.
-_lit_over = lru_cache(maxsize=16)(Interpretation.lit)
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,21 @@ class TestAgainstFrozensets:
         assert Interpretation.of(literals).literals is literals
         assert Interpretation.lit(UNIVERSE).literals is UNIVERSE
 
+    def test_values_refuse_assignment(self):
+        literals = frozenset({pos("q1"), neg("q2")})
+        for value in (Interpretation.of(literals), Interpretation.trusted(literals),
+                      Interpretation.from_bits(bits_of(literals), UNIVERSE),
+                      Interpretation.lit(UNIVERSE)):
+            before = hash(value)
+            for name in ("bits", "is_lit", "_literals"):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+            assert hash(value) == before
+        decoded = Interpretation.from_bits(bits_of(literals), UNIVERSE)
+        assert decoded.literals == literals  # the lazy decode still fills its slot
+
 
 class TestIdsAcrossProcesses:
     def test_values_load_equal_where_atoms_were_interned_in_another_order(self):
