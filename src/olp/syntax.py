@@ -25,7 +25,8 @@ the literals it stands for.
 
 The order is kept closed as Python-int bitsets over rule positions, one
 ``above`` and one ``below`` mask per rule, each built by one Kahn pass, so
-the O(n^2) closed pairs are never listed unless ``pairs`` is read.  A
+the O(n^2) closed pairs are never listed unless ``pairs`` is read;
+``below`` is built only when first read.  A
 program adds, on first use, ``nb_of[i]`` and ``hb_of[i]`` (the rules with
 literal id i in their negative body, and with head i) and ``static[r] =
 below[r] & nb_of[head(r)]``, from which ``prefwfs`` forms defeat sets.
@@ -124,7 +125,7 @@ def _intern(name: str) -> int:
     return k
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
     """A propositional atom; names follow the identifier lexical class."""
 
@@ -137,7 +138,7 @@ class Atom:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Literal:
     """An atom or its classical negation.
 
@@ -150,12 +151,16 @@ class Literal:
 
     atom: Atom
     negated: bool = False
+    id: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+    _complement: Literal = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        i = _intern(self.atom.name) << 1 | bool(self.negated)
-        state = self.__dict__
-        state["_hash"] = hash((self.atom, self.negated))
-        state["id"] = i
+    def __init__(self, atom: Atom, negated: bool = False):
+        i = _intern(atom.name) << 1 | bool(negated)
+        _set_atom(self, atom)
+        _set_negated(self, negated)
+        _set_id(self, i)
+        _set_hash(self, hash((atom, negated)))
         if _LITERALS[i] is None:
             _LITERALS[i] = self
 
@@ -171,12 +176,23 @@ class Literal:
             return self._complement
         except AttributeError:
             flipped = Literal(self.atom, not self.negated)
-            object.__setattr__(flipped, "_complement", self)
-            object.__setattr__(self, "_complement", flipped)
+            _set_complement(flipped, self)
+            _set_complement(self, flipped)
             return flipped
 
     def __str__(self) -> str:
         return f"-{self.atom}" if self.negated else str(self.atom)
+
+
+# Atom, Literal and Rule are slotted, so no instance has a ``__dict__`` and
+# every attribute read in the engines' loops stays on CPython's fast path.
+# Their constructors write the slots through the descriptors, past the
+# frozen ``__setattr__``.
+_set_atom = Literal.atom.__set__
+_set_negated = Literal.negated.__set__
+_set_id = Literal.id.__set__
+_set_hash = Literal._hash.__set__
+_set_complement = Literal._complement.__set__
 
 
 def interned_literal(name: str) -> Literal:
@@ -201,7 +217,7 @@ def complement(lit: Literal) -> Literal:
     return lit.complement()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Rule:
     """A named rule ``head :- pbody, not nbody``; empty bodies make a fact.
 
@@ -213,15 +229,31 @@ class Rule:
     head: Literal
     pbody: frozenset[Literal] = frozenset()
     nbody: frozenset[Literal] = frozenset()
+    head_id: int = field(init=False, repr=False, compare=False)
+    hbit: int = field(init=False, repr=False, compare=False)
+    pmask: int = field(init=False, repr=False, compare=False)
+    nmask: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.name not in _RULE_NAMES:
-            if not IDENT_RE.match(self.name):
-                raise ProgramError(f"invalid rule name {self.name!r}")
-            _RULE_NAMES.add(self.name)
-        state, head = self.__dict__, self.head.id
-        state["head_id"], state["hbit"] = head, 1 << head
-        state["pmask"], state["nmask"] = bits_of(self.pbody), bits_of(self.nbody)
+    def __init__(
+        self,
+        name: str,
+        head: Literal,
+        pbody: frozenset[Literal] = frozenset(),
+        nbody: frozenset[Literal] = frozenset(),
+    ):
+        _set_name(self, name)
+        _set_head(self, head)
+        _set_pbody(self, pbody)
+        _set_nbody(self, nbody)
+        if name not in _RULE_NAMES:
+            if not IDENT_RE.match(name):
+                raise ProgramError(f"invalid rule name {name!r}")
+            _RULE_NAMES.add(name)
+        head_id = head.id
+        _set_head_id(self, head_id)
+        _set_hbit(self, 1 << head_id)
+        _set_pmask(self, bits_of(pbody))
+        _set_nmask(self, bits_of(nbody))
 
     def __reduce__(self):
         # Rebuild on load: the ids and masks are this process's.
@@ -248,6 +280,16 @@ class Rule:
         return f"{self.name}: {self.head}."
 
 
+_set_name = Rule.name.__set__
+_set_head = Rule.head.__set__
+_set_pbody = Rule.pbody.__set__
+_set_nbody = Rule.nbody.__set__
+_set_head_id = Rule.head_id.__set__
+_set_hbit = Rule.hbit.__set__
+_set_pmask = Rule.pmask.__set__
+_set_nmask = Rule.nmask.__set__
+
+
 def rule(
     name: str,
     head: Literal,
@@ -264,7 +306,8 @@ class PreferenceOrder:
 
     Bit j of ``above[i]`` is set when rule ``rule_names[j]`` has higher
     priority than rule ``rule_names[i]``; ``below`` is the transpose, bit j
-    of ``below[i]`` set when rule j has lower priority than rule i.
+    of ``below[i]`` set when rule j has lower priority than rule i, closed
+    only when first read (only the preference-aware semantics read it).
     ``generators`` keeps the pairs as originally declared so that a program
     can be rendered back without materialising the closure; orders are
     equal when their declared pairs are.
@@ -273,7 +316,6 @@ class PreferenceOrder:
     generators: frozenset[tuple[str, str]] = frozenset()
     rule_names: tuple[str, ...] = field(default=(), compare=False)
     above: tuple[int, ...] = field(default=(), compare=False)
-    below: tuple[int, ...] = field(default=(), compare=False)
 
     @classmethod
     def empty(cls) -> "PreferenceOrder":
@@ -283,6 +325,12 @@ class PreferenceOrder:
     def position(self) -> dict[str, int]:
         """Each rule name's bit position."""
         return {name: i for i, name in enumerate(self.rule_names)}
+
+    @cached_property
+    def below(self) -> tuple[int, ...]:
+        """The transpose of ``above``, by one Kahn pass over the generators."""
+        upper, lower = _edges(self.generators, self.position)
+        return tuple(_kahn(lower, upper)[0])
 
     @cached_property
     def pairs(self) -> frozenset[tuple[str, str]]:
@@ -349,30 +397,43 @@ def _kahn(
     return reach, waiting
 
 
+def _edges(
+    pairs: Iterable[tuple[str, str]], position: dict[str, int]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """For each rule position, the positions of the rules declared above it,
+    and of those declared below it."""
+    upper: list[list[int]] = [[] for _ in position]
+    lower: list[list[int]] = [[] for _ in position]
+    for a, b in pairs:
+        upper[position[a]].append(position[b])
+        lower[position[b]].append(position[a])
+    return upper, lower
+
+
 def validate_order(
     pairs: Iterable[tuple[str, str]], rules: Iterable[Rule]
 ) -> PreferenceOrder:
-    """Close ``pairs`` transitively and reject cycles and unknown names.
+    """Close ``pairs`` transitively and reject repeated rule names, cycles
+    and unknown names.
 
-    Raises CycleError, naming a rule on a cycle, if the closure would be
+    Raises DuplicateRuleError on the first rule whose name an earlier rule
+    has, CycleError, naming a rule on a cycle, if the closure would be
     reflexive, and UnknownRuleError if a pair names a rule that does not
     exist.
     """
     pairs = frozenset(pairs)
     names = tuple(r.name for r in rules)
-    position = {name: i for i, name in enumerate(names)}
+    position: dict[str, int] = {}
+    for i, name in enumerate(names):
+        if position.setdefault(name, i) != i:
+            raise DuplicateRuleError(name)
     for pair in pairs:
         for name in pair:
             if name not in position:
                 raise UnknownRuleError(name)
     if not pairs:
-        unordered = (0,) * len(names)
-        return PreferenceOrder(pairs, names, unordered, unordered)
-    upper: list[list[int]] = [[] for _ in names]
-    lower: list[list[int]] = [[] for _ in names]
-    for a, b in pairs:
-        upper[position[a]].append(position[b])
-        lower[position[b]].append(position[a])
+        return PreferenceOrder(pairs, names, (0,) * len(names))
+    upper, lower = _edges(pairs, position)
     above, waiting = _kahn(upper, lower)
     if any(waiting):
         # Every rule left waits on a rule above it that is also left, so
@@ -383,8 +444,7 @@ def validate_order(
             seen.add(i)
             i = next(j for j in upper[i] if waiting[j])
         raise CycleError(names[i])
-    below, _ = _kahn(lower, upper)
-    return PreferenceOrder(pairs, names, tuple(above), tuple(below))
+    return PreferenceOrder(pairs, names, tuple(above))
 
 
 @dataclass(frozen=True)
@@ -401,15 +461,10 @@ class OrderedProgram:
     order: PreferenceOrder = field(default_factory=PreferenceOrder.empty)
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for r in self.rules:
-            if r.name in seen:
-                raise DuplicateRuleError(r.name)
-            seen.add(r.name)
-        names = tuple(r.name for r in self.rules)
-        if self.order.rule_names != names:
+        if self.order.rule_names != tuple(r.name for r in self.rules):
             # Close the order over this program's rules, so that bit i of the
-            # order's bitsets is always rule i; this also rejects unknown names.
+            # order's bitsets is always rule i; this also rejects repeated
+            # and unknown names.
             object.__setattr__(
                 self, "order", validate_order(self.order.generators, self.rules)
             )

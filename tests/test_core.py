@@ -4,11 +4,13 @@ Every engine computes on bitsets of literal ids, so the values built from
 them must agree with the literal-set definitions they replace.  Hypothesis
 draws literal sets over up to 12 atoms, plus Lit, and checks each
 constructor of ``Interpretation`` against frozenset consistency, equality,
-hash, subset and membership.  Ids are per process: values pickled in one
+hash, subset and membership.  The records ``Atom``, ``Literal`` and ``Rule``
+are slotted and frozen, derived attributes included.  Ids are per process: values pickled in one
 process must load equal in a process that interned its atoms in another
 order.
 """
 
+import dataclasses
 import os
 import pickle
 import random
@@ -80,6 +82,43 @@ class TestLiteralIds:
         assert literals_of(r.pmask) == r.pbody
         assert literals_of(r.nmask) == r.nbody
         assert r.reduct_rule().nmask == 0
+
+
+class TestSlottedRecords:
+    FIELDS = {
+        Atom: ("name",),
+        Literal: ("atom", "negated", "id", "_hash", "_complement"),
+        Rule: ("name", "head", "pbody", "nbody", "head_id", "hbit", "pmask", "nmask"),
+    }
+
+    def test_records_have_no_dict_and_refuse_assignment(self):
+        r = rule("r1", neg("q1"), [pos("q2")], [neg("q3")])
+        records = (Atom("q1"), pos("q1"), neg("q1"), r)
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+        for record in records:
+            before = hash(record)
+            for name in self.FIELDS[type(record)]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, name)
+            assert hash(record) == before
+        assert r.pmask == bits_of(r.pbody) and r.hbit == 1 << neg("q1").id
+
+    def test_replace_recomputes_the_derived_values(self):
+        r = rule("r1", neg("q1"), [pos("q2")], [neg("q3")])
+        renamed = dataclasses.replace(r, name="r9")
+        fresh = rule("r9", neg("q1"), [pos("q2")], [neg("q3")])
+        assert renamed == fresh and hash(renamed) == hash(fresh)
+        for name in ("head_id", "hbit", "pmask", "nmask"):
+            assert getattr(renamed, name) == getattr(fresh, name), name
+        moved = dataclasses.replace(r, head=pos("q4"), nbody=frozenset())
+        assert moved.head_id == pos("q4").id and moved.hbit == 1 << pos("q4").id
+        assert moved.pmask == r.pmask and moved.nmask == 0
+        flipped = dataclasses.replace(pos("q5"), negated=True)
+        assert flipped == neg("q5") and flipped.id == neg("q5").id
+        assert hash(flipped) == hash(neg("q5"))
 
 
 class TestAgainstFrozensets:

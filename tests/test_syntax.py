@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from olp import classical, preference, prefwfs
 from olp.cli import main
 from olp.oracle import GeneratorConfig, generate_program
 from olp.syntax import (
@@ -282,6 +283,32 @@ class TestOrderedProgram:
         r = rule("r1", A)
         with pytest.raises(DuplicateRuleError):
             OrderedProgram((r, rule("r1", B)))
+
+    def test_repeated_names_raise_with_and_without_an_order(self):
+        rules = [rule("r1", A), rule("r2", B), rule("r1", NA)]
+        for build in (
+            lambda: OrderedProgram(tuple(rules)),
+            lambda: program(rules),
+            lambda: program(rules, {("r2", "r1")}),
+        ):
+            with pytest.raises(DuplicateRuleError) as caught:
+                build()
+            assert caught.value.name == "r1"
+
+    def test_below_is_built_only_for_the_preference_aware_semantics(self):
+        op = load("ex4")
+        assert op.order
+        prefwfs.wf_model_trace(op, None)
+        preference.lfp_ap_fixpoint(op)
+        classical.answer_sets(op.rules, op.universe)
+        preference.preferred_answer_sets(op)
+        assert "below" not in op.order.__dict__
+        prefwfs.wf_model_trace(op, "paper")
+        assert "below" in op.order.__dict__
+        for i, r in enumerate(op.rules):
+            assert _rules_at(op, op.order.below[i]) == tuple(
+                g for g in op.rules if op.order.prefers(g.name, r.name)
+            )
 
     def test_order_names_must_resolve(self):
         with pytest.raises(UnknownRuleError):
