@@ -329,6 +329,8 @@ class PreferenceOrder:
     @cached_property
     def below(self) -> tuple[int, ...]:
         """The transpose of ``above``, by one Kahn pass over the generators."""
+        if not self.generators:
+            return self.above  # no pairs: every mask is zero either way
         upper, lower = _edges(self.generators, self.position)
         return tuple(_kahn(lower, upper)[0])
 
