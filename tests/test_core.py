@@ -4,10 +4,10 @@ Every engine computes on bitsets of literal ids, so the values built from
 them must agree with the literal-set definitions they replace.  Hypothesis
 draws literal sets over up to 12 atoms, plus Lit, and checks each
 constructor of ``Interpretation`` against frozenset consistency, equality,
-hash, subset and membership.  The records ``Atom``, ``Literal`` and ``Rule``
-are slotted and frozen, derived attributes included.  Ids are per process: values pickled in one
-process must load equal in a process that interned its atoms in another
-order.
+hash, subset and membership.  The records ``Atom``, ``Literal`` and
+``Rule`` are slotted and frozen, derived attributes included.  Ids are per
+process: values pickled in one process must load equal in a process that
+interned its atoms in another order.
 """
 
 import dataclasses
