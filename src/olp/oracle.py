@@ -253,12 +253,11 @@ def _random_consistent(
 def _subset_pairs(
     rng: random.Random, universe: frozenset[Literal], count: int
 ) -> list[tuple[Interpretation, Interpretation]]:
-    # The universe's own literal objects, by atom, in the iteration order
-    # of the atom set (the draws depend on that order).
-    polarities = dict.fromkeys({lit.atom for lit in universe})
-    for lit in universe:
-        if not lit.negated:
-            polarities[lit.atom] = (lit, lit.complement())
+    # The universe's own literal objects, by atom, with atoms and literals
+    # drawn in sorted order, so the draws do not follow set iteration order.
+    polarities = {
+        lit.atom: (lit, lit.complement()) for lit in sorted(universe) if not lit.negated
+    }
     pairs = []
     for _ in range(count):
         if universe and rng.random() < 0.1:
@@ -271,7 +270,7 @@ def _subset_pairs(
         else:
             big = _random_consistent(rng, polarities)
             small = Interpretation.of(
-                lit for lit in big.literals if rng.random() < 0.6
+                lit for lit in sorted(big.literals) if rng.random() < 0.6
             )
         pairs.append((small, big))
     return pairs

@@ -143,10 +143,9 @@ class Literal:
     """An atom or its classical negation.
 
     The hash is computed once, at construction, and is the value the
-    generated dataclass hash would give, ``hash((atom, negated))``: set
-    iteration orders, and so the pairs the theorem battery samples, must
-    not depend on how a literal was built.  ``id`` is ``2k`` or ``2k + 1``
-    for the atom's index k.  The complement is cached.
+    generated dataclass hash would give, ``hash((atom, negated))``.  ``id``
+    is ``2k`` or ``2k + 1`` for the atom's index k.  The complement is
+    cached.
     """
 
     atom: Atom
@@ -539,15 +538,11 @@ def literal_universe(source: OrderedProgram | Iterable[Rule]) -> frozenset[Liter
     """Both polarities of every atom occurring anywhere in the program."""
     rules = source.rules if isinstance(source, OrderedProgram) else source
     # Reuse the program's literal objects and their cached complements.
-    # Atoms go in one at a time in first-occurrence order (``set(some)``
-    # would pre-size the table): the battery samples in this set's iteration
-    # order, so it must not depend on how the literals were built.
     some: dict[Atom, Literal] = {}
     for r in rules:
         for lit in r.literals():
             some.setdefault(lit.atom, lit)
-    atoms = {a for a in some}
-    positive = (some[a].complement() if some[a].negated else some[a] for a in atoms)
+    positive = (lit.complement() if lit.negated else lit for lit in some.values())
     return frozenset(lit for p in positive for lit in (p, p.complement()))
 
 
