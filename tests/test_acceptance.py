@@ -117,6 +117,7 @@ def batch_reports():
 
 THEOREM_INVARIANTS = (
     "c-anti-monotone",
+    "c-star-anti-monotone",
     "c-op-routes-agree",
     "live-closure-matches-c-op",
     "cp-op-routes-agree",
@@ -139,6 +140,12 @@ THEOREM_INVARIANTS = (
     "preferred-subset-of-answer-sets",
     "preferred-search-matches-enumeration",
     "empty-order-collapse",
+    "cl-subset-cn",
+    "answer-sets-are-alternating-fixpoints",
+    "wfs-approximates-answer-sets",
+    "tpn-classical-on-supported-contexts",
+    "dset-variants-agree-distinct-heads",
+    "brewka-empty-order-standard",
 )
 
 ORACLE_INVARIANTS = ("answer-sets-oracle-agreement", "cn-oracle-agreement")
@@ -159,7 +166,12 @@ def _tally(reports, invariants):
 def test_criterion_07_theorem_suite(batch_reports):
     reports, elapsed = batch_reports
     counts, failing = _tally(reports, THEOREM_INVARIANTS)
-    ok = not failing and elapsed < 60.0
+    # Every report names each theorem and oracle invariant exactly once.
+    expected = sorted(THEOREM_INVARIANTS + ORACLE_INVARIANTS)
+    named = all(
+        sorted(r.invariant for r in report.results) == expected for report in reports
+    )
+    ok = named and not failing and elapsed < 60.0
     print(
         f"theorem suite over {len(reports)} programs in {elapsed:.1f}s: "
         f"{counts['pass']} checks passed, {counts['skip']} conditionally "

@@ -1,0 +1,104 @@
+"""Mutation table: one-line engine edits the theorem battery must kill.
+
+Each entry edits one line of an engine function's source (a removed line
+becomes ``pass``), compiles the edited function in a copy of its module's
+namespace and installs it wherever ``olp`` binds the original.  The battery
+then runs on the criterion-7 batch, in order, until a report fails.  The
+index of that program and a digest of the report's JSON lines are recorded
+below, and both must reproduce.  ``olp fuzz`` passes every invariant, so
+this table is what exercises the battery's failure path.
+"""
+
+import __future__
+import hashlib
+import inspect
+import sys
+import textwrap
+
+import pytest
+
+from olp import classical, prefwfs
+from olp.oracle import GeneratorConfig, check_theorems, generate_program
+from .test_acceptance import BATCH_SEED
+
+# name: (owner, function, line to edit, replacement, first killing program
+# index, invariants failing there, sha256 of that report's JSON lines)
+MUTANTS = {
+    "derive-returns-after-one-pass": (
+        classical, "derive", "pending = waiting", "return derived",
+        8, ("c-op-routes-agree", "live-closure-matches-c-op",
+            "cp-op-routes-agree", "cn-oracle-agreement"),
+        "a94e9b8bdff35930c91d59efb4f626795fec1244fae2685203f7bd7b60d4fa3d",
+    ),
+    "t-step-ignores-its-context": (
+        classical, "t_step",
+        "return fire_step([r for r in rules if not r.nmask & y.bits], None, x, universe)",
+        "return fire_step(list(rules), None, x, universe)",
+        0, ("c-op-routes-agree", "empty-order-collapse"),
+        "d3b7406f0dc83ea6cf7e0af4bb3d071b8ff48dd9cfcef377db9beaf1abe13346",
+    ),
+    "retract-drops-the-rederive": (
+        classical.LiveClosure, "_retract",
+        "work.extend(self._by_head[lit])", "pass",
+        2, ("live-closure-matches-c-op",),
+        "ca1a57be4e583f88993e36323791134a4b955f644d15cb3fb03dfc93f1bcd1a6",
+    ),
+    "cpn-op-drops-the-wake": (
+        prefwfs, "cpn_op",
+        "work.extend(by_nbody.get(rules[g].head_id, ()))", "pass",
+        91, ("cpn-simplistic-routes-agree",),
+        "e38ab885e554e2bd1d3e1d9f3582c81005615be4ba5f3777e968cfdefeb10ad8",
+    ),
+}
+
+SEARCHED = 200
+
+
+def _install(monkeypatch, owner, name, line, replacement):
+    original = vars(owner)[name]
+    source = textwrap.dedent(inspect.getsource(original)).splitlines(keepends=True)
+    at = [i for i, text in enumerate(source) if text.strip() == line]
+    assert len(at) == 1, f"{name}: {line!r} matches {len(at)} lines"
+    text = source[at[0]]
+    source[at[0]] = text[: len(text) - len(text.lstrip())] + replacement + "\n"
+    module = sys.modules[original.__module__]
+    namespace = dict(vars(module))
+    exec(
+        compile(
+            "".join(source), module.__file__, "exec",
+            flags=__future__.annotations.compiler_flag, dont_inherit=True,
+        ),
+        namespace,
+    )
+    mutant = namespace[name]
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, mutant)
+        return
+    for loaded, bound in list(sys.modules.items()):
+        if loaded == "olp" or loaded.startswith("olp."):
+            for attr, value in list(vars(bound).items()):
+                if value is original:
+                    monkeypatch.setattr(bound, attr, mutant)
+
+
+def _first_kill():
+    for index in range(SEARCHED):
+        seed = BATCH_SEED + index
+        report = check_theorems(generate_program(GeneratorConfig(seed=seed)), seed=seed)
+        if not report.ok:
+            return index, report
+    return None, None
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_the_battery_kills_the_mutant(monkeypatch, mutant):
+    owner, name, line, replacement, index, failing, digest = MUTANTS[mutant]
+    _install(monkeypatch, owner, name, line, replacement)
+    killed_at, report = _first_kill()
+    assert killed_at is not None, f"{mutant} survives {SEARCHED} programs"
+    lines = "\n".join(report.json_lines())
+    assert (
+        killed_at,
+        tuple(r.invariant for r in report.failures),
+        hashlib.sha256(lines.encode()).hexdigest(),
+    ) == (index, failing, digest), lines
