@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import brewka, classical, preference, prefwfs
 from .fixpoint import iterate_union, kleene
@@ -26,6 +26,7 @@ from .syntax import (
     OrderedProgram,
     ProgramError,
     Rule,
+    bits_of,
     is_consistent,
     pos,
     validate_order,
@@ -291,6 +292,18 @@ class _Battery:
         self.results.append(CheckResult(invariant, "skip", detail))
 
 
+def _counterexample(cases: Iterable[tuple]) -> tuple | None:
+    """The first case ``(got, expected, *where)`` whose two values differ."""
+    return next((case for case in cases if case[0] != case[1]), None)
+
+
+def _show(value: Interpretation | frozenset[Literal]) -> str:
+    """An interpretation as ``str`` gives it; a raw literal set the same way."""
+    if isinstance(value, Interpretation):
+        return str(value)
+    return "{" + ", ".join(sorted(map(str, value))) + "}"
+
+
 def check_theorems(
     op: OrderedProgram, seed: int = 0, subset_pairs: int = 50
 ) -> TheoremReport:
@@ -300,152 +313,101 @@ def check_theorems(
     rules = op.rules
     battery = _Battery()
     pairs = _subset_pairs(rng, universe, subset_pairs)
+    sides = [x for pair in pairs for x in pair]
+    empty = Interpretation.empty()
 
-    # Operator monotonicity in both engines and both removal variants.
-    for small, big in pairs:
-        c_small = classical.c_op(rules, small, universe)
-        c_big = classical.c_op(rules, big, universe)
-        if not c_big.issubset(c_small):
-            battery.check(
-                "c-anti-monotone", False, f"{big} -> {c_big} vs {small} -> {c_small}"
-            )
-            break
-    else:
-        battery.check("c-anti-monotone", True)
-    # c_op's reduct route must agree with iterating the blocking-context
-    # step with x as the context.  The live closure, fed the same contexts in
-    # turn, must agree with c_op too: the sequence grows (a pair's small
-    # side, then its big side) and shrinks (a big side, then the next small
-    # side), through Lit where it is sampled.
-    live = classical.LiveClosure(rules, universe)
-    failed = {"c-op-routes-agree": "", "live-closure-matches-c-op": ""}
-    for x in (x for pair in pairs for x in pair):
-        direct = classical.c_op(rules, x, universe)
-        if not failed["c-op-routes-agree"]:
-            stepped = iterate_union(
-                lambda cur: classical.t_step(rules, x, cur, universe), universe
-            )
-            if stepped != direct:
-                failed["c-op-routes-agree"] = f"{x} -> {stepped} vs {direct}"
-        if not failed["live-closure-matches-c-op"]:
-            kept = live(x)
-            if kept != direct:
-                failed["live-closure-matches-c-op"] = f"{x} -> {kept} vs {direct}"
-    for invariant, detail in failed.items():
-        battery.check(invariant, not detail, detail)
-    # Likewise every other consequence closure must agree with iterating
-    # its step operator, on both sides of the first 10 pairs.
-    routes = (
-        (
-            "cp-op-routes-agree",
-            lambda x: preference.cp_op(op, x),
-            lambda x: iterate_union(
-                lambda cur: preference.tp_step(op, x, cur), universe
-            ),
-        ),
-        (
-            "cpn-op-routes-agree",
-            lambda x: prefwfs.cpn_op(op, x),
-            lambda x: iterate_union(lambda cur: prefwfs.tpn_step(op, x, cur), universe),
-        ),
-        (
-            "cpn-simplistic-routes-agree",
-            lambda x: prefwfs.cpn_op(op, x, "simplistic"),
-            lambda x: iterate_union(
-                lambda cur: prefwfs.tpn_step(op, x, cur, "simplistic"), universe
-            ),
-        ),
-        (
-            "c-star-pref-routes-agree",
-            lambda x: brewka.c_star_pref(op, x.literals),
-            lambda x: kleene(
-                lambda cur: cur | brewka.t_star_step(op, x.literals, cur),
-                frozenset(),
-                len(universe) + 1,
-            )[0],
-        ),
+    # Operator monotonicity in both engines and both removal variants; an
+    # "anti" operator shrinks as its argument grows.  The first row is
+    # reported here, the others after the routes and the defeat sets.
+    monotone = (
+        ("c-anti-monotone", lambda x: classical.c_op(rules, x, universe), True),
+        ("a-monotone", lambda x: classical.a_op(rules, x, universe), False),
+        ("cp-anti-monotone", lambda x: preference.cp_op(op, x), True),
+        ("ap-monotone", lambda x: preference.ap_op(op, x), False),
+        ("cpn-anti-monotone", lambda x: prefwfs.cpn_op(op, x), True),
+        ("apn-monotone", lambda x: prefwfs.apn_op(op, x), False),
+        ("c-star-anti-monotone", lambda x: brewka.c_star(rules, x.literals), True),
     )
-    for invariant, closure, stepped in routes:
-        for x in (x for pair in pairs[:10] for x in pair):
-            direct, iterated = closure(x), stepped(x)
-            if direct != iterated:
-                battery.check(invariant, False, f"{x} -> {iterated} vs {direct}")
+    broken = []
+    for invariant, operator, anti in monotone:
+        detail = ""
+        for small, big in pairs:
+            low, high = operator(small), operator(big)
+            if not (high.issubset(low) if anti else low.issubset(high)):
+                detail = f"{big} -> {_show(high)} vs {small} -> {_show(low)}"
                 break
-        else:
-            battery.check(invariant, True)
+        broken.append((invariant, detail))
+    battery.check(broken[0][0], not broken[0][1], broken[0][1])
+
+    # Every consequence closure must agree with iterating its step operator
+    # with x as the context: c_op on every sampled side, the others on both
+    # sides of the first 10 pairs.  The live closure, fed every side in turn,
+    # must agree with c_op too: the contexts grow (a pair's small side, then
+    # its big side) and shrink (a big side, then the next small side),
+    # through Lit where it is sampled.
+    def iterated(step):
+        return lambda x: iterate_union(lambda cur: step(x, cur), universe)
+
+    direct = [classical.c_op(rules, x, universe) for x in sides]
+    first = sides[:20]
+    routes = (
+        ("c-op-routes-agree", direct,
+         iterated(lambda x, cur: classical.t_step(rules, x, cur, universe))),
+        ("live-closure-matches-c-op", direct, classical.LiveClosure(rules, universe)),
+        ("cp-op-routes-agree", [preference.cp_op(op, x) for x in first],
+         iterated(lambda x, cur: preference.tp_step(op, x, cur))),
+        ("cpn-op-routes-agree", [prefwfs.cpn_op(op, x) for x in first],
+         iterated(lambda x, cur: prefwfs.tpn_step(op, x, cur))),
+        ("cpn-simplistic-routes-agree",
+         [prefwfs.cpn_op(op, x, "simplistic") for x in first],
+         iterated(lambda x, cur: prefwfs.tpn_step(op, x, cur, "simplistic"))),
+        ("c-star-pref-routes-agree",
+         [brewka.c_star_pref(op, x.literals) for x in first],
+         lambda x: kleene(lambda cur: cur | brewka.t_star_step(op, x.literals, cur),
+                          frozenset(), len(universe) + 1)[0]),
+    )
+    for invariant, expected, route in routes:
+        bad = _counterexample((route(x), want, x) for x, want in zip(sides, expected))
+        battery.check(invariant, not bad, bad and f"{bad[2]} -> {bad[0]} vs {bad[1]}")
     # The defeat sets the engines read from bitsets (below, static, hit)
     # must be the rules a scan with ``defeats`` finds below each rule.
     lower = {
         r: [g for g in rules if op.order.prefers(g.name, r.name)] for r in rules
     }
-    detail = ""
-    for x in (x for pair in pairs[:10] for x in pair):
-        for r in rules:
-            scanned = tuple(g for g in lower[r] if prefwfs.defeats(r, g, x))
-            bits = prefwfs.defeated_rules(op, r, x)
-            if bits != scanned:
-                names = [[g.name for g in found] for found in (bits, scanned)]
-                detail = f"{r.name} at {x}: {names[0]} vs {names[1]}"
-                break
-        if detail:
-            break
-    battery.check("defeat-bits-agree", not detail, detail)
-    for small, big in pairs:
-        if not classical.a_op(rules, small, universe).issubset(
-            classical.a_op(rules, big, universe)
-        ):
-            battery.check("a-monotone", False, f"pair {small} <= {big}")
-            break
-    else:
-        battery.check("a-monotone", True)
-    for small, big in pairs:
-        if not preference.cp_op(op, big).issubset(preference.cp_op(op, small)):
-            battery.check("cp-anti-monotone", False, f"pair {small} <= {big}")
-            break
-    else:
-        battery.check("cp-anti-monotone", True)
-    for small, big in pairs:
-        if not preference.ap_op(op, small).issubset(preference.ap_op(op, big)):
-            battery.check("ap-monotone", False, f"pair {small} <= {big}")
-            break
-    else:
-        battery.check("ap-monotone", True)
-    for small, big in pairs:
-        if not prefwfs.cpn_op(op, big).issubset(prefwfs.cpn_op(op, small)):
-            battery.check("cpn-anti-monotone", False, f"pair {small} <= {big}")
-            break
-    else:
-        battery.check("cpn-anti-monotone", True)
-    for small, big in pairs:
-        if not prefwfs.apn_op(op, small).issubset(prefwfs.apn_op(op, big)):
-            battery.check("apn-monotone", False, f"pair {small} <= {big}")
-            break
-    else:
-        battery.check("apn-monotone", True)
-    for small, big in pairs:
-        raw_small, raw_big = small.literals, big.literals
-        if not brewka.c_star(rules, raw_big) <= brewka.c_star(rules, raw_small):
-            battery.check("c-star-anti-monotone", False, f"pair {small} <= {big}")
-            break
-    else:
-        battery.check("c-star-anti-monotone", True)
+    bad = _counterexample(
+        (
+            prefwfs.defeated_rules(op, r, x),
+            tuple(g for g in lower[r] if prefwfs.defeats(r, g, x)),
+            r,
+            x,
+        )
+        for x in first
+        for r in rules
+    )
+    battery.check(
+        "defeat-bits-agree",
+        not bad,
+        bad and f"{bad[2].name} at {bad[3]}: "
+        f"{[g.name for g in bad[0]]} vs {[g.name for g in bad[1]]}",
+    )
+    for invariant, detail in broken[1:]:
+        battery.check(invariant, not detail, detail)
 
-    # Paraconsistent closure versus the collapsing closure.
-    ok = True
-    for x in [Interpretation.empty(), *(s for s, _ in pairs[:5])]:
-        basic = classical.reduct(rules, x)
-        closed = brewka.cl(basic)
-        collapsed = classical.cn(basic, universe)
-        if not closed <= collapsed.literals:
-            ok = False
-            break
-        if is_consistent(closed):
-            ok = ok and closed == collapsed.literals
-        else:
-            ok = ok and collapsed.is_lit
-        if not ok:
-            break
-    battery.check("cl-subset-cn", ok)
+    # Paraconsistent closure versus the collapsing closure: cn is cl when
+    # that is consistent, else Lit (over a universe that must hold cl).
+    basics = [
+        classical.reduct(rules, x) for x in [empty, *(s for s, _ in pairs[:5])]
+    ]
+    battery.check(
+        "cl-subset-cn",
+        not _counterexample(
+            (
+                classical.cn(basic, universe),
+                Interpretation.from_bits(bits_of(closed), universe | closed),
+            )
+            for basic, closed in zip(basics, map(brewka.cl, basics))
+        ),
+    )
 
     # Convergence bounds for every least-fixpoint computation.
     bound = len(universe) + 1
@@ -467,13 +429,13 @@ def check_theorems(
         engine_as == oracle_as,
         f"engine {sorted(map(str, engine_as))} oracle {sorted(map(str, oracle_as))}",
     )
-    ok = True
-    for x in [Interpretation.empty(), *(s for s, _ in pairs[:5])]:
-        basic = classical.reduct(rules, x)
-        if classical.cn(basic, universe) != oracle_cn(basic, universe):
-            ok = False
-            break
-    battery.check("cn-oracle-agreement", ok)
+    battery.check(
+        "cn-oracle-agreement",
+        not _counterexample(
+            (classical.cn(basic, universe), oracle_cn(basic, universe))
+            for basic in basics
+        ),
+    )
 
     battery.check(
         "answer-sets-are-alternating-fixpoints",
@@ -559,35 +521,39 @@ def check_theorems(
             "thm3-empty-order-equality",
             "alternation passes through the inconsistent collapse",
         )
-    ok = True
-    for small, big in pairs[:10]:
-        if preference.tp_step(plain, big, small) != classical.t_step(
-            rules, big, small, universe
-        ):
-            ok = False
-            break
-        if preference.cp_op(plain, big) != classical.c_op(rules, big, universe):
-            ok = False
-            break
-    battery.check("empty-order-collapse", ok)
+    battery.check(
+        "empty-order-collapse",
+        not _counterexample(
+            case
+            for small, big in pairs[:10]
+            for case in (
+                (
+                    preference.tp_step(plain, big, small),
+                    classical.t_step(rules, big, small, universe),
+                ),
+                (preference.cp_op(plain, big), classical.c_op(rules, big, universe)),
+            )
+        ),
+    )
 
-    ok = True
-    checked = False
-    for small, _ in pairs[:10]:
-        y = classical.c_op(rules, small, universe)
-        if y.is_lit:
-            continue
-        checked = True
-        if prefwfs.tpn_step(plain, y, Interpretation.empty()) != classical.t_step(
-            rules, y, Interpretation.empty(), universe
-        ):
-            ok = False
-            break
-        if prefwfs.cpn_op(plain, y) != classical.c_op(rules, y, universe):
-            ok = False
-            break
-    if checked:
-        battery.check("tpn-classical-on-supported-contexts", ok)
+    # The sampled small sides whose consequences are consistent.
+    consequences = ((s, classical.c_op(rules, s, universe)) for s, _ in pairs[:10])
+    supported = [(small, y) for small, y in consequences if not y.is_lit]
+    if supported:
+        battery.check(
+            "tpn-classical-on-supported-contexts",
+            not _counterexample(
+                case
+                for _, y in supported
+                for case in (
+                    (
+                        prefwfs.tpn_step(plain, y, empty),
+                        classical.t_step(rules, y, empty, universe),
+                    ),
+                    (prefwfs.cpn_op(plain, y), classical.c_op(rules, y, universe)),
+                )
+            ),
+        )
     else:
         battery.skip(
             "tpn-classical-on-supported-contexts", "no consistent context sampled"
@@ -595,20 +561,17 @@ def check_theorems(
 
     heads = [r.head for r in rules]
     if len(set(heads)) == len(heads):
-        ok = True
-        for small, _ in pairs[:10]:
-            y = classical.c_op(rules, small, universe)
-            if y.is_lit:
-                continue
-            for r in rules:
-                if prefwfs.d_set(op, r, small, y) != (
-                    prefwfs.d_set_simplistic(op, r, small) & y.literals
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        battery.check("dset-variants-agree-distinct-heads", ok)
+        battery.check(
+            "dset-variants-agree-distinct-heads",
+            not _counterexample(
+                (
+                    prefwfs.d_set(op, r, small, y),
+                    prefwfs.d_set_simplistic(op, r, small) & y.literals,
+                )
+                for small, y in supported
+                for r in rules
+            ),
+        )
     else:
         battery.skip("dset-variants-agree-distinct-heads", "heads are shared")
 
