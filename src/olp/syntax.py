@@ -455,7 +455,7 @@ class OrderedProgram:
     The order's bitsets are over this program's rule positions: bit i is
     ``rules[i]``.  ``nb_of``, ``hb_of`` and ``static`` are built on first
     use; they serve the defeat sets of ``prefwfs`` and the live set of
-    ``preference``.  ``nb`` and ``hb`` are the same maps keyed by literal.
+    ``preference``.
     """
 
     rules: tuple[Rule, ...] = ()
@@ -489,14 +489,6 @@ class OrderedProgram:
         """For each literal id, the rules with it as head, as a bitset over
         rule positions."""
         return {i: _rule_bits(at) for i, at in self.rule_index[2].items()}
-
-    @cached_property
-    def nb(self) -> dict[Literal, int]:
-        return {_LITERALS[i]: bits for i, bits in self.nb_of.items()}
-
-    @cached_property
-    def hb(self) -> dict[Literal, int]:
-        return {_LITERALS[i]: bits for i, bits in self.hb_of.items()}
 
     @cached_property
     def static(self) -> tuple[int, ...]:
@@ -613,32 +605,12 @@ class Interpretation:
         return _EMPTY
 
     @classmethod
-    def trusted(cls, literals: frozenset[Literal]) -> "Interpretation":
-        """The consistent set ``literals``, unchecked: only for callers that
-        know it has no complementary pair (every other constructor checks)."""
-        value = _new(cls)
-        _set_bits(value, bits_of(literals))
-        _set_is_lit(value, False)
-        _set_literals(value, literals)
-        return value
-
-    @classmethod
     def of(cls, literals: Iterable[Literal]) -> "Interpretation":
         return cls(frozenset(literals))
 
     @classmethod
     def lit(cls, universe: Iterable[Literal]) -> "Interpretation":
         return cls(frozenset(universe), is_lit=True)
-
-    @classmethod
-    def collapse(
-        cls, literals: Iterable[Literal], universe: Iterable[Literal]
-    ) -> "Interpretation":
-        """``literals`` if consistent, else the whole universe as Lit."""
-        literals = frozenset(literals)
-        if is_consistent(literals):
-            return cls.trusted(literals)
-        return cls.lit(universe)
 
     @classmethod
     def from_bits(cls, bits: int, universe: Iterable[Literal]) -> "Interpretation":
@@ -656,10 +628,6 @@ class Interpretation:
         if self._literals is None:
             _set_literals(self, literals_of(self.bits))
         return self._literals
-
-    @property
-    def consistent(self) -> bool:
-        return not self.is_lit
 
     def __eq__(self, other):
         if type(other) is not Interpretation:

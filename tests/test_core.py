@@ -131,19 +131,13 @@ class TestAgainstFrozensets:
     @CORE
     @given(literal_sets)
     def test_every_constructor_gives_the_same_value(self, literals):
-        collapsed = Interpretation.collapse(literals, UNIVERSE)
-        from_bits = Interpretation.from_bits(bits_of(literals), UNIVERSE)
+        value = Interpretation.from_bits(bits_of(literals), UNIVERSE)
         expected = value_of(literals)
-        for value in (collapsed, from_bits):
-            assert value == expected and hash(value) == hash(expected)
-            assert value.is_lit == (not consistent_by_definition(literals))
-            assert value.literals == (UNIVERSE if value.is_lit else literals)
-            assert len(value) == len(value.literals)
-        if consistent_by_definition(literals):
-            trusted = Interpretation.trusted(literals)
-            assert trusted == expected and hash(trusted) == hash(expected)
-            assert trusted.literals is literals
-        else:
+        assert value == expected and hash(value) == hash(expected)
+        assert value.is_lit == (not consistent_by_definition(literals))
+        assert value.literals == (UNIVERSE if value.is_lit else literals)
+        assert len(value) == len(value.literals)
+        if not consistent_by_definition(literals):
             with pytest.raises(ProgramError):
                 Interpretation.of(literals)
 
@@ -173,7 +167,7 @@ class TestAgainstFrozensets:
 
     def test_values_refuse_assignment(self):
         literals = frozenset({pos("q1"), neg("q2")})
-        for value in (Interpretation.of(literals), Interpretation.trusted(literals),
+        for value in (Interpretation.of(literals),
                       Interpretation.from_bits(bits_of(literals), UNIVERSE),
                       Interpretation.lit(UNIVERSE)):
             before = hash(value)

@@ -226,31 +226,6 @@ class TestInterpretation:
         assert A in interp(A, B)
         assert interp(A).issubset(interp(A, B))
 
-    @pytest.mark.parametrize(
-        "literals, expected",
-        [([A, NB], Interpretation.of([A, NB])), ([A, NA, B], Interpretation.lit([A, NA, B, NB]))],
-        ids=["consistent", "inconsistent"],
-    )
-    def test_collapse_tests_consistency_once(self, monkeypatch, literals, expected):
-        from olp import syntax
-
-        calls = []
-
-        def counted(lits, _original=syntax.is_consistent):
-            calls.append(lits)
-            return _original(lits)
-
-        monkeypatch.setattr(syntax, "is_consistent", counted)
-        assert Interpretation.collapse(literals, [A, NA, B, NB]) == expected
-        assert len(calls) == 1
-
-
-    def test_trusted_equals_the_checked_value(self):
-        trusted = Interpretation.trusted(frozenset({A, NB}))
-        assert trusted == Interpretation.of([A, NB])
-        assert hash(trusted) == hash(Interpretation.of([A, NB]))
-        assert not trusted.is_lit
-
     def test_live_closure_values_skip_the_consistency_check(self, monkeypatch, ex3):
         from olp import classical, syntax
 
@@ -330,5 +305,5 @@ class TestOrderedProgram:
         # r1 defeats r2 at every state (a is in nbody(r2)), r2 defeats r3.
         rules = [rule("r1", A), rule("r2", B, nbody=[A]), rule("r3", A, nbody=[B])]
         p = program(rules, {("r2", "r1"), ("r3", "r2")})
-        assert p.nb == {A: 0b010, B: 0b100}
+        assert p.nb_of == {A.id: 0b010, B.id: 0b100}
         assert p.static == (0b010, 0b100, 0)
