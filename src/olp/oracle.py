@@ -337,7 +337,8 @@ def check_theorems(
                 detail = f"{big} -> {_show(high)} vs {small} -> {_show(low)}"
                 break
         broken.append((invariant, detail))
-    battery.check(broken[0][0], not broken[0][1], broken[0][1])
+    (invariant, detail), *later = broken
+    battery.check(invariant, not detail, detail)
 
     # Every consequence closure must agree with iterating its step operator
     # with x as the context: c_op on every sampled side, the others on both
@@ -390,7 +391,7 @@ def check_theorems(
         bad and f"{bad[2].name} at {bad[3]}: "
         f"{[g.name for g in bad[0]]} vs {[g.name for g in bad[1]]}",
     )
-    for invariant, detail in broken[1:]:
+    for invariant, detail in later:
         battery.check(invariant, not detail, detail)
 
     # Paraconsistent closure versus the collapsing closure: cn is cl when
