@@ -369,7 +369,7 @@ def check_theorems(
     )
     for invariant, expected, route in routes:
         bad = _counterexample((route(x), want, x) for x, want in zip(sides, expected))
-        battery.check(invariant, not bad, bad and f"{bad[2]} -> {bad[0]} vs {bad[1]}")
+        battery.check(invariant, not bad, bad and f"{bad[2]} -> {_show(bad[0])} vs {_show(bad[1])}")
     # The defeat sets the engines read from bitsets (below, static, hit)
     # must be the rules a scan with ``defeats`` finds below each rule.
     lower = {

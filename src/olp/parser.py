@@ -26,8 +26,10 @@ from dataclasses import dataclass
 
 from .syntax import (
     CycleError,
+    DuplicateRuleError,
     Literal,
     OrderedProgram,
+    ProgramError,
     Rule,
     UnknownRuleError,
     interned_literal,
@@ -77,13 +79,20 @@ class ParseError(Exception):
 
 # One match per word: the whitespace and comments before it, then an
 # identifier, a punctuation mark, a stray character, or "" at the end of
-# the input.  A word's kind is read off the word itself.
+# the input.  A word's kind is read off the word itself.  Only an error
+# scans with this; a parse splits the text with the two lighter patterns
+# below, which give the same words.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]|%[^\n]*)*([a-z][A-Za-z0-9_]*|:-|[:<,.-]|.|\Z)", re.DOTALL
 )
+_COMMENT_RE = re.compile(r"%[^\n]*")
+# Whitespace is these four characters only: \s and str.split would also
+# skip \x0b, \xa0 or \u2028, which are stray characters here.
+_WORD_RE = re.compile(r"[a-z][A-Za-z0-9_]*|:-|[^ \t\r\n]")
 # The words that are not identifiers: the punctuation marks, the reserved
 # word not, and "" at the end of the input.
 _RESERVED = frozenset({":-", ":", "<", ",", ".", "-", "not", ""})
+_NO_LITERALS: frozenset[Literal] = frozenset()
 
 
 def _error(text: str, k: int, kind: ParseErrorKind, message: str) -> ParseError:
@@ -111,17 +120,31 @@ def parse_program(text: str) -> OrderedProgram:
     is split into words by one regex scan; a stray character anywhere is
     reported before any syntax error.  Each atom's two literals are looked
     up once per parse, as the complement pair interned for its name: rules
-    share literal and atom objects, within a parse and across parses.
+    share literal and atom objects, within a parse and across parses, and
+    those pairs are the program's universe.
     """
-    words = _TOKEN_RE.findall(text)
-    strays = [w for w in set(words) if w not in _RESERVED and not "a" <= w[0] <= "z"]
-    if strays:
+    words = _WORD_RE.findall(_COMMENT_RE.sub("", text) if "%" in text else text)
+    words.append("")
+    try:
+        return _parse_words(text, words)
+    except (ParseError, ProgramError):
+        # A stray character is never a word of a valid program: an atom or
+        # rule name fails the identifier check, a preference name names no
+        # rule, and any other place expects a punctuation mark.  So only a
+        # failed parse looks for one, and reports the first instead.
+        strays = [w for w in set(words) if w not in _RESERVED and not "a" <= w[0] <= "z"]
+        if not strays:
+            raise
         k = min(map(words.index, strays))
-        raise _error(text, k, ParseErrorKind.LEXICAL, f"unexpected character {words[k]!r}")
+        raise _error(text, k, ParseErrorKind.LEXICAL, f"unexpected character {words[k]!r}") from None
 
+
+def _parse_words(text: str, words: list[str]) -> OrderedProgram:
+    """The program that ``words``, the words of ``text``, spell."""
     literals: dict[str, tuple[Literal, Literal]] = {}  # atom -> (positive, negated)
-    raw_rules = []  # (index of the name word or None, head, pbody, nbody)
-    prefs: list[tuple[int, str, str]] = []  # (index of the lower word, lower, higher)
+    rules: list = []  # a Rule, or an unnamed rule's (head, pbody, nbody)
+    unnamed: list[int] = []  # positions of the unnamed rules in ``rules``
+    pairs: dict[tuple[str, str], int] = {}  # (lower, higher) -> index of its first lower word
     i = 0
     while word := words[i]:
         # Every word but "" has a successor, and so does a name before "<".
@@ -131,17 +154,17 @@ def parse_program(text: str) -> OrderedProgram:
                 raise _expected(text, words, i + 2, "a rule name")
             if words[i + 3] != ".":
                 raise _expected(text, words, i + 3, "'.'")
-            prefs.append((i, word, words[i + 2]))
+            pairs.setdefault((word, words[i + 2]), i)
             i += 4
             continue
         if word not in _RESERVED and follow == ":":
-            name_at = i
+            name = word
             i += 2
         elif word in _RESERVED and word != "-":
             message = f"expected a rule or preference, found {word!r}"
             raise _error(text, i, ParseErrorKind.SYNTAX, message)
         else:
-            name_at = None
+            name = None
         # The head, then body elements; "not" is read only in the body.
         head = None
         pbody: list[Literal] = []
@@ -152,13 +175,13 @@ def parse_program(text: str) -> OrderedProgram:
             i += default_negated
             negated = words[i] == "-"
             i += negated
-            name = words[i]
-            if name in _RESERVED:
+            atom = words[i]
+            if atom in _RESERVED:
                 raise _expected(text, words, i, "an atom")
-            pair = literals.get(name)
+            pair = literals.get(atom)
             if pair is None:
-                positive = interned_literal(name)
-                pair = literals[name] = (positive, positive.complement())
+                positive = interned_literal(atom)
+                pair = literals[atom] = (positive, positive.complement())
             lit = pair[negated]
             if head is None:
                 head = lit
@@ -172,41 +195,46 @@ def parse_program(text: str) -> OrderedProgram:
         if words[i] != ".":
             raise _expected(text, words, i, "'.'")
         i += 1
-        raw_rules.append((name_at, head, frozenset(pbody), frozenset(nbody)))
-
-    taken: set[str] = set()
-    for name_at, *_ in raw_rules:
-        if name_at is not None:
-            if words[name_at] in taken:
-                message = f"rule name {words[name_at]!r} is already in use"
-                raise _error(text, name_at, ParseErrorKind.DUPLICATE_NAME, message)
-            taken.add(words[name_at])
-
-    rules: list[Rule] = []
-    counter = 1
-    for name_at, head, pbody, nbody in raw_rules:
-        if name_at is not None:
-            name = words[name_at]
+        # Bodies are often empty; they share one empty set.
+        pbody = frozenset(pbody) if pbody else _NO_LITERALS
+        nbody = frozenset(nbody) if nbody else _NO_LITERALS
+        if name is None:
+            unnamed.append(len(rules))
+            rules.append((head, pbody, nbody))
         else:
+            rules.append(Rule(name, head, pbody, nbody))
+
+    if unnamed:
+        taken = {r.name for r in rules if isinstance(r, Rule)}
+        counter = 1
+        for k in unnamed:
             while f"r{counter}" in taken:
                 counter += 1
-            name = f"r{counter}"
-            taken.add(name)
+            rules[k] = Rule(f"r{counter}", *rules[k])
             counter += 1
-        rules.append(Rule(name, head, pbody, nbody))
 
     try:
-        order = validate_order({(a, b) for _, a, b in prefs}, rules)
+        order = validate_order(pairs, rules)
+    except DuplicateRuleError as exc:
+        # Only explicit names can repeat; point at the second one.
+        at = [k for k, w in enumerate(words) if w == exc.name and words[k + 1] == ":"][1]
+        message = f"rule name {exc.name!r} is already in use"
+        raise _error(text, at, ParseErrorKind.DUPLICATE_NAME, message) from exc
     except UnknownRuleError as exc:
         # Name the first unknown rule in source order.
-        at, name = next((k, n) for k, a, b in prefs for n in (a, b) if n not in taken)
+        taken = {r.name for r in rules}
+        at, name = next((k, n) for (a, b), k in pairs.items() for n in (a, b) if n not in taken)
         message = f"preference mentions unknown rule {name!r}"
         raise _error(text, at, ParseErrorKind.UNKNOWN_RULE, message) from exc
     except CycleError as exc:
-        at = next(k for k, a, b in prefs if exc.name in (a, b))
+        at = next(k for (a, b), k in pairs.items() if exc.name in (a, b))
         message = f"cyclic preference through rule {exc.name!r}"
         raise _error(text, at, ParseErrorKind.CYCLIC_ORDER, message) from exc
-    return OrderedProgram(tuple(rules), order)
+    op = OrderedProgram(tuple(rules), order)
+    # The parse has met every atom, so it hands over the program's universe,
+    # the set literal_universe defines: both literals of each atom.
+    vars(op)["universe"] = frozenset(itertools.chain.from_iterable(literals.values()))
+    return op
 
 
 def render_program(p: OrderedProgram) -> str:

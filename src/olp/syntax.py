@@ -23,13 +23,14 @@ without the lock: a name that two threads check at once is checked twice.
 Ids differ between processes, so every value that holds one pickles as
 the literals it stands for.
 
-The order is kept closed as Python-int bitsets over rule positions, one
-``above`` and one ``below`` mask per rule, each built by one Kahn pass, so
-the O(n^2) closed pairs are never listed unless ``pairs`` is read;
-``below`` is built only when first read.  A
-program adds, on first use, ``nb_of[i]`` and ``hb_of[i]`` (the rules with
-literal id i in their negative body, and with head i) and ``static[r] =
-below[r] & nb_of[head(r)]``, from which ``prefwfs`` forms defeat sets.
+Validating an order only counts, in one Kahn pass over the declared pairs.
+The closed order is Python-int bitsets over rule positions, one ``above``
+and one ``below`` mask per rule, each closed by a Kahn pass when first
+read, so ``check``, ``wfs`` and ``as`` never close the order and the
+O(n^2) closed pairs are never listed unless ``pairs`` is read.  A program
+adds, on first use, ``nb_of[i]`` and ``hb_of[i]`` (the rules with literal
+id i in their negative body, and with head i) and ``static[r] = below[r] &
+nb_of[head(r)]``, from which ``prefwfs`` forms defeat sets.
 """
 
 from __future__ import annotations
@@ -301,12 +302,13 @@ def rule(
 
 @dataclass(frozen=True)
 class PreferenceOrder:
-    """A strict partial order on rule names, stored closed as bitsets.
+    """A strict partial order on rule names, closed as bitsets when read.
 
     Bit j of ``above[i]`` is set when rule ``rule_names[j]`` has higher
     priority than rule ``rule_names[i]``; ``below`` is the transpose, bit j
-    of ``below[i]`` set when rule j has lower priority than rule i, closed
-    only when first read (only the preference-aware semantics read it).
+    of ``below[i]`` set when rule j has lower priority than rule i.  Each is
+    closed only when first read: ``above`` by ``lfp-ap`` and ``pas``,
+    ``below`` by ``pwfs``, ``pwfs-simplistic`` and ``brewka``.
     ``generators`` keeps the pairs as originally declared so that a program
     can be rendered back without materialising the closure; orders are
     equal when their declared pairs are.
@@ -314,7 +316,6 @@ class PreferenceOrder:
 
     generators: frozenset[tuple[str, str]] = frozenset()
     rule_names: tuple[str, ...] = field(default=(), compare=False)
-    above: tuple[int, ...] = field(default=(), compare=False)
 
     @classmethod
     def empty(cls) -> "PreferenceOrder":
@@ -326,12 +327,18 @@ class PreferenceOrder:
         return {name: i for i, name in enumerate(self.rule_names)}
 
     @cached_property
-    def below(self) -> tuple[int, ...]:
-        """The transpose of ``above``, by one Kahn pass over the generators."""
+    def above(self) -> tuple[int, ...]:
+        """For each rule, the rules above it, closed over the generators."""
         if not self.generators:
-            return self.above  # no pairs: every mask is zero either way
-        upper, lower = _edges(self.generators, self.position)
-        return tuple(_kahn(lower, upper)[0])
+            return (0,) * len(self.rule_names)
+        return _closure(self.generators, self.position)
+
+    @cached_property
+    def below(self) -> tuple[int, ...]:
+        """The transpose of ``above``."""
+        if not self.generators:
+            return (0,) * len(self.rule_names)
+        return _closure([(b, a) for a, b in self.generators], self.position)
 
     @cached_property
     def pairs(self) -> frozenset[tuple[str, str]]:
@@ -349,7 +356,8 @@ class PreferenceOrder:
         return i is not None and j is not None and bool(self.above[i] >> j & 1)
 
     def __bool__(self) -> bool:
-        return any(self.above)
+        # A validated pair joins two distinct rules, so it closes to one.
+        return bool(self.generators)
 
 
 def bit_positions(mask: int) -> Iterator[int]:
@@ -378,49 +386,59 @@ def has_pair(bits: int) -> int:
     return bits & (bits >> 1) & _EVEN
 
 
-def _kahn(
-    out: list[list[int]], into: list[list[int]]
-) -> tuple[list[int], list[int]]:
-    """Kahn's algorithm over the edges ``out`` (``into`` reversed): each
-    rule's bitset of the rules it reaches, and each rule's count of edges
-    left unresolved, non-zero only on and behind a cycle.  A rule's set is
-    final once every rule it has an edge to is done.
+def _edges(
+    pairs: Iterable[tuple[str, str]], position: dict[str, int]
+) -> tuple[list[int], list[list[int]]]:
+    """For pairs ``(a, b)`` of rule names: each rule's count of pairs with it
+    as ``a``, and for each rule ``b`` the positions of the ``a`` of its
+    pairs.  Raises KeyError on a name with no position."""
+    count = [0] * len(position)
+    into: list[list[int]] = [[] for _ in position]
+    for a, b in pairs:
+        i = position[a]
+        count[i] += 1
+        into[position[b]].append(i)
+    return count, into
+
+
+def _kahn(waiting: list[int], into: list[list[int]]) -> list[int]:
+    """Kahn's algorithm, counting only: rule i waits on ``waiting[i]``
+    rules, and ``into[j]`` lists the rules that wait on rule j.  Returns
+    the rules in an order where each follows every rule it waits on; the
+    rules left out are on or behind a cycle, and their counts stay non-zero.
     """
-    waiting = [len(edges) for edges in out]
-    reach = [0] * len(out)
     done = [i for i, count in enumerate(waiting) if not count]
     for j in done:
         for i in into[j]:
-            reach[i] |= reach[j] | 1 << j
             waiting[i] -= 1
             if not waiting[i]:
                 done.append(i)
-    return reach, waiting
+    return done
 
 
-def _edges(
+def _closure(
     pairs: Iterable[tuple[str, str]], position: dict[str, int]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """For each rule position, the positions of the rules declared above it,
-    and of those declared below it."""
-    upper: list[list[int]] = [[] for _ in position]
-    lower: list[list[int]] = [[] for _ in position]
-    for a, b in pairs:
-        upper[position[a]].append(position[b])
-        lower[position[b]].append(position[a])
-    return upper, lower
+) -> tuple[int, ...]:
+    """For each rule a, the bitset of the rules that acyclic ``pairs``
+    ``(a, b)`` lead to from a, closed transitively."""
+    waiting, into = _edges(pairs, position)
+    reach = [0] * len(into)
+    for j in _kahn(waiting, into):
+        bits = reach[j] | 1 << j
+        for i in into[j]:
+            reach[i] |= bits
+    return tuple(reach)
 
 
 def validate_order(
     pairs: Iterable[tuple[str, str]], rules: Iterable[Rule]
 ) -> PreferenceOrder:
-    """Close ``pairs`` transitively and reject repeated rule names, cycles
-    and unknown names.
+    """Check ``pairs`` against the rules, in O(rules + pairs): reject
+    repeated rule names, unknown names and cycles.  Nothing is closed here.
 
     Raises DuplicateRuleError on the first rule whose name an earlier rule
-    has, CycleError, naming a rule on a cycle, if the closure would be
-    reflexive, and UnknownRuleError if a pair names a rule that does not
-    exist.
+    has, UnknownRuleError if a pair names a rule that does not exist, and
+    CycleError, naming a rule on a cycle, if the closure would be reflexive.
     """
     pairs = frozenset(pairs)
     names = tuple(r.name for r in rules)
@@ -428,24 +446,23 @@ def validate_order(
     for i, name in enumerate(names):
         if position.setdefault(name, i) != i:
             raise DuplicateRuleError(name)
-    for pair in pairs:
-        for name in pair:
-            if name not in position:
-                raise UnknownRuleError(name)
     if not pairs:
-        return PreferenceOrder(pairs, names, (0,) * len(names))
-    upper, lower = _edges(pairs, position)
-    above, waiting = _kahn(upper, lower)
-    if any(waiting):
+        return PreferenceOrder(pairs, names)
+    try:
+        waiting, lower = _edges(pairs, position)
+    except KeyError as exc:
+        raise UnknownRuleError(exc.args[0]) from None
+    if len(_kahn(waiting, lower)) < len(names):
         # Every rule left waits on a rule above it that is also left, so
         # climbing through those rules must revisit one: it is on a cycle.
+        upper = _edges([(b, a) for a, b in pairs], position)[1]
         i = next(i for i, count in enumerate(waiting) if count)
         seen = set()
         while i not in seen:
             seen.add(i)
             i = next(j for j in upper[i] if waiting[j])
         raise CycleError(names[i])
-    return PreferenceOrder(pairs, names, tuple(above))
+    return PreferenceOrder(pairs, names)
 
 
 @dataclass(frozen=True)
@@ -463,9 +480,9 @@ class OrderedProgram:
 
     def __post_init__(self):
         if self.order.rule_names != tuple(r.name for r in self.rules):
-            # Close the order over this program's rules, so that bit i of the
-            # order's bitsets is always rule i; this also rejects repeated
-            # and unknown names.
+            # Validate the order over this program's rules, so that bit i of
+            # the order's bitsets is always rule i; this also rejects
+            # repeated and unknown names.
             object.__setattr__(
                 self, "order", validate_order(self.order.generators, self.rules)
             )

@@ -249,6 +249,19 @@ TWENTY_THOUSAND_RULES = "".join(
     f"p{k} :- not q{k}.\n" for k in range(2 * 10**4)
 ).encode()
 
+# Rule k prefers rule k + 1, and rule 5000 prefers rule 1: one preference
+# cycle through every rule.  Validation climbs it without recursion.
+CYCLE = 5000
+PREFERENCE_CYCLE = (
+    "".join(f"r{k}: a{k}.\n" for k in range(1, CYCLE + 1))
+    + "".join(f"r{k} < r{k % CYCLE + 1}.\n" for k in range(1, CYCLE + 1))
+).encode()
+# a_k :- a_(k+1) around 5000 atoms: the positive loop leaves every atom false.
+POSITIVE_CYCLE = "".join(f"a{k} :- a{k % CYCLE + 1}.\n" for k in range(1, CYCLE + 1)).encode()
+# Characters that \s and str.split count as whitespace but the grammar does
+# not: each is a stray character between two rules.
+NOT_WHITESPACE = {"vertical-tab": "\x0b", "no-break-space": "\xa0", "line-separator": "\u2028"}
+
 
 # ``{file}`` is an input file holding ``content``; ``{dir}`` a directory.
 INPUT_ERRORS = [
@@ -265,6 +278,13 @@ INPUT_ERRORS = [
     ("lone-cr-line-ends", ["solve", "{file}", "--mode", "pwfs"], b"a :- not b.\rb.\rr2 < r1.\r", 0),
     ("identifier-10k-chars", ["solve", "{file}", "--mode", "wfs"], LONG_IDENTIFIER, 0),
     ("check-20k-rules", ["check", "{file}"], TWENTY_THOUSAND_RULES, 0),
+    ("preference-cycle-5000-rules", ["check", "{file}"], PREFERENCE_CYCLE, 1),
+    ("positive-cycle-5000-atoms", ["solve", "{file}", "--mode", "wfs"], POSITIVE_CYCLE, 0),
+    *(
+        (f"{name}-between-rules", ["solve", "{file}", "--mode", "wfs"],
+         f"r1: a.{char}r2: b.\n".encode(), 1)
+        for name, char in NOT_WHITESPACE.items()
+    ),
     ("fuzz-max-atoms-9", ["fuzz", "--max-atoms", "9"], None, 1),
     ("fuzz-max-rules-0", ["fuzz", "--max-rules", "0"], None, 1),
     ("fuzz-count-negative", ["fuzz", "--count", "-1"], None, 1),
@@ -295,6 +315,13 @@ class TestInputErrors:
             assert err.startswith(("error: ", "i/o error: ")), err
         else:
             assert err == ""
+
+    def test_a_long_preference_cycle_names_a_rule_on_it(self, capsys, tmp_path):
+        path = tmp_path / "input.olp"
+        path.write_bytes(PREFERENCE_CYCLE)
+        code, _, err = run(capsys, "solve", str(path), "--mode", "wfs")
+        assert code == 1 and err.count("\n") == 1
+        assert ": cyclic-order: cyclic preference through rule 'r" in err
 
 
 GOOD_ARGV = ["solve", str(CORPUS / "ex5.olp"), "--mode", "pwfs", "--trace"]

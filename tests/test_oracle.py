@@ -163,3 +163,31 @@ def test_battery_samples_the_same_pairs_under_any_hash_seed(hash_seed):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == SAMPLED_PAIRS_DIGEST
+
+
+# A mutant of brewka.c_star_pref that adds x to its result fails
+# c-star-pref-routes-agree at the first batch program; the counterexample
+# shows both raw literal sets sorted, as the other invariants do.
+ROUTE_DETAIL_SCRIPT = """
+from olp import brewka
+from olp.oracle import GeneratorConfig, check_theorems, generate_program
+closure = brewka.c_star_pref
+brewka.c_star_pref = lambda op, y: closure(op, y) | y
+seed = 20260811
+report = check_theorems(generate_program(GeneratorConfig(seed=seed)), seed=seed)
+print(*[r.detail for r in report.failures if r.invariant == "c-star-pref-routes-agree"])
+"""
+
+
+def test_raw_set_counterexamples_do_not_depend_on_the_hash_seed():
+    details = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", ROUTE_DETAIL_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        details.append(done.stdout)
+    assert details[0] == details[1]
+    assert details[0].strip() and " -> {" in details[0] and "frozenset(" not in details[0]

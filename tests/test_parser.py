@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 
 from olp.oracle import GeneratorConfig, generate_program
 from olp.parser import ParseError, ParseErrorKind, parse_program, render_program
-from olp.syntax import OrderedProgram
-from .conftest import A, B, NA, NP, corpus_text
+from olp.syntax import OrderedProgram, literal_universe
+from .conftest import A, B, NA, NP, ROOT, corpus_text
 
 EX3_TEXT = "r1: a :- not b.\nr2: b :- not a.\nr2 < r1.\n"
 
@@ -49,6 +51,26 @@ class TestParse:
     def test_duplicate_body_literals_collapse(self):
         p = parse_program("r1: a :- b, b, not c, not c.\n")
         assert len(p.rules[0].pbody) == 1 and len(p.rules[0].nbody) == 1
+
+
+class TestUniverse:
+    """The parse hands over each program's universe; ``literal_universe``
+    still defines it."""
+
+    def test_the_parsed_universe_is_literal_universe(self):
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        import workloads
+
+        texts = [corpus_text(name) for name in ["ex3", "ex4", "ex5", "ex7", "defeasible"]]
+        texts += [workloads.chain_text(1, n) for n in (1, 2, 50, 300)]
+        texts += [workloads.random_text(k, atoms, rules, seed=7)
+                  for k, atoms, rules in ((0, 160, 200), (6, 64, 80), (14, 8, 12))]
+        texts += ["r1: -a.\n", "% no rules\n", ""]
+        for text in texts:
+            op = parse_program(text)
+            assert "universe" in vars(op)
+            assert op.universe == literal_universe(op.rules)
+        assert parse_program("r1: -a.\n").universe == frozenset({A, NA})
 
 
 class TestParseErrors:
@@ -117,6 +139,9 @@ ERROR_TABLE = [
     ("unknown-rule", 'r1: a.\nr2: b.\n\tr2 < r9.\n', "unknown-rule", 3, 2, 2, "preference mentions unknown rule 'r9'"),
     ("cycle", 'r1: a.\nr2: b.\nr3: c.\nr1 < r2.\nr2 < r3.\nr3 < r1.\n', "cyclic-order", 4, 1, 2, "cyclic preference through rule 'r1'"),
     ("form-feed", 'r1: a.\x0cr2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\x0c'"),
+    ("vertical-tab", 'r1: a.\x0br2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\x0b'"),
+    ("no-break-space", 'r1: a.\xa0r2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\xa0'"),
+    ("line-separator", 'r1: a.\u2028r2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\u2028'"),
     ("dangling-comma", 'r1: a :- b,.\n', "syntax", 1, 12, 1, "expected an atom, found '.'"),
 ]
 

@@ -23,7 +23,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from olp import brewka, classical, preference, prefwfs
+from olp.cli import MODES, main
 from olp.fixpoint import iterate_union, kleene
+from olp.oracle import GeneratorConfig, generate_program
+from olp.parser import render_program
 from olp.prefwfs import VARIANTS
 from olp.syntax import Interpretation, neg, pos, program, rule
 
@@ -253,3 +256,29 @@ def test_defeat_heavy_answer_set_searches_match_the_enumeration(op):
 @given(even_loop_programs())
 def test_even_loop_answer_set_searches_match_the_enumeration(op):
     _search_matches_enumeration(op)
+
+
+def test_statement_order_leaves_every_answer_unchanged(capsys, tmp_path):
+    """A rendered ordered program with its statement lines (rules and
+    preference pairs) shuffled gets the same ``--json`` answer in every mode.
+
+    Rules keep their names, so only their positions and the order in which
+    the parser meets pairs and atoms move.
+    """
+    moved = 0
+    for seed in range(60):
+        config = GeneratorConfig(seed=seed, max_atoms=6, max_rules=10, order_density=0.5)
+        op = generate_program(config)
+        text = render_program(op)
+        lines = text.splitlines(keepends=True)
+        random.Random(seed).shuffle(lines)
+        moved += "".join(lines) != text and bool(op.order)
+        answers = []
+        for k, body in enumerate((text, "".join(lines))):
+            path = tmp_path / f"{seed}-{k}.olp"
+            path.write_text(body)
+            for mode in MODES:
+                assert main(["solve", str(path), "--mode", mode, "--json"]) == 0
+            answers.append(capsys.readouterr().out)
+        assert answers[0] == answers[1], f"seed {seed}:\n{text}\n{''.join(lines)}"
+    assert moved >= 50

@@ -1,4 +1,6 @@
+import argparse
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -6,7 +8,7 @@ import sys
 
 import pytest
 
-from olp import classical, preference, prefwfs
+from olp import classical, cli, preference, prefwfs
 from olp.cli import main
 from olp.oracle import GeneratorConfig, generate_program
 from olp.syntax import (
@@ -27,7 +29,7 @@ from olp.syntax import (
     rule,
     validate_order,
 )
-from olp.parser import parse_program
+from olp.parser import parse_program, render_program
 from .conftest import A, B, NA, NB, ROOT, interp, load
 
 
@@ -267,14 +269,23 @@ class TestOrderedProgram:
 
     def test_below_is_built_only_for_the_preference_aware_semantics(self):
         op = load("ex4")
+        expected = json.loads((ROOT / "corpus" / "expected" / "ex4.json").read_text())
+
+        def answers(*modes):
+            for mode in modes:
+                args = argparse.Namespace(mode=mode, atoms_only=False, trace=False)
+                assert cli._solve_payload(op, args) == expected[mode], mode
+
         assert op.order
-        prefwfs.wf_model_trace(op, None)
-        preference.lfp_ap_fixpoint(op)
-        classical.answer_sets(op.rules, op.universe)
-        preference.preferred_answer_sets(op)
-        assert "below" not in op.order.__dict__
-        prefwfs.wf_model_trace(op, "paper")
-        assert "below" in op.order.__dict__
+        # check, wfs and as never close the order, in either direction.
+        render_program(op)
+        answers("wfs", "as")
+        assert not {"above", "below", "pairs"} & vars(op.order).keys()
+        # lfp-ap and pas read above only; pwfs reads below.
+        answers("lfp-ap", "pas")
+        assert "above" in vars(op.order) and "below" not in vars(op.order)
+        answers("pwfs")
+        assert "below" in vars(op.order)
 
     def test_order_names_must_resolve(self):
         with pytest.raises(UnknownRuleError):
