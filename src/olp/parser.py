@@ -80,11 +80,10 @@ class ParseError(Exception):
 # One match per word: the whitespace and comments before it, then an
 # identifier, a punctuation mark, a stray character, or "" at the end of
 # the input.  A word's kind is read off the word itself.  Only an error
-# scans with this; a parse splits the text with the two lighter patterns
-# below, which give the same words.
-_TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]|%[^\n]*)*([a-z][A-Za-z0-9_]*|:-|[:<,.-]|.|\Z)", re.DOTALL
-)
+# scans with this, so it is compiled on first use, by ``re``'s cache; a
+# parse splits the text with the two lighter patterns below, which give
+# the same words.
+_TOKEN_PATTERN = r"(?s)(?:[ \t\r\n]|%[^\n]*)*([a-z][A-Za-z0-9_]*|:-|[:<,.-]|.|\Z)"
 _COMMENT_RE = re.compile(r"%[^\n]*")
 # Whitespace is these four characters only: \s and str.split would also
 # skip \x0b, \xa0 or \u2028, which are stray characters here.
@@ -100,7 +99,7 @@ def _error(text: str, k: int, kind: ParseErrorKind, message: str) -> ParseError:
 
     Offsets are found again only here, so a parse that succeeds keeps none.
     """
-    match = next(itertools.islice(_TOKEN_RE.finditer(text), k, None))
+    match = next(itertools.islice(re.finditer(_TOKEN_PATTERN, text), k, None))
     offset = match.start(1)
     line_start = text.rfind("\n", 0, offset) + 1
     span = SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, len(match[1]))

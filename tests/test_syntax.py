@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from olp import classical, cli, preference, prefwfs
+from olp import classical, cli
 from olp.cli import main
 from olp.oracle import GeneratorConfig, generate_program
 from olp.syntax import (
