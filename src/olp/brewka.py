@@ -45,9 +45,9 @@ def _fires(
     """Rule i fires at x when nbody(i) misses cl(reduct(rules, y)) without
     the reducts of the rules i defeats at x; x and y are bitsets.
 
-    Returns the test and ``grow(lit)``, which tells the test that x gained
-    the literal id lit: the test reads x only through hit(x), kept up to
-    date by ``grow`` from its value at the given ``x``.  The rules closed
+    Returns the test ``fires(i)`` and ``grow(lit)``, which tells the test
+    that x gained the literal id lit: the test reads x only through hit(x),
+    kept up to date by ``grow`` from its value at the given ``x``.  The rules closed
     are a bitset over rule positions, ``base & ~defeat_bits``, and
     ``closed`` holds the closures already made, keyed by that bitset; a
     closure depends on nothing else, so one cache serves every context y
@@ -64,7 +64,7 @@ def _fires(
         nonlocal hit
         hit |= nb_of.get(lit, 0)
 
-    def fires(i, x):
+    def fires(i):
         key = base & ~defeat_bits(op, i, hit) if below[i] else base
         context = closed.get(key)
         if context is None:
@@ -82,7 +82,7 @@ def t_star_step(
     xs = bits_of(x)
     fires, _ = _fires(op, bits_of(y), {}, xs)
     return frozenset(
-        r.head for i, r in enumerate(op.rules) if r.pmask & xs == r.pmask and fires(i, xs)
+        r.head for i, r in enumerate(op.rules) if r.pmask & xs == r.pmask and fires(i)
     )
 
 

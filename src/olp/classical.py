@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 MAX_ENUM_HEADS = 20
-Fires = Callable[[int, int], bool]  # fires(rule position, derived bits)
+Fires = Callable[[int], bool]  # fires(rule position)
 
 
 def is_active(r: Rule, x: Interpretation, y: Interpretation) -> bool:
@@ -79,12 +79,12 @@ def derive(
     """Least raw set, as bits, closed under the rules that fire; no
     consistency collapse.
 
-    A rule adds its head once its positive body is derived and
-    ``fires(i, derived)`` holds, i being its position in ``rules`` (no test
-    means it always holds).  Rule order is irrelevant provided ``fires``
-    stays true as the derived set grows.  A pass re-tests only the rules
-    that have not fired, and every pass but the last fires one, so the loop
-    ends within ``len(rules) + 1`` passes.  ``grow(head)``, when given, is
+    A rule adds its head once its positive body is derived and ``fires(i)``
+    holds, i being its position in ``rules`` (no test means it always
+    holds).  Rule order is irrelevant provided ``fires`` stays true as the
+    derived set grows.  A pass re-tests only the rules that have not fired,
+    and every pass but the last fires one, so the loop ends within
+    ``len(rules) + 1`` passes.  ``grow(head)``, when given, is
     called with the id of each head added, so a firing test can keep its
     own view of the derived set up to date.
     """
@@ -96,7 +96,7 @@ def derive(
             r = rules[i]
             if derived & r.hbit:
                 continue
-            if r.pmask & derived == r.pmask and (fires is None or fires(i, derived)):
+            if r.pmask & derived == r.pmask and (fires is None or fires(i)):
                 derived |= r.hbit
                 if grow:
                     grow(r.head_id)
@@ -119,7 +119,7 @@ def fire_step(
     xs = x.bits
     heads = 0
     for i, r in enumerate(rules):
-        if r.pmask & xs == r.pmask and (fires is None or fires(i, xs)):
+        if r.pmask & xs == r.pmask and (fires is None or fires(i)):
             heads |= r.hbit
     return Interpretation.from_bits(heads, universe)
 
@@ -186,19 +186,21 @@ class LiveClosure:
     """``c_op(rules, x, universe)`` for a sequence of contexts x, kept live.
 
     The closure keeps its raw derived set (``c_star`` at the last context,
-    as bits) between calls, and two counters per rule: its positive-body
-    literals not derived yet, and its negative-body literals in the
-    context.  A rule fires when both reach zero; deriving a literal counts
-    down the rules with it in their positive body and puts those that reach
-    zero on the worklist (the counter-based Horn closure of Dowling &
-    Gallier, J. Logic Programming 1984).  A new context is diffed against
-    the last one (``new & ~old`` and ``old & ~new``).  A literal that
-    leaves it frees the rules it alone blocked.  A literal that joins it
-    blocks rules, whose heads go, together with everything derived through
-    them; every rule that can derive a deleted literal again is then
-    re-tested (DRed's over-delete and re-derive: Gupta, Mumick &
-    Subrahmanian, SIGMOD 1993).  A call costs the size of the change and of
-    what it retracts; the collapse to Lit is one test of the bits.
+    as bits) between calls, and one counter per rule: its positive-body
+    literals not derived yet plus its negative-body literals in the
+    context.  A rule fires when its counter is zero; deriving a literal
+    counts down the rules with it in their positive body and puts those
+    that reach zero on the worklist (the counter-based Horn closure of
+    Dowling & Gallier, J. Logic Programming 1984).  A new context is
+    diffed against the last one (``new & ~old`` and ``old & ~new``).  A
+    literal that leaves it counts down the rules with it in their negative
+    body.  A literal that joins it counts them up, and blocks those whose
+    negative body missed the old context: their heads go, together with
+    everything derived through them; every rule that can derive a deleted
+    literal again is then re-tested (DRed's over-delete and re-derive:
+    Gupta, Mumick & Subrahmanian, SIGMOD 1993).  A call costs the size of
+    the change and of what it retracts; the collapse to Lit is one test of
+    the bits.
 
     ``index`` is ``index_rules(rules)`` where the caller has it already;
     it is read, never written, so closures over the same rules share it.
@@ -216,7 +218,6 @@ class LiveClosure:
         index = index or index_rules(self._rules)
         self._by_pbody, self._by_nbody, self._by_head = index
         self._missing = [len(r.pbody) for r in self._rules]
-        self._blocks = [0] * len(self._rules)
         self._watched = 0  # the literals that some negative body holds
         for r in self._rules:
             self._watched |= r.nmask
@@ -236,19 +237,19 @@ class LiveClosure:
         return self._value
 
     def _move_to(self, context: int) -> list[int]:
-        """Recount the blocks; queue the freed rules, return the newly
+        """Recount the counters; queue the freed rules, return the newly
         blocked ones."""
-        old, blocks, by_nbody = self._context, self._blocks, self._by_nbody
+        rules, old, missing, by_nbody = self._rules, self._context, self._missing, self._by_nbody
         blocked = []
         for lit in bit_positions(context & ~old):
             for i in by_nbody[lit]:
-                blocks[i] += 1
-                if blocks[i] == 1:
+                missing[i] += 1
+                if not rules[i].nmask & old:
                     blocked.append(i)
         for lit in bit_positions(old & ~context):
             for i in by_nbody[lit]:
-                blocks[i] -= 1
-                if not blocks[i]:
+                missing[i] -= 1
+                if not missing[i]:
                     self._work.append(i)
         self._context = context
         return blocked
@@ -281,12 +282,12 @@ class LiveClosure:
     def _fire(self) -> None:
         """Fire the queued rules until the worklist is empty."""
         rules, derived, work = self._rules, self._derived, self._work
-        missing, blocks, by_pbody = self._missing, self._blocks, self._by_pbody
+        missing, by_pbody = self._missing, self._by_pbody
         before = derived
         while work:
             i = work.pop()
             r = rules[i]
-            if missing[i] or blocks[i] or derived & r.hbit:
+            if missing[i] or derived & r.hbit:
                 continue
             derived |= r.hbit
             for j in by_pbody.get(r.head_id, ()):

@@ -90,8 +90,8 @@ def _model_trace(
             context = classical.c_op(op.rules, previous, op.universe)
             contexts = prefwfs.defeat_contexts(op, value, context, variant)
             entry["dsets"] = {
-                name: _sorted_strs(ctx.removed)
-                for name, ctx in sorted(contexts.items())
+                name: _sorted_strs(removed)
+                for name, removed in sorted(contexts.items())
             }
         entries.append(entry)
         previous = value

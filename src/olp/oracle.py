@@ -291,6 +291,12 @@ class _Battery:
     def skip(self, invariant: str, detail: str) -> None:
         self.results.append(CheckResult(invariant, "skip", detail))
 
+    def agree(self, invariant: str, cases: Iterable[tuple]) -> None:
+        """Check that every case ``(got, expected)`` has two equal values; a
+        failure shows the first that does not, as ``got vs expected``."""
+        bad = _counterexample(cases)
+        self.check(invariant, not bad, bad and f"{_show(bad[0])} vs {_show(bad[1])}")
+
 
 def _counterexample(cases: Iterable[tuple]) -> tuple | None:
     """The first case ``(got, expected, *where)`` whose two values differ."""
@@ -399,16 +405,10 @@ def check_theorems(
     basics = [
         classical.reduct(rules, x) for x in [empty, *(s for s, _ in pairs[:5])]
     ]
-    battery.check(
-        "cl-subset-cn",
-        not _counterexample(
-            (
-                classical.cn(basic, universe),
-                Interpretation.from_bits(bits_of(closed), universe | closed),
-            )
-            for basic, closed in zip(basics, map(brewka.cl, basics))
-        ),
-    )
+    battery.agree("cl-subset-cn", (
+        (classical.cn(basic, universe), Interpretation.from_bits(bits_of(cl), universe | cl))
+        for basic, cl in zip(basics, map(brewka.cl, basics))
+    ))
 
     # Convergence bounds for every least-fixpoint computation.
     bound = len(universe) + 1
@@ -430,13 +430,9 @@ def check_theorems(
         engine_as == oracle_as,
         f"engine {sorted(map(str, engine_as))} oracle {sorted(map(str, oracle_as))}",
     )
-    battery.check(
-        "cn-oracle-agreement",
-        not _counterexample(
-            (classical.cn(basic, universe), oracle_cn(basic, universe))
-            for basic in basics
-        ),
-    )
+    battery.agree("cn-oracle-agreement", (
+        (classical.cn(basic, universe), oracle_cn(basic, universe)) for basic in basics
+    ))
 
     battery.check(
         "answer-sets-are-alternating-fixpoints",
@@ -522,39 +518,27 @@ def check_theorems(
             "thm3-empty-order-equality",
             "alternation passes through the inconsistent collapse",
         )
-    battery.check(
-        "empty-order-collapse",
-        not _counterexample(
-            case
-            for small, big in pairs[:10]
-            for case in (
-                (
-                    preference.tp_step(plain, big, small),
-                    classical.t_step(rules, big, small, universe),
-                ),
-                (preference.cp_op(plain, big), classical.c_op(rules, big, universe)),
-            )
-        ),
-    )
+    battery.agree("empty-order-collapse", (
+        case
+        for small, big in pairs[:10]
+        for case in (
+            (preference.tp_step(plain, big, small), classical.t_step(rules, big, small, universe)),
+            (preference.cp_op(plain, big), classical.c_op(rules, big, universe)),
+        )
+    ))
 
     # The sampled small sides whose consequences are consistent.
     consequences = ((s, classical.c_op(rules, s, universe)) for s, _ in pairs[:10])
     supported = [(small, y) for small, y in consequences if not y.is_lit]
     if supported:
-        battery.check(
-            "tpn-classical-on-supported-contexts",
-            not _counterexample(
-                case
-                for _, y in supported
-                for case in (
-                    (
-                        prefwfs.tpn_step(plain, y, empty),
-                        classical.t_step(rules, y, empty, universe),
-                    ),
-                    (prefwfs.cpn_op(plain, y), classical.c_op(rules, y, universe)),
-                )
-            ),
-        )
+        battery.agree("tpn-classical-on-supported-contexts", (
+            case
+            for _, y in supported
+            for case in (
+                (prefwfs.tpn_step(plain, y, empty), classical.t_step(rules, y, empty, universe)),
+                (prefwfs.cpn_op(plain, y), classical.c_op(rules, y, universe)),
+            )
+        ))
     else:
         battery.skip(
             "tpn-classical-on-supported-contexts", "no consistent context sampled"
@@ -562,17 +546,11 @@ def check_theorems(
 
     heads = [r.head for r in rules]
     if len(set(heads)) == len(heads):
-        battery.check(
-            "dset-variants-agree-distinct-heads",
-            not _counterexample(
-                (
-                    prefwfs.d_set(op, r, small, y),
-                    prefwfs.d_set_simplistic(op, r, small) & y.literals,
-                )
-                for small, y in supported
-                for r in rules
-            ),
-        )
+        battery.agree("dset-variants-agree-distinct-heads", (
+            (prefwfs.d_set(op, r, small, y), prefwfs.d_set_simplistic(op, r, small) & y.literals)
+            for small, y in supported
+            for r in rules
+        ))
     else:
         battery.skip("dset-variants-agree-distinct-heads", "heads are shared")
 

@@ -77,13 +77,6 @@ class ParseError(Exception):
         self.message = message
 
 
-# One match per word: the whitespace and comments before it, then an
-# identifier, a punctuation mark, a stray character, or "" at the end of
-# the input.  A word's kind is read off the word itself.  Only an error
-# scans with this, so it is compiled on first use, by ``re``'s cache; a
-# parse splits the text with the two lighter patterns below, which give
-# the same words.
-_TOKEN_PATTERN = r"(?s)(?:[ \t\r\n]|%[^\n]*)*([a-z][A-Za-z0-9_]*|:-|[:<,.-]|.|\Z)"
 _COMMENT_RE = re.compile(r"%[^\n]*")
 # Whitespace is these four characters only: \s and str.split would also
 # skip \x0b, \xa0 or \u2028, which are stray characters here.
@@ -97,12 +90,16 @@ _NO_LITERALS: frozenset[Literal] = frozenset()
 def _error(text: str, k: int, kind: ParseErrorKind, message: str) -> ParseError:
     """An error spanning word ``k`` of ``text``; every character is one column.
 
-    Offsets are found again only here, so a parse that succeeds keeps none.
+    Offsets are found again only here, so a parse that succeeds keeps none:
+    the words are scanned again with each comment blanked to spaces, which
+    keeps every offset.  The final word "" sits at the end of the text.
     """
-    match = next(itertools.islice(re.finditer(_TOKEN_PATTERN, text), k, None))
-    offset = match.start(1)
+    if "%" in text:
+        text = _COMMENT_RE.sub(lambda comment: " " * len(comment[0]), text)
+    match = next(itertools.islice(_WORD_RE.finditer(text), k, None), None)
+    offset, length = (match.start(), len(match[0])) if match else (len(text), 0)
     line_start = text.rfind("\n", 0, offset) + 1
-    span = SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, len(match[1]))
+    span = SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, length)
     return ParseError(kind, span, message)
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 from .classical import Fires, answer_sets, derive, fire_step
 from .fixpoint import FixpointTrace, kleene_trace
-from .syntax import Interpretation, OrderedProgram, bit_positions
+from .syntax import Interpretation, OrderedProgram, bit_positions, supporting_rules
 
 __all__ = [
     "tp_step",
@@ -38,21 +38,18 @@ def _fires(
     """Rule i fires at x when nbody(i) misses y and no rule r' above it is
     both active wrt (y, x) and still unapplied (head(r') not in x).
 
-    Returns the test and ``grow(lit)``, which tells the test that x gained
-    the literal id lit (None when the order is empty: the test then ignores
-    x).  The test reads x only through ``live``, the bitset of the rules
-    active and unapplied at x.  It starts as the rules whose positive body
-    is in y and only shrinks: a rule leaves it when its head, or a literal
-    of its negative body, joins x.
+    Returns the test ``fires(i)`` and ``grow(lit)``, which tells the test
+    that x gained the literal id lit (None when the order is empty: the
+    test then ignores x).  The test reads x only through ``live``, the
+    bitset of the rules active and unapplied at x.  It starts as the rules
+    whose positive body is in y and only shrinks: a rule leaves it when its
+    head, or a literal of its negative body, joins x.
     """
     ys, rules = y.bits, op.rules
     if not op.order:
-        return (lambda i, x: not rules[i].nmask & ys), None
+        return (lambda i: not rules[i].nmask & ys), None
     above, nb_of, hb_of = op.order.above, op.nb_of, op.hb_of
-    live = 0
-    for j, r in enumerate(rules):
-        if r.pmask & ys == r.pmask:
-            live |= 1 << j
+    live = supporting_rules(rules, ys)
 
     def grow(lit):
         nonlocal live
@@ -61,7 +58,7 @@ def _fires(
     for lit in bit_positions(x):
         grow(lit)
 
-    def fires(i, x):
+    def fires(i):
         return not rules[i].nmask & ys and not above[i] & live
 
     return fires, grow

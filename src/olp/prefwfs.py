@@ -37,7 +37,6 @@ are decoded to literals only for ``d_set`` and traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from . import classical
@@ -51,11 +50,11 @@ from .syntax import (
     bit_positions,
     bits_of,
     literals_of,
+    supporting_rules,
 )
 
 __all__ = [
     "VARIANTS",
-    "DefeatContext",
     "defeats",
     "hit_bits",
     "defeat_bits",
@@ -75,15 +74,6 @@ __all__ = [
 VARIANT_PAPER = "paper"
 VARIANT_SIMPLISTIC = "simplistic"
 VARIANTS = (VARIANT_PAPER, VARIANT_SIMPLISTIC)
-
-
-@dataclass(frozen=True)
-class DefeatContext:
-    """The removal set of one rule at one step, and the context it leaves."""
-
-    rule: str
-    removed: frozenset[Literal]
-    effective_context: frozenset[Literal]
 
 
 def _check_variant(variant: str) -> None:
@@ -135,8 +125,8 @@ def d_set(
 ) -> frozenset[Literal]:
     """Literals of y removable from r's blocking context at state x."""
     i, ys = op.order.position[r.name], y.bits
-    kept = _kept(op, i, hit_bits(op, x.bits), VARIANT_PAPER, ys, _supporters(op, ys))
-    return literals_of(ys & ~kept)
+    supporters = supporting_rules(op.rules, ys)
+    return literals_of(ys & ~_kept(op, i, hit_bits(op, x.bits), VARIANT_PAPER, ys, supporters))
 
 
 def d_set_simplistic(
@@ -146,22 +136,12 @@ def d_set_simplistic(
     return frozenset(lower.head for lower in defeated_rules(op, r, x))
 
 
-def _supporters(op: OrderedProgram, y: int) -> int:
-    """The rules whose positive body lies in the bitset y, as a bitset over
-    rule positions."""
-    bits = 0
-    for i, r in enumerate(op.rules):
-        if r.pmask & y == r.pmask:
-            bits |= 1 << i
-    return bits
-
-
 def _kept(
     op: OrderedProgram, i: int, hit: int, variant: str, among: int, supporters: int
 ) -> int:
     """The literals of ``among`` (a bitset within a context y) that stay in
     rule i's blocking context under the removal policy, at a state x with
-    hit(x) = ``hit``; ``supporters`` is ``_supporters(op, y)``."""
+    hit(x) = ``hit``; ``supporters`` is ``supporting_rules(op.rules, y)``."""
     defeated, hb_of, kept = defeat_bits(op, i, hit), op.hb_of, 0
     for lit in bit_positions(among):
         if variant == VARIANT_SIMPLISTIC:
@@ -193,7 +173,7 @@ def _fires(
         if not among:
             return True
         if supporters is None:
-            supporters = _supporters(op, ys)
+            supporters = supporting_rules(rules, ys)
         return not _kept(op, i, hit, variant, among, supporters)
 
     return fires
@@ -207,7 +187,7 @@ def tpn_step(
 ) -> Interpretation:
     """Heads of rules active wrt (x, y minus their removal set)."""
     fires, hit = _fires(op, y, variant), hit_bits(op, x.bits)
-    return classical.fire_step(op.rules, lambda i, xs: fires(i, hit), x, op.universe)
+    return classical.fire_step(op.rules, lambda i: fires(i, hit), x, op.universe)
 
 
 def cpn_op(
@@ -279,7 +259,6 @@ def preferred_wf_model(
     op: OrderedProgram, variant: str = VARIANT_PAPER
 ) -> PartialModel:
     """(lfp, universe minus consequences of the lfp)."""
-    _check_variant(variant)
     return wf_model_trace(op, variant)[0]
 
 
@@ -310,15 +289,13 @@ def defeat_contexts(
     x: Interpretation,
     y: Interpretation,
     variant: str = VARIANT_PAPER,
-) -> dict[str, DefeatContext]:
-    """Per-rule removal sets at state (x, y), for traces and diagnostics."""
+) -> dict[str, frozenset[Literal]]:
+    """Each rule's removal set at state (x, y), by rule name, for traces
+    and diagnostics."""
     _check_variant(variant)
-    result = {}
     ys, hit = y.bits, hit_bits(op, x.bits)
-    supporters = _supporters(op, ys)
-    for i, r in enumerate(op.rules):
-        kept = _kept(op, i, hit, variant, ys, supporters)
-        result[r.name] = DefeatContext(
-            r.name, literals_of(ys & ~kept), literals_of(kept)
-        )
-    return result
+    supporters = supporting_rules(op.rules, ys)
+    return {
+        r.name: literals_of(ys & ~_kept(op, i, hit, variant, ys, supporters))
+        for i, r in enumerate(op.rules)
+    }

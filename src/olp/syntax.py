@@ -30,7 +30,9 @@ read, so ``check``, ``wfs`` and ``as`` never close the order and the
 O(n^2) closed pairs are never listed unless ``pairs`` is read.  A program
 adds, on first use, ``nb_of[i]`` and ``hb_of[i]`` (the rules with literal
 id i in their negative body, and with head i) and ``static[r] = below[r] &
-nb_of[head(r)]``, from which ``prefwfs`` forms defeat sets.
+nb_of[head(r)]``, from which ``prefwfs`` forms defeat sets.  The rules
+that can support a literal within a context y are one bitset too,
+``supporting_rules(rules, y)``, read by ``preference`` and ``prefwfs``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "literal_universe",
     "mentioned_literals",
     "index_rules",
+    "supporting_rules",
     "bit_positions",
     "bits_of",
     "literals_of",
@@ -574,7 +577,13 @@ def index_rules(rules: Sequence[Rule]) -> RuleIndex:
     return by_pbody, by_nbody, by_head
 
 
-def _rule_bits(positions: list[int]) -> int:
+def supporting_rules(rules: Sequence[Rule], y: int) -> int:
+    """The rules whose positive body lies in the literal bitset y, as a
+    bitset over rule positions."""
+    return _rule_bits(i for i, r in enumerate(rules) if r.pmask & y == r.pmask)
+
+
+def _rule_bits(positions: Iterable[int]) -> int:
     bits = 0
     for i in positions:
         bits |= 1 << i

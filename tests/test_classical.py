@@ -182,6 +182,21 @@ class TestLiveClosure:
             ],
         )
 
+    def test_two_negative_body_literals_leave_and_join_one_at_a_time(self):
+        # a :- not b, not c.  p :- a.  The rule's one counter holds both
+        # blocking literals, so it must fire only once both have left.
+        rules = (rule("r1", A, nbody=[B, C]), rule("r2", P, pbody=[A]))
+        _follow(
+            rules,
+            [
+                (interp(B, C), []),
+                (interp(B), []),
+                (E, [A, P]),
+                (interp(C), []),
+                (interp(B, C), []),
+            ],
+        )
+
     def test_atom_free_program(self):
         _follow((), [(E, []), (Interpretation.lit(frozenset()), []), (E, [])])
 

@@ -28,20 +28,32 @@ MUTANTS = {
         classical, "derive", "pending = waiting", "return derived",
         8, ("c-op-routes-agree", "live-closure-matches-c-op",
             "cp-op-routes-agree", "cn-oracle-agreement"),
-        "a94e9b8bdff35930c91d59efb4f626795fec1244fae2685203f7bd7b60d4fa3d",
+        "2d6c236ab80edcccbc5fe3a100dfafb81a22e4fab69e6e2b38e49aee7c6c852c",
     ),
     "t-step-ignores-its-context": (
         classical, "t_step",
         "return fire_step([r for r in rules if not r.nmask & y.bits], None, x, universe)",
         "return fire_step(list(rules), None, x, universe)",
         0, ("c-op-routes-agree", "empty-order-collapse"),
-        "d3b7406f0dc83ea6cf7e0af4bb3d071b8ff48dd9cfcef377db9beaf1abe13346",
+        "7a2f7d52f61494b6bdd9f398af6f4dfda580d5186b3f0f7c627658e0562a8be1",
     ),
     "retract-drops-the-rederive": (
         classical.LiveClosure, "_retract",
         "work.extend(self._by_head[lit])", "pass",
         2, ("live-closure-matches-c-op",),
         "ca1a57be4e583f88993e36323791134a4b955f644d15cb3fb03dfc93f1bcd1a6",
+    ),
+    "move-to-retracts-nothing": (
+        classical.LiveClosure, "_move_to",
+        "blocked.append(i)", "pass",
+        0, ("live-closure-matches-c-op",),
+        "70814d8d7587fee19b38a9ee613e4ca41b93e78526c49eee9cc13b5047c21dea",
+    ),
+    "move-to-queues-no-freed-rule": (
+        classical.LiveClosure, "_move_to",
+        "self._work.append(i)", "pass",
+        0, ("live-closure-matches-c-op",),
+        "148eb91833bb9a625b38058ef1cd72fbf7dc1c53b13fc24231a9b1898a9f1d47",
     ),
     "cpn-op-drops-the-wake": (
         prefwfs, "cpn_op",

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from olp.classical import c_op, t_step, well_founded_fixpoint, well_founded_model
 from olp.fixpoint import iterate_union
 from olp.oracle import GeneratorConfig, generate_program
@@ -16,6 +18,7 @@ from olp.prefwfs import (
     preferred_wfs_fixpoint,
     preferred_wfs_set,
     tpn_step,
+    wf_model_trace,
 )
 from olp.syntax import Interpretation, PartialModel
 from .conftest import A, B, C, NA, NB, NP, NQ, P, Q, interp
@@ -235,9 +238,30 @@ class TestProperties:
 
     def test_defeat_contexts_describe_each_rule(self, ex3):
         contexts = defeat_contexts(ex3, E, interp(A, B))
-        assert contexts["r1"].removed == frozenset({B})
-        assert contexts["r1"].effective_context == frozenset({A})
-        assert contexts["r2"].removed == frozenset()
+        assert contexts["r1"] == frozenset({B})
+        assert contexts["r2"] == frozenset()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda op: cpn_op(op, E, "bogus"),
+            lambda op: apn_op(op, E, "bogus"),
+            lambda op: tpn_step(op, E, E, "bogus"),
+            lambda op: preferred_wfs_fixpoint(op, "bogus"),
+            lambda op: preferred_wfs_set(op, "bogus"),
+            lambda op: preferred_wf_model(op, "bogus"),
+            lambda op: wf_model_trace(op, "bogus"),
+            lambda op: defeat_contexts(op, E, E, "bogus"),
+        ],
+        ids=[
+            "cpn_op", "apn_op", "tpn_step", "preferred_wfs_fixpoint",
+            "preferred_wfs_set", "preferred_wf_model", "wf_model_trace",
+            "defeat_contexts",
+        ],
+    )
+    def test_every_entry_point_rejects_an_unknown_variant(self, ex3, call):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            call(ex3)
 
 
 def _consistent(rng, universe):
