@@ -47,11 +47,11 @@ def _fires(
 
     Returns the test ``fires(i)`` and ``grow(lit)``, which tells the test
     that x gained the literal id lit: the test reads x only through hit(x),
-    kept up to date by ``grow`` from its value at the given ``x``.  The rules closed
-    are a bitset over rule positions, ``base & ~defeat_bits``, and
-    ``closed`` holds the closures already made, keyed by that bitset; a
-    closure depends on nothing else, so one cache serves every context y
-    of an alternation.
+    kept up to date by ``grow`` from its value at the given ``x``.  The
+    rules closed are a bitset over rule positions, ``base & ~defeat_bits``,
+    and ``closed`` holds the closures already made, keyed by that bitset; a
+    closure depends on nothing else, so one cache serves every context y of
+    an alternation.
     """
     rules, below, nb_of = op.rules, op.order.below, op.nb_of
     base = 0
