@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
+from io import StringIO
 
 import pytest
 
@@ -181,6 +183,43 @@ class TestTrace:
         )
         payload = json.loads(out)
         assert payload["trace"][0]["defeated"]["r1"] == ["r2"]
+
+
+# The text form of every trace: ``olp solve FILE --mode M --trace``, with
+# and without ``--atoms-only``, for each traced mode over the corpus and a
+# 10-rule chain.  ``trace_texts.json`` holds the standard output of each
+# run.  After an intended change of output, re-record with
+#
+#     PYTHONPATH=src python -m tests.test_cli
+TRACE_TEXTS = ROOT / "tests" / "trace_texts.json"
+TRACE_MODES = ["wfs", "pwfs", "pwfs-simplistic", "brewka", "lfp-ap"]
+
+
+def _trace_texts(workdir) -> dict[str, str]:
+    from olp.oracle import chain_program
+    from olp.parser import render_program
+
+    chain = workdir / "chain10.olp"
+    chain.write_text(render_program(chain_program(10)))
+    paths = {f"corpus-{name}": CORPUS / f"{name}.olp" for name in NAMES}
+    paths["chain10"] = chain
+    texts = {}
+    for name, path in paths.items():
+        for mode in TRACE_MODES:
+            for flags in ([], ["--atoms-only"]):
+                out = StringIO()
+                with redirect_stdout(out):
+                    assert main(["solve", str(path), "--mode", mode, "--trace", *flags]) == 0
+                texts["/".join([name, mode, *flags])] = out.getvalue()
+    return texts
+
+
+def test_text_traces_match_the_recorded_output(tmp_path):
+    recorded = json.loads(TRACE_TEXTS.read_text(encoding="utf-8"))
+    texts = _trace_texts(tmp_path)
+    assert texts.keys() == recorded.keys()
+    for key, text in texts.items():
+        assert text == recorded[key], key
 
 
 class TestBench:
@@ -516,3 +555,14 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("r1: a :- not b.")
+
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as workdir:
+        texts = _trace_texts(Path(workdir))
+    TRACE_TEXTS.write_text(json.dumps(texts, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(texts)} outputs in {TRACE_TEXTS}", file=sys.stderr)
