@@ -14,20 +14,13 @@ import math
 import sys
 import time
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import brewka, classical, preference, prefwfs
 from .fixpoint import FixpointDivergence
 from .oracle import GeneratorConfig, chain_program, check_theorems, generate_program
 from .parser import ParseError, parse_program, render_program
-from .syntax import (
-    Interpretation,
-    Literal,
-    OrderedProgram,
-    PartialModel,
-    ProgramError,
-    mentioned_literals,
-)
+from .syntax import Literal, OrderedProgram, ProgramError, mentioned_literals
 
 __all__ = ["main"]
 
@@ -47,12 +40,15 @@ def _sorted_strs(literals: Iterable[Literal]) -> list[str]:
     return sorted(map(str, literals))
 
 
-def _visible(op: OrderedProgram, atoms_only: bool) -> frozenset[Literal]:
+def _shown(op: OrderedProgram, atoms_only: bool) -> Callable[[Iterable[Literal]], list]:
+    """How a listed set prints: all its literals sorted, or under
+    ``--atoms-only`` without the classically negated literals the program
+    never mentions."""
     if not atoms_only:
-        return op.universe
+        return _sorted_strs
     mentioned = mentioned_literals(op)
-    return frozenset(
-        lit for lit in op.universe if not lit.negated or lit in mentioned
+    return lambda literals: _sorted_strs(
+        lit for lit in literals if not lit.negated or lit in mentioned
     )
 
 
@@ -67,87 +63,63 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _model_payload(
-    mode: str, model: PartialModel, op: OrderedProgram, atoms_only: bool
-) -> dict:
-    visible = _visible(op, atoms_only)
-    return {
-        "mode": mode,
-        "true": _sorted_strs(model.true_set & visible),
-        "false": _sorted_strs(model.false_set & visible),
-        "unknown": _sorted_strs(model.unknown(op.universe) & visible),
-    }
-
-
-def _model_trace(
-    op: OrderedProgram, trace, variant: str | None
-) -> list[dict]:
+def _trace(values: Sequence, extra: Callable[[int, object], dict] | None) -> list[dict]:
+    """The trace entries ``{"step": i, "set": ...}`` of a list of iterates;
+    ``extra(i, value)`` adds a mode's own keys to entry i."""
     entries = []
-    previous: Interpretation | None = None
-    for index, value in trace.steps:
-        entry: dict = {"step": index, "set": _sorted_strs(value.literals)}
-        if variant is not None and previous is not None:
-            context = classical.c_op(op.rules, previous, op.universe)
-            contexts = prefwfs.defeat_contexts(op, value, context, variant)
-            entry["dsets"] = {
-                name: _sorted_strs(removed)
-                for name, removed in sorted(contexts.items())
-            }
+    for i, value in enumerate(values):
+        entry = {"step": i, "set": _sorted_strs(value)}
+        if extra is not None:
+            entry.update(extra(i, value))
         entries.append(entry)
-        previous = value
     return entries
 
 
 def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
-    mode = args.mode
-    if mode in ("wfs", "pwfs", "pwfs-simplistic"):
-        variant = {"wfs": None, "pwfs": "paper", "pwfs-simplistic": "simplistic"}[mode]
-        model, trace = prefwfs.wf_model_trace(op, variant)
-        payload = _model_payload(mode, model, op, args.atoms_only)
-        if args.trace:
-            payload["trace"] = _model_trace(op, trace, variant)
-        return payload
-    visible = _visible(op, args.atoms_only)
+    """The answer of ``args.mode`` and, under ``--trace``, the iterates
+    that reached it."""
+    mode, show = args.mode, _shown(op, args.atoms_only)
+    values, extra = (), None
     if mode in ("as", "pas"):
         if mode == "as":
             sets = classical.answer_sets(op.rules, op.universe)
         else:
             sets = preference.preferred_answer_sets(op)
-        return {
-            "mode": mode,
-            "answer_sets": sorted(_sorted_strs(x.literals & visible) for x in sets),
-        }
-    if mode == "lfp-ap":
+        payload = {"answer_sets": sorted(show(x.literals) for x in sets)}
+    elif mode == "lfp-ap":
         value, trace = preference.lfp_ap_fixpoint(op)
-        payload = {"mode": mode, "set": _sorted_strs(value.literals & visible)}
-        if args.trace:
-            payload["trace"] = [
-                {"step": i, "set": _sorted_strs(v.literals)}
-                for i, v in trace.steps
-            ]
-        return payload
-    if mode == "brewka":
-        iterates = brewka.brewka_wf_iterates(op)
-        payload = {"mode": mode, "wfset": _sorted_strs(iterates[-1])}
-        if args.trace:
-            entries = []
-            for index, value in enumerate(iterates):
-                entries.append(
-                    {
-                        "step": index,
-                        "set": _sorted_strs(value),
-                        "defeated": {
-                            r.name: sorted(
-                                d.name
-                                for d in brewka.defeated_rules(op, r, value)
-                            )
-                            for r in op.rules
-                        },
-                    }
-                )
-            payload["trace"] = entries
-        return payload
-    raise ValueError(f"unknown mode {mode!r}")
+        payload, values = {"set": show(value.literals)}, trace.values()
+    elif mode == "brewka":
+        values = brewka.brewka_wf_iterates(op)
+        payload = {"wfset": show(values[-1])}
+
+        def extra(i, value):
+            return {"defeated": {
+                r.name: sorted(d.name for d in brewka.defeated_rules(op, r, value))
+                for r in op.rules
+            }}
+    else:
+        variant = {"wfs": None, "pwfs": "paper", "pwfs-simplistic": "simplistic"}[mode]
+        model, trace = prefwfs.wf_model_trace(op, variant)
+        payload = {
+            "true": show(model.true_set),
+            "false": show(model.false_set),
+            "unknown": show(model.unknown(op.universe)),
+        }
+        values = trace.values()
+        if variant is not None:
+
+            def extra(i, value):
+                # Removal sets at (value, c_op of the previous iterate).
+                if not i:
+                    return {}
+                context = classical.c_op(op.rules, values[i - 1], op.universe)
+                removed = prefwfs.defeat_contexts(op, value, context, variant)
+                return {"dsets": {name: _sorted_strs(removed[name]) for name in sorted(removed)}}
+    payload["mode"] = mode
+    if args.trace and values:
+        payload["trace"] = _trace(values, extra)
+    return payload
 
 
 def _print_solve_text(payload: dict) -> None:
@@ -250,10 +222,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         cfg = replace(base, seed=args.seed + i)
         report = check_theorems(generate_program(cfg), seed=cfg.seed)
         failures += len(report.failures)
-        for line in report.json_lines():
-            if args.failures_only and '"status": "pass"' in line:
-                continue
-            print(line)
+        for result, line in zip(report.results, report.json_lines()):
+            if not args.failures_only or result.status == "fail":
+                print(line)
     print(
         f"fuzz: {args.count} programs, {failures} invariant failures",
         file=sys.stderr,

@@ -24,11 +24,13 @@ from .syntax import (
     Interpretation,
     Literal,
     OrderedProgram,
+    PartialModel,
     ProgramError,
     Rule,
     bits_of,
     is_consistent,
     pos,
+    program,
     validate_order,
 )
 
@@ -180,7 +182,7 @@ def generate_program(cfg: GeneratorConfig) -> OrderedProgram:
         except ProgramError:
             continue
         pairs.add(pair)
-    return OrderedProgram(tuple(rules), validate_order(pairs, rules))
+    return program(rules, pairs)
 
 
 def chain_program(n: int) -> OrderedProgram:
@@ -197,8 +199,7 @@ def chain_program(n: int) -> OrderedProgram:
         )
         for i in range(1, n + 1)
     )
-    pairs = {(f"r{i + 1}", f"r{i}") for i in range(1, n)}
-    return OrderedProgram(rules, validate_order(pairs, rules))
+    return program(rules, {(f"r{i + 1}", f"r{i}") for i in range(1, n)})
 
 
 @dataclass(frozen=True)
@@ -303,9 +304,10 @@ def _counterexample(cases: Iterable[tuple]) -> tuple | None:
     return next((case for case in cases if case[0] != case[1]), None)
 
 
-def _show(value: Interpretation | frozenset[Literal]) -> str:
-    """An interpretation as ``str`` gives it; a raw literal set the same way."""
-    if isinstance(value, Interpretation):
+def _show(value: Interpretation | PartialModel | frozenset[Literal]) -> str:
+    """An interpretation or a model as ``str`` gives it; a raw literal set
+    the way an interpretation prints."""
+    if isinstance(value, (Interpretation, PartialModel)):
         return str(value)
     return "{" + ", ".join(sorted(map(str, value))) + "}"
 
@@ -434,15 +436,13 @@ def check_theorems(
         (classical.cn(basic, universe), oracle_cn(basic, universe)) for basic in basics
     ))
 
-    battery.check(
-        "answer-sets-are-alternating-fixpoints",
-        all(classical.a_op(rules, x, universe) == x for x in engine_as),
-    )
+    battery.agree("answer-sets-are-alternating-fixpoints", (
+        (classical.a_op(rules, x, universe), x) for x in engine_as
+    ))
     wfs_model = classical.well_founded_model(rules, universe)
-    battery.check(
-        "wfs-approximates-answer-sets",
-        all(wfs_model.true_set <= x.literals for x in engine_as),
-    )
+    battery.agree("wfs-approximates-answer-sets", (
+        (wfs_model.true_set & x.literals, wfs_model.true_set) for x in engine_as
+    ))
 
     # ``preferred_answer_sets`` filters the answer-set search, so the subset
     # theorem is checked on the fixpoints of cp_op over the whole candidate
@@ -464,10 +464,9 @@ def check_theorems(
         f"enumeration {sorted(map(str, enumerated))}",
     )
     wf_set = preference.lfp_ap(op)
-    battery.check(
-        "lfp-ap-approximates-preferred",
-        all(wf_set.issubset(z) for z in preferred),
-    )
+    battery.agree("lfp-ap-approximates-preferred", (
+        (wf_set.literals & z.literals, wf_set.literals) for z in preferred
+    ))
     two_valued = wf_set.literals | (
         universe - preference.cp_op(op, wf_set).literals
     ) == universe
@@ -482,10 +481,9 @@ def check_theorems(
 
     # Standard versus preferred well-founded models.
     pwfs_model = prefwfs.preferred_wf_model(op)
-    battery.check(
-        "pwfs-model-disjoint",
-        not (pwfs_model.true_set & pwfs_model.false_set),
-    )
+    battery.agree("pwfs-model-disjoint", [
+        (pwfs_model.true_set & pwfs_model.false_set, frozenset())
+    ])
     battery.check(
         "thm3-inclusions",
         wfs_model.true_set <= pwfs_model.true_set
@@ -509,10 +507,9 @@ def check_theorems(
         for value in wf_trace.values()
     )
     if stripped_alternation_consistent:
-        battery.check(
-            "thm3-empty-order-equality",
-            prefwfs.preferred_wf_model(plain) == wfs_model,
-        )
+        battery.agree("thm3-empty-order-equality", [
+            (prefwfs.preferred_wf_model(plain), wfs_model)
+        ])
     else:
         battery.skip(
             "thm3-empty-order-equality",
@@ -557,10 +554,9 @@ def check_theorems(
     iterates = brewka.brewka_wf_iterates(plain)
     contexts = [brewka.c_star(rules, v) for v in iterates]
     if all(map(is_consistent, iterates)) and all(map(is_consistent, contexts)):
-        battery.check(
-            "brewka-empty-order-standard",
-            brewka.brewka_wf_set(plain) == wfs_model.true_set,
-        )
+        battery.agree("brewka-empty-order-standard", [
+            (brewka.brewka_wf_set(plain), wfs_model.true_set)
+        ])
     else:
         battery.skip("brewka-empty-order-standard", "inconsistent iterate")
 

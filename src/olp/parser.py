@@ -32,7 +32,7 @@ from .syntax import (
     ProgramError,
     Rule,
     UnknownRuleError,
-    interned_literal,
+    pos,
     validate_order,
 )
 
@@ -176,7 +176,7 @@ def _parse_words(text: str, words: list[str]) -> OrderedProgram:
                 raise _expected(text, words, i, "an atom")
             pair = literals.get(atom)
             if pair is None:
-                positive = interned_literal(atom)
+                positive = pos(atom)
                 pair = literals[atom] = (positive, positive.complement())
             lit = pair[negated]
             if head is None:
@@ -239,6 +239,4 @@ def render_program(p: OrderedProgram) -> str:
     Every rule is rendered with its name; body literals are sorted, positive
     elements first.  ``parse_program(render_program(p))`` reproduces p.
     """
-    lines = [str(r) for r in p.rules]
-    lines += [f"{a} < {b}." for a, b in sorted(p.order.generators)]
-    return "".join(line + "\n" for line in lines)
+    return f"{p}\n" if p.rules else ""

@@ -116,7 +116,8 @@ def defeated_rules(
 ) -> tuple[Rule, ...]:
     """The rules strictly below r that r defeats at state x (an
     interpretation or a raw literal set), in rule order."""
-    bits = defeat_bits(op, op.order.position[r.name], hit_bits(op, bits_of(x)))
+    xs = x.bits if isinstance(x, Interpretation) else bits_of(x)
+    bits = defeat_bits(op, op.order.position[r.name], hit_bits(op, xs))
     return tuple(op.rules[j] for j in bit_positions(bits))
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "UnknownRuleError",
     "DuplicateRuleError",
     "complement",
-    "interned_literal",
     "literal_universe",
     "mentioned_literals",
     "index_rules",
@@ -198,7 +197,7 @@ _set_hash = Literal._hash.__set__
 _set_complement = Literal._complement.__set__
 
 
-def interned_literal(name: str) -> Literal:
+def pos(name: str) -> Literal:
     """The positive literal of the atom ``name`` that stands for its id in
     this process (its cached complement is the negated one); built, and the
     name checked, only on first sight."""
@@ -207,12 +206,8 @@ def interned_literal(name: str) -> Literal:
     return Literal(Atom(name)) if lit is None else lit
 
 
-def pos(name: str) -> Literal:
-    return interned_literal(name)
-
-
 def neg(name: str) -> Literal:
-    return interned_literal(name).complement()
+    return pos(name).complement()
 
 
 def complement(lit: Literal) -> Literal:

@@ -544,6 +544,30 @@ class TestFuzz:
             assert record["status"] in ("pass", "skip")
         assert "3 programs" in err
 
+    def test_failures_only_prints_nothing_without_a_failure(self, capsys):
+        code, out, _ = run(capsys, "fuzz", "--count", "3", "--failures-only")
+        assert (code, out) == (0, "")
+
+    def test_failures_only_prints_exactly_the_failing_records(self, capsys, monkeypatch):
+        from olp import cli
+        from olp.oracle import CheckResult, TheoremReport
+
+        results = (
+            CheckResult("a-pass", "pass"),
+            CheckResult("a-fail", "fail", "{a} vs {}"),
+            CheckResult("a-skip", "skip", "no case"),
+            CheckResult("another-fail", "fail"),
+        )
+        report = TheoremReport(7, "0123456789ab", results)
+        monkeypatch.setattr(cli, "check_theorems", lambda op, seed: report)
+        code, out, err = run(capsys, "fuzz", "--count", "2", "--failures-only")
+        fail_lines = [
+            line for line in report.json_lines() if json.loads(line)["status"] == "fail"
+        ]
+        assert code == 1
+        assert out.splitlines() == fail_lines * 2
+        assert "4 invariant failures" in err
+
 
 class TestConsoleScript:
     def test_entry_point_runs(self):

@@ -19,6 +19,7 @@ from olp.syntax import (
     Atom,
     Interpretation,
     Literal,
+    PartialModel,
     literal_universe,
     rule,
     validate_order,
@@ -191,3 +192,50 @@ def test_raw_set_counterexamples_do_not_depend_on_the_hash_seed():
         details.append(done.stdout)
     assert details[0] == details[1]
     assert details[0].strip() and " -> {" in details[0] and "frozenset(" not in details[0]
+
+
+def _overlapping_model():
+    """A model whose true and false sets share a, built past the overlap
+    check of ``PartialModel``."""
+    model = object.__new__(PartialModel)
+    object.__setattr__(model, "true_set", frozenset({A}))
+    object.__setattr__(model, "false_set", frozenset({A}))
+    return model
+
+
+# Each invariant fails on the fact ``r1: a.`` once the value it reads is
+# replaced, and its counterexample shows ``got vs expected``.
+BROKEN_READS = [
+    ("answer-sets-are-alternating-fixpoints", "classical", "a_op",
+     lambda rules, x, universe: Interpretation.empty(), "{} vs {a}"),
+    ("wfs-approximates-answer-sets", "classical", "answer_sets",
+     lambda rules, universe: frozenset({Interpretation.empty()}), "{} vs {a}"),
+    ("lfp-ap-approximates-preferred", "preference", "preferred_answer_sets",
+     lambda op: frozenset({Interpretation.empty()}), "{} vs {a}"),
+    ("pwfs-model-disjoint", "prefwfs", "preferred_wf_model",
+     lambda op, variant="paper": _overlapping_model(), "{a} vs {}"),
+    ("thm3-empty-order-equality", "prefwfs", "preferred_wf_model",
+     lambda op, variant="paper": PartialModel(frozenset(), frozenset()),
+     "({}, {}) vs ({a}, {-a})"),
+    ("brewka-empty-order-standard", "brewka", "brewka_wf_set",
+     lambda op: frozenset(), "{} vs {a}"),
+]
+
+
+@pytest.mark.parametrize(
+    "invariant, module, name, replacement, detail",
+    BROKEN_READS,
+    ids=[row[0] for row in BROKEN_READS],
+)
+def test_a_failing_invariant_shows_its_counterexample(
+    monkeypatch, invariant, module, name, replacement, detail
+):
+    import importlib
+
+    from olp.parser import parse_program
+
+    op = parse_program("r1: a.\n")
+    assert check_theorems(op).ok
+    monkeypatch.setattr(importlib.import_module(f"olp.{module}"), name, replacement)
+    [result] = [r for r in check_theorems(op).results if r.invariant == invariant]
+    assert (result.status, result.detail) == ("fail", detail)
