@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from olp import brewka, classical, preference, prefwfs
 from olp.classical import answer_sets, cn, reduct
 from olp.oracle import (
     GeneratorConfig,
@@ -206,18 +207,18 @@ def _overlapping_model():
 # Each invariant fails on the fact ``r1: a.`` once the value it reads is
 # replaced, and its counterexample shows ``got vs expected``.
 BROKEN_READS = [
-    ("answer-sets-are-alternating-fixpoints", "classical", "a_op",
+    ("answer-sets-are-alternating-fixpoints", classical, "a_op",
      lambda rules, x, universe: Interpretation.empty(), "{} vs {a}"),
-    ("wfs-approximates-answer-sets", "classical", "answer_sets",
+    ("wfs-approximates-answer-sets", classical, "answer_sets",
      lambda rules, universe: frozenset({Interpretation.empty()}), "{} vs {a}"),
-    ("lfp-ap-approximates-preferred", "preference", "preferred_answer_sets",
+    ("lfp-ap-approximates-preferred", preference, "preferred_answer_sets",
      lambda op: frozenset({Interpretation.empty()}), "{} vs {a}"),
-    ("pwfs-model-disjoint", "prefwfs", "preferred_wf_model",
+    ("pwfs-model-disjoint", prefwfs, "preferred_wf_model",
      lambda op, variant="paper": _overlapping_model(), "{a} vs {}"),
-    ("thm3-empty-order-equality", "prefwfs", "preferred_wf_model",
+    ("thm3-empty-order-equality", prefwfs, "preferred_wf_model",
      lambda op, variant="paper": PartialModel(frozenset(), frozenset()),
      "({}, {}) vs ({a}, {-a})"),
-    ("brewka-empty-order-standard", "brewka", "brewka_wf_set",
+    ("brewka-empty-order-standard", brewka, "brewka_wf_set",
      lambda op: frozenset(), "{} vs {a}"),
 ]
 
@@ -230,12 +231,10 @@ BROKEN_READS = [
 def test_a_failing_invariant_shows_its_counterexample(
     monkeypatch, invariant, module, name, replacement, detail
 ):
-    import importlib
-
     from olp.parser import parse_program
 
     op = parse_program("r1: a.\n")
     assert check_theorems(op).ok
-    monkeypatch.setattr(importlib.import_module(f"olp.{module}"), name, replacement)
+    monkeypatch.setattr(module, name, replacement)
     [result] = [r for r in check_theorems(op).results if r.invariant == invariant]
     assert (result.status, result.detail) == ("fail", detail)

@@ -41,6 +41,17 @@ class TestDefeats:
         assert not defeats(r1, r2, E)
         assert defeats(r1, r2, interp(C))
 
+    def test_defeated_rules_read_an_interpretations_bits(self, ex4, monkeypatch):
+        from olp import prefwfs
+
+        r1, r2 = ex4.rules
+        assert prefwfs.defeated_rules(ex4, r1, frozenset({C})) == (r2,)
+        # A value built from bits is read as bits, never decoded and encoded.
+        x = Interpretation.from_bits(1 << C.id, ex4.universe)
+        monkeypatch.setattr(prefwfs, "bits_of", None)
+        assert prefwfs.defeated_rules(ex4, r1, x) == (r2,)
+        assert prefwfs.defeated_rules(ex4, r1, E) == ()
+
 
 class TestDSet:
     def test_higher_rule_discards_the_defeated_lower_head(self, ex3):
