@@ -18,7 +18,7 @@ from .classical import (
     well_founded_fixpoint,
     well_founded_model,
 )
-from .fixpoint import FixpointDivergence, FixpointTrace
+from .fixpoint import FixpointDivergence
 from .oracle import (
     GeneratorConfig,
     UniverseTooLarge,

@@ -54,10 +54,8 @@ def _fires(
     an alternation.
     """
     rules, below, nb_of = op.rules, op.order.below, op.nb_of
-    base = 0
-    for i, r in enumerate(rules):
-        if not r.nmask & y:
-            base |= 1 << i
+    # The reduct's rules: those whose negative body misses y, i.e. not hit(y).
+    base = (1 << len(rules)) - 1 & ~hit_bits(op, y)
     hit = hit_bits(op, x)
 
     def grow(lit):

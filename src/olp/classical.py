@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .fixpoint import FixpointTrace, kleene_trace
+from .fixpoint import kleene_trace
 from .syntax import (
     Interpretation,
     Literal,
@@ -384,8 +384,8 @@ def answer_sets(
 
 def well_founded_fixpoint(
     rules: Sequence[Rule], universe: frozenset[Literal]
-) -> tuple[Interpretation, FixpointTrace]:
-    """Least fixpoint of the alternating operator, with its trace.
+) -> tuple[Interpretation, list[Interpretation]]:
+    """Least fixpoint of the alternating operator, with its iterates.
 
     Each half of ``a_op`` is a live closure: the inner one follows the
     growing iterates, the outer one the shrinking contexts they support, so

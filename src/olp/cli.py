@@ -20,7 +20,9 @@ from . import brewka, classical, preference, prefwfs
 from .fixpoint import FixpointDivergence
 from .oracle import GeneratorConfig, chain_program, check_theorems, generate_program
 from .parser import ParseError, parse_program, render_program
-from .syntax import Literal, OrderedProgram, ProgramError, mentioned_literals
+from .syntax import (
+    Literal, OrderedProgram, ProgramError, bit_positions, bits_of, mentioned_literals
+)
 
 __all__ = ["main"]
 
@@ -87,26 +89,26 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
             sets = preference.preferred_answer_sets(op)
         payload = {"answer_sets": sorted(show(x.literals) for x in sets)}
     elif mode == "lfp-ap":
-        value, trace = preference.lfp_ap_fixpoint(op)
-        payload, values = {"set": show(value.literals)}, trace.values()
+        value, values = preference.lfp_ap_fixpoint(op)
+        payload = {"set": show(value.literals)}
     elif mode == "brewka":
         values = brewka.brewka_wf_iterates(op)
         payload = {"wfset": show(values[-1])}
 
         def extra(i, value):
+            hit, names = prefwfs.hit_bits(op, bits_of(value)), [r.name for r in op.rules]
             return {"defeated": {
-                r.name: sorted(d.name for d in brewka.defeated_rules(op, r, value))
-                for r in op.rules
+                name: sorted(names[j] for j in bit_positions(prefwfs.defeat_bits(op, k, hit)))
+                for k, name in enumerate(names)
             }}
     else:
         variant = {"wfs": None, "pwfs": "paper", "pwfs-simplistic": "simplistic"}[mode]
-        model, trace = prefwfs.wf_model_trace(op, variant)
+        model, values = prefwfs.wf_model_trace(op, variant)
         payload = {
             "true": show(model.true_set),
             "false": show(model.false_set),
             "unknown": show(model.unknown(op.universe)),
         }
-        values = trace.values()
         if variant is not None:
 
             def extra(i, value):
@@ -160,17 +162,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _fit_exponent(sizes: Sequence[int], times: Sequence[float]) -> float | None:
-    points = [
-        (math.log(n), math.log(t)) for n, t in zip(sizes, times) if t > 0
-    ]
-    if len(points) < 2:
+    """The least-squares slope of log time over log size, or None without
+    two points at distinct sizes."""
+    import statistics  # with decimal and fractions, ~5 ms that only `olp bench` needs
+    points = [(math.log(n), math.log(t)) for n, t in zip(sizes, times) if t > 0]
+    try:
+        return statistics.linear_regression([x for x, _ in points], [y for _, y in points]).slope
+    except statistics.StatisticsError:
         return None
-    mean_x = sum(x for x, _ in points) / len(points)
-    mean_y = sum(y for _, y in points) / len(points)
-    denom = sum((x - mean_x) ** 2 for x, _ in points)
-    if denom == 0:
-        return None
-    return sum((x - mean_x) * (y - mean_y) for x, y in points) / denom
 
 
 def _sizes(text: str) -> list[int]:

@@ -10,13 +10,11 @@ rule at most once per call and need no cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from .syntax import Interpretation, Literal
 
 __all__ = [
-    "FixpointTrace",
     "FixpointDivergence",
     "kleene",
     "kleene_trace",
@@ -45,17 +43,6 @@ class FixpointDivergence(RuntimeError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class FixpointTrace:
-    """The iterates of a fixpoint computation, ending in a repeated value."""
-
-    steps: tuple[tuple[int, Interpretation], ...]
-    converged_at: int
-
-    def values(self) -> tuple[Interpretation, ...]:
-        return tuple(v for _, v in self.steps)
-
-
 def kleene(
     step: Callable[[T], T],
     start: T,
@@ -80,11 +67,10 @@ def kleene_trace(
     step: Callable[[Interpretation], Interpretation],
     universe: frozenset[Literal],
     what: str = "fixpoint",
-) -> tuple[Interpretation, FixpointTrace]:
-    """Least fixpoint of a monotone step from the empty interpretation."""
-    value, values = kleene(step, Interpretation.empty(), len(universe) + 1, what)
-    steps = tuple(enumerate(values))
-    return value, FixpointTrace(steps, converged_at=len(values) - 1)
+) -> tuple[Interpretation, list[Interpretation]]:
+    """Least fixpoint of a monotone step from the empty interpretation, and
+    its iterates, the last a repeat."""
+    return kleene(step, Interpretation.empty(), len(universe) + 1, what)
 
 
 def iterate_union(
@@ -95,5 +81,4 @@ def iterate_union(
     The step operators used here are monotone and inflationary from the
     empty set, so the union equals the final iterate.
     """
-    value, _ = kleene(step, Interpretation.empty(), len(universe) + 1, "consequence closure")
-    return value
+    return kleene(step, Interpretation.empty(), len(universe) + 1, "consequence closure")[0]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .classical import Fires, answer_sets, derive, fire_step
-from .fixpoint import FixpointTrace, kleene_trace
+from .fixpoint import kleene_trace
 from .syntax import Interpretation, OrderedProgram, bit_positions, supporting_rules
 
 __all__ = [
@@ -93,7 +93,7 @@ def preferred_answer_sets(op: OrderedProgram) -> frozenset[Interpretation]:
     )
 
 
-def lfp_ap_fixpoint(op: OrderedProgram) -> tuple[Interpretation, FixpointTrace]:
+def lfp_ap_fixpoint(op: OrderedProgram) -> tuple[Interpretation, list[Interpretation]]:
     return kleene_trace(
         lambda x: ap_op(op, x), op.universe, "alternating fixpoint"
     )
@@ -101,5 +101,4 @@ def lfp_ap_fixpoint(op: OrderedProgram) -> tuple[Interpretation, FixpointTrace]:
 
 def lfp_ap(op: OrderedProgram) -> Interpretation:
     """Least fixpoint of ap_op by iteration from the empty set."""
-    value, _ = lfp_ap_fixpoint(op)
-    return value
+    return lfp_ap_fixpoint(op)[0]

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Callable
 
 from . import classical
-from .fixpoint import FixpointTrace, kleene_trace
+from .fixpoint import kleene_trace
 from .syntax import (
     Interpretation,
     Literal,
@@ -237,8 +237,8 @@ def apn_op(
 
 def preferred_wfs_fixpoint(
     op: OrderedProgram, variant: str = VARIANT_PAPER
-) -> tuple[Interpretation, FixpointTrace]:
-    """Least fixpoint of apn_op, with its trace; the classical half of each
+) -> tuple[Interpretation, list[Interpretation]]:
+    """Least fixpoint of apn_op, with its iterates; the classical half of each
     step is one live closure that follows the growing iterates."""
     supported = classical.LiveClosure(op.rules, op.universe, index=op.rule_index)
     return kleene_trace(
@@ -252,8 +252,7 @@ def preferred_wfs_set(
     op: OrderedProgram, variant: str = VARIANT_PAPER
 ) -> Interpretation:
     """Least fixpoint of apn_op by iteration from the empty set."""
-    value, _ = preferred_wfs_fixpoint(op, variant)
-    return value
+    return preferred_wfs_fixpoint(op, variant)[0]
 
 
 def preferred_wf_model(
@@ -265,9 +264,9 @@ def preferred_wf_model(
 
 def wf_model_trace(
     op: OrderedProgram, variant: str | None
-) -> tuple[PartialModel, FixpointTrace]:
+) -> tuple[PartialModel, list[Interpretation]]:
     """The standard (variant None) or preferred well-founded model of op,
-    with the trace of its fixpoint.
+    with the iterates of its fixpoint.
 
     Falsity is judged against the classical consequences, except for the
     simplistic variant: it can make heads true that the classical operator
@@ -275,14 +274,14 @@ def wf_model_trace(
     operator; otherwise the model would not stay disjoint.
     """
     if variant is None:
-        lfp, trace = classical.well_founded_fixpoint(op.rules, op.universe)
+        lfp, iterates = classical.well_founded_fixpoint(op.rules, op.universe)
     else:
-        lfp, trace = preferred_wfs_fixpoint(op, variant)
+        lfp, iterates = preferred_wfs_fixpoint(op, variant)
     if variant == VARIANT_SIMPLISTIC:
         supported = cpn_op(op, lfp, variant)
     else:
         supported = classical.c_op(op.rules, lfp, op.universe)
-    return PartialModel.from_fixpoint(lfp, supported, op.universe), trace
+    return PartialModel.from_fixpoint(lfp, supported, op.universe), iterates
 
 
 def defeat_contexts(

@@ -234,6 +234,21 @@ class TestBench:
         assert code == 0
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "sizes, times",
+        [((), ()), ((10,), (1.0,)), ((10, 10), (1.0, 2.0)), ((10, 20), (0.0, 1.0))],
+        ids=["no-point", "one-size", "repeated-size", "one-positive-time"],
+    )
+    def test_exponent_needs_two_distinct_sizes(self, sizes, times):
+        from olp.cli import _fit_exponent
+
+        assert _fit_exponent(sizes, times) is None
+
+    def test_exponent_is_the_log_log_slope(self):
+        from olp.cli import _fit_exponent
+
+        assert _fit_exponent((10, 20), (1.0, 8.0)) == pytest.approx(3.0)
+
 
 class TestSolveErrors:
     def test_parse_error_exits_one(self, capsys, tmp_path):
@@ -499,6 +514,17 @@ class TestDefeatSetsScale:
         code, out, _ = run(capsys, "solve", str(chain200), "--mode", mode, "--json")
         assert code == 0 and json.loads(out)["mode"] == mode
         assert calls == {}
+
+    def test_brewka_trace_computes_hit_once_per_step(self, capsys, monkeypatch, chain200):
+        from olp import prefwfs
+
+        calls = _count_every_binding(monkeypatch, ("hit_bits",), source=prefwfs)
+        argv = ["solve", str(chain200), "--mode", "brewka", "--json"]
+        assert run(capsys, *argv)[0] == 0
+        untraced = calls.pop("hit_bits")
+        code, out, _ = run(capsys, *argv, "--trace")
+        assert code == 0
+        assert calls["hit_bits"] <= untraced + len(json.loads(out)["trace"])
 
     def test_no_tuple_views_of_the_order(self):
         from olp import brewka, prefwfs

@@ -205,7 +205,7 @@ def _overlapping_model():
 
 
 # Each invariant fails on the fact ``r1: a.`` once the value it reads is
-# replaced, and its counterexample shows ``got vs expected``.
+# replaced, and its counterexample shows ``where -> ... -> got vs expected``.
 BROKEN_READS = [
     ("answer-sets-are-alternating-fixpoints", classical, "a_op",
      lambda rules, x, universe: Interpretation.empty(), "{} vs {a}"),
@@ -220,6 +220,24 @@ BROKEN_READS = [
      "({}, {}) vs ({a}, {-a})"),
     ("brewka-empty-order-standard", brewka, "brewka_wf_set",
      lambda op: frozenset(), "{} vs {a}"),
+    ("answer-sets-oracle-agreement", classical, "answer_sets",
+     lambda rules, universe: frozenset(), "{} vs {{a}}"),
+    ("preferred-subset-of-answer-sets", classical, "answer_sets",
+     lambda rules, universe: frozenset(), "{{a}} vs {}"),
+    ("preferred-search-matches-enumeration", preference, "preferred_answer_sets",
+     lambda op: frozenset(), "{} vs {{a}}"),
+    ("two-valued-unique-preferred", preference, "preferred_answer_sets",
+     lambda op: frozenset(), "{} vs {{a}}"),
+    ("thm3-inclusions", prefwfs, "preferred_wf_model",
+     lambda op, variant="paper": PartialModel(frozenset(), frozenset()),
+     "true -> {a} vs {}"),
+    ("thm4-approximation", prefwfs, "preferred_wf_model",
+     lambda op, variant="paper": PartialModel(frozenset(), frozenset({A})),
+     "{a} -> false -> {a} vs {}"),
+    ("defeat-bits-agree", prefwfs, "defeated_rules",
+     lambda op, r, x: (r,), "{a} -> r1 -> {r1} vs {}"),
+    ("c-op-routes-agree", classical, "t_step",
+     lambda rules, y, x, universe: Interpretation.empty(), "{a} -> {} vs {a}"),
 ]
 
 
@@ -236,5 +254,8 @@ def test_a_failing_invariant_shows_its_counterexample(
     op = parse_program("r1: a.\n")
     assert check_theorems(op).ok
     monkeypatch.setattr(module, name, replacement)
-    [result] = [r for r in check_theorems(op).results if r.invariant == invariant]
+    report = check_theorems(op)
+    [result] = [r for r in report.results if r.invariant == invariant]
     assert (result.status, result.detail) == ("fail", detail)
+    # A counterexample prints sets as an interpretation does, never by repr.
+    assert not [r.detail for r in report.failures if "frozenset(" in r.detail]
