@@ -15,15 +15,23 @@ alternating operator.
 The rules a test closes are a bitset over rule positions, the reduct's
 rules minus the defeat set ``prefwfs.defeat_bits``; it keys the closure
 cache, whose values are literal bitsets, so a test closes a rule set only
-the first time it meets it.  The public functions take and return literal
-sets; everything between is bits.
+the first time it meets it.  A miss does not close the set from scratch:
+one ``classical.LiveClosure`` is moved from the last set closed to the new
+one (``within``), which costs the rules that left or joined and what they
+supported.  The closures visit the rules lowest first, against the
+order's ``highest_first`` list: a rule is freed by defeating rules below
+it, which have then been tested, and on a chain the keys met one after
+another differ by about one rule.  ``t_star_step`` closes
+every key from scratch with ``derive``, so the battery's routes compare
+the two.  The public functions take and return literal sets; everything
+between is bits.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .classical import Fires, c_star, cl, derive
+from .classical import Fires, LiveClosure, c_star, cl, derive
 from .fixpoint import kleene
 from .prefwfs import defeat_bits, defeated_rules, hit_bits
 from .syntax import Literal, OrderedProgram, bit_positions, bits_of, literals_of
@@ -34,13 +42,36 @@ __all__ = [
     "defeated_rules",
     "t_star_step",
     "c_star_pref",
+    "moving_closure",
     "brewka_wf_set",
     "brewka_wf_iterates",
 ]
 
 
+Close = Callable[[int], int]  # close(rule bitset) -> literal bitset
+
+
+def _cached(close: Close) -> Close:
+    """``close``, remembering its value for each rule set."""
+    closed: dict[int, int] = {}
+
+    def cached(key):
+        context = closed.get(key)
+        if context is None:
+            context = closed[key] = close(key)
+        return context
+
+    return cached
+
+
+def moving_closure(op: OrderedProgram) -> Close:
+    """The closures of rule sets, cached by set; a miss moves one live
+    closure from the last set to the new one."""
+    return _cached(LiveClosure(op.rules, op.universe, index=op.rule_index).within)
+
+
 def _fires(
-    op: OrderedProgram, y: int, closed: dict[int, int], x: int = 0
+    op: OrderedProgram, y: int, close: Close, x: int = 0
 ) -> tuple[Fires, Callable[[int], None]]:
     """Rule i fires at x when nbody(i) misses cl(reduct(rules, y)) without
     the reducts of the rules i defeats at x; x and y are bitsets.
@@ -49,9 +80,9 @@ def _fires(
     that x gained the literal id lit: the test reads x only through hit(x),
     kept up to date by ``grow`` from its value at the given ``x``.  The
     rules closed are a bitset over rule positions, ``base & ~defeat_bits``,
-    and ``closed`` holds the closures already made, keyed by that bitset; a
-    closure depends on nothing else, so one cache serves every context y of
-    an alternation.
+    and ``close`` gives their closure (never reading a negative body); a
+    closure depends on nothing else, so one ``close`` serves every context
+    y of an alternation.
     """
     rules, below, nb_of = op.rules, op.order.below, op.nb_of
     # The reduct's rules: those whose negative body misses y, i.e. not hit(y).
@@ -64,11 +95,7 @@ def _fires(
 
     def fires(i):
         key = base & ~defeat_bits(op, i, hit) if below[i] else base
-        context = closed.get(key)
-        if context is None:
-            # The closure of the reducts: derive never reads a negative body.
-            context = closed[key] = derive([rules[j] for j in bit_positions(key)])
-        return not rules[i].nmask & context
+        return not rules[i].nmask & close(key)
 
     return fires, grow
 
@@ -76,27 +103,37 @@ def _fires(
 def t_star_step(
     op: OrderedProgram, y: frozenset[Literal], x: frozenset[Literal]
 ) -> frozenset[Literal]:
-    """One derivation step against defeat-pruned reduct closures."""
-    xs = bits_of(x)
-    fires, _ = _fires(op, bits_of(y), {}, xs)
+    """One derivation step against defeat-pruned reduct closures, each
+    closed from scratch."""
+    xs, rules = bits_of(x), op.rules
+    close = _cached(lambda key: derive([rules[j] for j in bit_positions(key)]))
+    fires, _ = _fires(op, bits_of(y), close, xs)
     return frozenset(
-        r.head for i, r in enumerate(op.rules) if r.pmask & xs == r.pmask and fires(i)
+        r.head for i, r in enumerate(rules) if r.pmask & xs == r.pmask and fires(i)
     )
 
 
-def c_star_pref(op: OrderedProgram, y: frozenset[Literal]) -> frozenset[Literal]:
-    """Least raw set closed under the t_star_step firing test."""
-    return literals_of(derive(op.rules, *_fires(op, bits_of(y), {})))
+def c_star_pref(
+    op: OrderedProgram, y: frozenset[Literal], close: Close | None = None
+) -> frozenset[Literal]:
+    """Least raw set closed under the t_star_step firing test, the rules
+    visited lowest first.
+
+    ``close`` is a ``moving_closure(op)`` to reuse across calls; by
+    default each call makes its own.
+    """
+    fires = _fires(op, bits_of(y), close or moving_closure(op))
+    return literals_of(derive(op.rules, *fires, op.order.highest_first[::-1]))
 
 
 def brewka_wf_iterates(op: OrderedProgram) -> list[frozenset[Literal]]:
     """Iterates of the fused alternating operator, ending in a repeat.
 
-    Every step shares one cache of closed rule sets.
+    Every step shares one cache of closed rule sets and one moving closure.
     """
-    closed: dict[int, int] = {}
+    close = moving_closure(op)
     _, values = kleene(
-        lambda x: literals_of(derive(op.rules, *_fires(op, bits_of(x), closed))),
+        lambda x: c_star_pref(op, x, close),
         frozenset(),
         len(op.universe) + 1,
         "paraconsistent well-founded fixpoint",

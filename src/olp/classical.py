@@ -75,21 +75,26 @@ def derive(
     rules: Sequence[Rule],
     fires: Fires | None = None,
     grow: Callable[[int], None] | None = None,
+    order: Sequence[int] = (),
 ) -> int:
     """Least raw set, as bits, closed under the rules that fire; no
     consistency collapse.
 
     A rule adds its head once its positive body is derived and ``fires(i)``
     holds, i being its position in ``rules`` (no test means it always
-    holds).  Rule order is irrelevant provided ``fires`` stays true as the
-    derived set grows.  A pass re-tests only the rules that have not fired,
-    and every pass but the last fires one, so the loop ends within
-    ``len(rules) + 1`` passes.  ``grow(head)``, when given, is
-    called with the id of each head added, so a firing test can keep its
-    own view of the derived set up to date.
+    holds).  The first pass visits the positions in ``order`` (all of
+    them, or none for rule order).  Any order gives the same least set,
+    because every firing test stays true as the derived set grows; the
+    order only decides how many passes it takes: visited along the
+    preference order that the test reads, a rule is tested after the rules
+    that can hold it back.  A pass re-tests only the rules that have not
+    fired, and every pass but the last fires one, so the loop ends within
+    ``len(rules) + 1`` passes.  ``grow(head)``, when given, is called with
+    the id of each head added, so a firing test can keep its own view of
+    the derived set up to date.
     """
     derived = 0
-    pending = range(len(rules))
+    pending = order or range(len(rules))
     while True:
         waiting = []
         for i in pending:
@@ -202,6 +207,12 @@ class LiveClosure:
     the change and of what it retracts; the collapse to Lit is one test of
     the bits.
 
+    ``within(mask)`` moves the closure between rule sets the same way: a
+    rule outside the bitset ``mask`` (over rule positions) counts one more,
+    so a rule that leaves the set is blocked and retracts what it
+    supported, and a rule that joins it is counted down.  brewka closes
+    its reducts with it, and never sets a context.
+
     ``index`` is ``index_rules(rules)`` where the caller has it already;
     it is read, never written, so closures over the same rules share it.
     """
@@ -224,6 +235,7 @@ class LiveClosure:
         self._work = [i for i, n in enumerate(self._missing) if not n]
         self._derived = 0
         self._context = 0  # the watched literals of the last context
+        self._mask = (1 << len(self._rules)) - 1  # the rules in the set
         self._value: Interpretation | None = None
 
     def __call__(self, x: Interpretation) -> Interpretation:
@@ -235,6 +247,27 @@ class LiveClosure:
         if self._value is None:
             self._value = Interpretation.from_bits(self._derived, self._universe)
         return self._value
+
+    def within(self, mask: int) -> int:
+        """The raw closure, as bits, of the rules at the set bits of
+        ``mask``, their negative bodies ignored (the context stays empty):
+        over-delete what the rules that left the set supported, derive
+        again from the rules that stay, and fire the rules that joined."""
+        missing, old = self._missing, self._mask
+        blocked = []
+        for i in bit_positions(old & ~mask):
+            if not missing[i]:
+                blocked.append(i)
+            missing[i] += 1
+        for i in bit_positions(mask & ~old):
+            missing[i] -= 1
+            if not missing[i]:
+                self._work.append(i)
+        self._mask = mask
+        self._retract(blocked)
+        if self._work:
+            self._fire()
+        return self._derived
 
     def _move_to(self, context: int) -> list[int]:
         """Recount the counters; queue the freed rules, return the newly

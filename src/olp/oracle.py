@@ -352,11 +352,14 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
     # sides of the first 10 pairs.  The live closure, fed every side in turn,
     # must agree with c_op too: the contexts grow (a pair's small side, then
     # its big side) and shrink (a big side, then the next small side),
-    # through Lit where it is sampled.
+    # through Lit where it is sampled.  So does brewka's moving closure: one
+    # serves every c_star_pref side, while t_star_step closes each rule set
+    # from scratch.
     def iterated(step):
         return lambda x: iterate_union(lambda cur: step(x, cur), universe)
 
     direct = [classical.c_op(rules, x, universe) for x in sides]
+    close = brewka.moving_closure(op)
     first = sides[:20]
     routes = (
         ("c-op-routes-agree", direct,
@@ -370,7 +373,7 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
          [prefwfs.cpn_op(op, x, "simplistic") for x in first],
          iterated(lambda x, cur: prefwfs.tpn_step(op, x, cur, "simplistic"))),
         ("c-star-pref-routes-agree",
-         [brewka.c_star_pref(op, x.literals) for x in first],
+         [brewka.c_star_pref(op, x.literals, close) for x in first],
          lambda x: kleene(lambda cur: cur | brewka.t_star_step(op, x.literals, cur),
                           frozenset(), len(universe) + 1)[0]),
     )

@@ -23,7 +23,9 @@ without the lock: a name that two threads check at once is checked twice.
 Ids differ between processes, so every value that holds one pickles as
 the literals it stands for.
 
-Validating an order only counts, in one Kahn pass over the declared pairs.
+Validating an order only counts, in one Kahn pass over the declared pairs,
+and keeps the rule positions in the order that pass lists them, highest
+first.
 The closed order is Python-int bitsets over rule positions, one ``above``
 and one ``below`` mask per rule, each closed by a Kahn pass when first
 read, so ``check``, ``wfs`` and ``as`` never close the order and the
@@ -309,11 +311,16 @@ class PreferenceOrder:
     ``below`` by ``pwfs``, ``pwfs-simplistic`` and ``brewka``.
     ``generators`` keeps the pairs as originally declared so that a program
     can be rendered back without materialising the closure; orders are
-    equal when their declared pairs are.
+    equal when their declared pairs are.  ``highest_first`` is the list of
+    rule positions that validation's Kahn pass leaves, every rule after the
+    rules above it: a linear extension of the order, kept so that the
+    closures can visit the rules along it (empty when there are no pairs:
+    any order then extends it).
     """
 
     generators: frozenset[tuple[str, str]] = frozenset()
     rule_names: tuple[str, ...] = field(default=(), compare=False)
+    highest_first: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @classmethod
     def empty(cls) -> "PreferenceOrder":
@@ -450,7 +457,8 @@ def validate_order(
         waiting, lower = _edges(pairs, position)
     except KeyError as exc:
         raise UnknownRuleError(exc.args[0]) from None
-    if len(_kahn(waiting, lower)) < len(names):
+    ranked = _kahn(waiting, lower)
+    if len(ranked) < len(names):
         # Every rule left waits on a rule above it that is also left, so
         # climbing through those rules must revisit one: it is on a cycle.
         upper = _edges([(b, a) for a, b in pairs], position)[1]
@@ -460,7 +468,7 @@ def validate_order(
             seen.add(i)
             i = next(j for j in upper[i] if waiting[j])
         raise CycleError(names[i])
-    return PreferenceOrder(pairs, names)
+    return PreferenceOrder(pairs, names, tuple(ranked))
 
 
 @dataclass(frozen=True)

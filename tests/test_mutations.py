@@ -26,9 +26,8 @@ from .test_acceptance import BATCH_SEED
 MUTANTS = {
     "derive-returns-after-one-pass": (
         classical, "derive", "pending = waiting", "return derived",
-        8, ("c-op-routes-agree", "live-closure-matches-c-op",
-            "cp-op-routes-agree", "cn-oracle-agreement"),
-        "2d6c236ab80edcccbc5fe3a100dfafb81a22e4fab69e6e2b38e49aee7c6c852c",
+        6, ("cp-op-routes-agree",),
+        "aae5445226502a739414864976b6a7507ff4a5c4add09d8671a6ab7632d3ec44",
     ),
     "t-step-ignores-its-context": (
         classical, "t_step",
@@ -54,6 +53,25 @@ MUTANTS = {
         "self._work.append(i)", "pass",
         0, ("live-closure-matches-c-op",),
         "148eb91833bb9a625b38058ef1cd72fbf7dc1c53b13fc24231a9b1898a9f1d47",
+    ),
+    # The three steps of moving the live closure between rule sets.
+    "within-over-deletes-nothing": (
+        classical.LiveClosure, "within",
+        "blocked.append(i)", "pass",
+        6, ("c-star-pref-routes-agree",),
+        "813d9f8681f2b7fcaef191f6e47bd8135e5bd417052ab7e08a39b1821de9cbc2",
+    ),
+    "within-rederives-from-removed-rules": (
+        classical.LiveClosure, "within",
+        "missing[i] += 1", "pass",
+        6, ("c-star-pref-routes-agree",),
+        "813d9f8681f2b7fcaef191f6e47bd8135e5bd417052ab7e08a39b1821de9cbc2",
+    ),
+    "within-fires-no-added-rule": (
+        classical.LiveClosure, "within",
+        "self._work.append(i)", "pass",
+        9, ("c-star-pref-routes-agree",),
+        "c1d4b6526d0350fae5615f95e30ab52964a3c0786a37001804b4c1334df6a1d3",
     ),
     "cpn-op-drops-the-wake": (
         prefwfs, "cpn_op",

@@ -174,7 +174,7 @@ ROUTE_DETAIL_SCRIPT = """
 from olp import brewka
 from olp.oracle import GeneratorConfig, check_theorems, generate_program
 closure = brewka.c_star_pref
-brewka.c_star_pref = lambda op, y: closure(op, y) | y
+brewka.c_star_pref = lambda op, y, close=None: closure(op, y, close) | y
 seed = 20260811
 report = check_theorems(generate_program(GeneratorConfig(seed=seed)), seed=seed)
 print(*[r.detail for r in report.failures if r.invariant == "c-star-pref-routes-agree"])

@@ -8,8 +8,9 @@ well-founded fixpoints against ``kleene`` over ``a_op`` and ``apn_op``.
 
 A second family is defeat-heavy: few, shared heads, negative bodies that
 name the heads of lower-ranked rules, and dense orders.  On it the bitset
-defeat sets are checked against a scan with ``defeats``, and the
-defeat-aware closures against their step routes.
+defeat sets are checked against a scan with ``defeats``, the defeat-aware
+closures against their step routes, and the live closure moved between
+rule sets, as brewka moves it, against ``derive`` over each set.
 
 The answer-set searches are checked against the direct enumeration over
 ``head_candidates`` on both families, their heads capped so that the
@@ -213,6 +214,25 @@ def test_defeat_heavy_cpn_op_matches_the_step_route(case, variant):
             lambda cur: prefwfs.tpn_step(op, x, cur, variant), op.universe
         )
         assert prefwfs.cpn_op(op, x, variant) == stepped, x
+
+
+@st.composite
+def defeat_heavy_programs_with_rule_sets(draw):
+    """A defeat-heavy program and 3 to 10 sets of its rules, as bitsets
+    over rule positions; consecutive sets both gain and lose rules."""
+    op = draw(defeat_heavy_programs())
+    every = (1 << len(op.rules)) - 1
+    return op, draw(st.lists(st.integers(0, every), min_size=3, max_size=10))
+
+
+@PROPERTY
+@given(defeat_heavy_programs_with_rule_sets())
+def test_moving_closure_matches_derive_over_each_rule_set(case):
+    op, masks = case
+    live = classical.LiveClosure(op.rules, op.universe)
+    for mask in masks:
+        chosen = [r for i, r in enumerate(op.rules) if mask >> i & 1]
+        assert live.within(mask) == classical.derive(chosen), bin(mask)
 
 
 @PROPERTY
