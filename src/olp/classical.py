@@ -256,7 +256,7 @@ class LiveClosure:
         missing, old = self._missing, self._mask
         blocked = []
         for i in bit_positions(old & ~mask):
-            if not missing[i]:
+            if not missing[i]:  # only a rule at zero supports its head
                 blocked.append(i)
             missing[i] += 1
         for i in bit_positions(mask & ~old):
