@@ -21,10 +21,10 @@ one (``within``), which costs the rules that left or joined and what they
 supported.  The closures visit the rules lowest first, against the
 order's ``highest_first`` list: a rule is freed by defeating rules below
 it, which have then been tested, and on a chain the keys met one after
-another differ by about one rule.  ``t_star_step`` closes
-every key from scratch with ``derive``, so the battery's routes compare
-the two.  The public functions take and return literal sets; everything
-between is bits.
+another differ by about one rule.  ``t_star_step`` closes every key from
+scratch with ``derive``, so the battery's routes compare the two.  The
+public functions take and return literal sets; everything between is
+bits.
 """
 
 from __future__ import annotations
