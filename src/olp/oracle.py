@@ -13,6 +13,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -325,15 +326,20 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
 
     # Operator monotonicity in both engines and both removal variants; an
     # "anti" operator shrinks as its argument grows.  The first row is
-    # reported here, the others after the routes and the defeat sets.
+    # reported here, the others after the routes and the defeat sets.  The
+    # sides repeat, so each pure operator keeps one memo for this call: it
+    # runs once per distinct side, and later checks read the same values.
+    c = cache(lambda x: classical.c_op(rules, x, universe))
+    cp = cache(lambda x: preference.cp_op(op, x))
+    cpn = cache(lambda x: prefwfs.cpn_op(op, x))
     monotone = (
-        ("c-anti-monotone", lambda x: classical.c_op(rules, x, universe), True),
-        ("a-monotone", lambda x: classical.a_op(rules, x, universe), False),
-        ("cp-anti-monotone", lambda x: preference.cp_op(op, x), True),
-        ("ap-monotone", lambda x: preference.ap_op(op, x), False),
-        ("cpn-anti-monotone", lambda x: prefwfs.cpn_op(op, x), True),
-        ("apn-monotone", lambda x: prefwfs.apn_op(op, x), False),
-        ("c-star-anti-monotone", lambda x: brewka.c_star(rules, x.literals), True),
+        ("c-anti-monotone", c, True),
+        ("a-monotone", cache(lambda x: classical.a_op(rules, x, universe)), False),
+        ("cp-anti-monotone", cp, True),
+        ("ap-monotone", cache(lambda x: preference.ap_op(op, x)), False),
+        ("cpn-anti-monotone", cpn, True),
+        ("apn-monotone", cache(lambda x: prefwfs.apn_op(op, x)), False),
+        ("c-star-anti-monotone", cache(lambda x: brewka.c_star(rules, x.literals)), True),
     )
     broken = []
     for invariant, operator, anti in monotone:
@@ -349,45 +355,47 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
 
     # Every consequence closure must agree with iterating its step operator
     # with x as the context: c_op on every sampled side, the others on both
-    # sides of the first 10 pairs.  The live closure, fed every side in turn,
-    # must agree with c_op too: the contexts grow (a pair's small side, then
-    # its big side) and shrink (a big side, then the next small side),
-    # through Lit where it is sampled.  So does brewka's moving closure: one
-    # serves every c_star_pref side, while t_star_step closes each rule set
-    # from scratch.
+    # sides of the first 10 pairs; the pure routes keep memos too.  The live
+    # closure, fed every side in turn, must agree with c_op too: the contexts
+    # grow (a pair's small side, then its big side) and shrink (a big side,
+    # then the next small side), through Lit where it is sampled.  So does
+    # brewka's moving closure: one serves every c_star_pref side, while
+    # t_star_step closes each rule set from scratch.  These two carry state
+    # between sides, so they get no memo and see every side, repeats too.
     def iterated(step):
-        return lambda x: iterate_union(lambda cur: step(x, cur), universe)
+        return cache(lambda x: iterate_union(lambda cur: step(x, cur), universe))
 
-    direct = [classical.c_op(rules, x, universe) for x in sides]
+    direct = list(map(c, sides))
     close = brewka.moving_closure(op)
     first = sides[:20]
     routes = (
         ("c-op-routes-agree", direct,
          iterated(lambda x, cur: classical.t_step(rules, x, cur, universe))),
         ("live-closure-matches-c-op", direct, classical.LiveClosure(rules, universe)),
-        ("cp-op-routes-agree", [preference.cp_op(op, x) for x in first],
+        ("cp-op-routes-agree", list(map(cp, first)),
          iterated(lambda x, cur: preference.tp_step(op, x, cur))),
-        ("cpn-op-routes-agree", [prefwfs.cpn_op(op, x) for x in first],
+        ("cpn-op-routes-agree", list(map(cpn, first)),
          iterated(lambda x, cur: prefwfs.tpn_step(op, x, cur))),
         ("cpn-simplistic-routes-agree",
-         [prefwfs.cpn_op(op, x, "simplistic") for x in first],
+         list(map(cache(lambda x: prefwfs.cpn_op(op, x, "simplistic")), first)),
          iterated(lambda x, cur: prefwfs.tpn_step(op, x, cur, "simplistic"))),
         ("c-star-pref-routes-agree",
          [brewka.c_star_pref(op, x.literals, close) for x in first],
-         lambda x: kleene(lambda cur: cur | brewka.t_star_step(op, x.literals, cur),
-                          frozenset(), len(universe) + 1)[0]),
+         cache(lambda x: kleene(lambda cur: cur | brewka.t_star_step(op, x.literals, cur),
+                                frozenset(), len(universe) + 1)[0])),
     )
     for invariant, expected, route in routes:
         battery.agree(invariant, ((route(x), want, x) for x, want in zip(sides, expected)))
     # The defeat sets the engines read from bitsets (below, static, hit)
-    # must be the rules a scan with ``defeats`` finds below each rule.
+    # must be the rules a scan with ``defeats`` finds below each rule;
+    # each distinct side is checked once.
     lower = {
         r: [g for g in rules if op.order.prefers(g.name, r.name)] for r in rules
     }
     battery.agree("defeat-bits-agree", (
         (tuple(g.name for g in prefwfs.defeated_rules(op, r, x)),
          tuple(g.name for g in lower[r] if prefwfs.defeats(r, g, x)), x, r.name)
-        for x in first
+        for x in dict.fromkeys(first)
         for r in rules
     ))
     for invariant, detail in later:
@@ -488,12 +496,12 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
         for small, big in pairs[:10]
         for case in (
             (preference.tp_step(plain, big, small), classical.t_step(rules, big, small, universe)),
-            (preference.cp_op(plain, big), classical.c_op(rules, big, universe)),
+            (preference.cp_op(plain, big), c(big)),
         )
     ))
 
     # The sampled small sides whose consequences are consistent.
-    consequences = ((s, classical.c_op(rules, s, universe)) for s, _ in pairs[:10])
+    consequences = ((s, c(s)) for s, _ in pairs[:10])
     supported = [(small, y) for small, y in consequences if not y.is_lit]
     if supported:
         battery.agree("tpn-classical-on-supported-contexts", (
@@ -501,7 +509,7 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
             for _, y in supported
             for case in (
                 (prefwfs.tpn_step(plain, y, empty), classical.t_step(rules, y, empty, universe)),
-                (prefwfs.cpn_op(plain, y), classical.c_op(rules, y, universe)),
+                (prefwfs.cpn_op(plain, y), c(y)),
             )
         ))
     else:

@@ -313,9 +313,9 @@ class PreferenceOrder:
     can be rendered back without materialising the closure; orders are
     equal when their declared pairs are.  ``highest_first`` is the list of
     rule positions that validation's Kahn pass leaves, every rule after the
-    rules above it: a linear extension of the order, kept so that the
-    closures can visit the rules along it (empty when there are no pairs:
-    any order then extends it).
+    rules above it: a linear extension of the order, kept so that ``above``
+    closes along it, ``below`` along its reverse, and the closures of the
+    semantics visit the rules along it (empty when there are no pairs).
     """
 
     generators: frozenset[tuple[str, str]] = frozenset()
@@ -336,14 +336,15 @@ class PreferenceOrder:
         """For each rule, the rules above it, closed over the generators."""
         if not self.generators:
             return (0,) * len(self.rule_names)
-        return _closure(self.generators, self.position)
+        return _closure(self.generators, self.position, self.highest_first)
 
     @cached_property
     def below(self) -> tuple[int, ...]:
         """The transpose of ``above``."""
         if not self.generators:
             return (0,) * len(self.rule_names)
-        return _closure([(b, a) for a, b in self.generators], self.position)
+        pairs = [(b, a) for a, b in self.generators]
+        return _closure(pairs, self.position, self.highest_first[::-1])
 
     @cached_property
     def pairs(self) -> frozenset[tuple[str, str]]:
@@ -422,13 +423,15 @@ def _kahn(waiting: list[int], into: list[list[int]]) -> list[int]:
 
 
 def _closure(
-    pairs: Iterable[tuple[str, str]], position: dict[str, int]
+    pairs: Iterable[tuple[str, str]], position: dict[str, int], order: Sequence[int]
 ) -> tuple[int, ...]:
     """For each rule a, the bitset of the rules that acyclic ``pairs``
-    ``(a, b)`` lead to from a, closed transitively."""
-    waiting, into = _edges(pairs, position)
+    ``(a, b)`` lead to from a, closed transitively; ``order`` lists every
+    rule after the rules its pairs lead to."""
+    into = _edges(pairs, position)[1]
+    assert len(order) == len(into), "an order with pairs keeps validation's list"
     reach = [0] * len(into)
-    for j in _kahn(waiting, into):
+    for j in order:
         bits = reach[j] | 1 << j
         for i in into[j]:
             reach[i] |= bits

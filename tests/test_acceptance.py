@@ -2,9 +2,11 @@
 
 Each test prints one pass/fail line (visible with ``pytest -s``); the
 assertions themselves carry the exact expected values.  Criteria 7 and 8
-share one batch of 1000 seeded random programs.
+share one batch of 1000 seeded random programs, and the batch's reports
+are pinned by a digest.
 """
 
+import hashlib
 import time
 import warnings
 from collections import Counter
@@ -22,6 +24,9 @@ from .conftest import A, B, C, NA, P, Q, interp, load
 
 BATCH_SEED = 20260811
 BATCH_SIZE = 1000
+# sha256 of the newline-joined JSON lines of every report in the batch, in
+# order: the checks, their order and every failure detail of the battery.
+BATCH_DIGEST = "9167c00e1ce1f7f9baa3f391835f5caaf02e209c3b4794673872e6153e26d7bb"
 
 E = Interpretation.empty()
 
@@ -186,6 +191,12 @@ def test_criterion_08_oracle_equivalence(batch_reports):
     ok = not failing and counts["pass"] == 2 * len(reports)
     print(f"oracle agreement: {counts['pass']} checks, {len(failing)} mismatches")
     _report(8, "engine vs oracle on the same 1000 programs, zero mismatches", ok)
+
+
+def test_batch_reports_match_the_recorded_digest(batch_reports):
+    reports, _ = batch_reports
+    lines = "\n".join(line for report in reports for line in report.json_lines())
+    assert hashlib.sha256(lines.encode()).hexdigest() == BATCH_DIGEST
 
 
 def test_criterion_09_scaling_probe(capsys):
