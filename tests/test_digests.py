@@ -9,8 +9,11 @@ over its ``--json`` outputs in all modes, in ``MODES`` order.  The layered
 random texts of the benchmark (``perfbench/workloads.random_text``) get
 ``--json`` digests in the modes the benchmark runs on them: they have
 classical negation, shared heads and up to 320 literals, which the
-generator's 6-atom programs never reach.  A refactor of an engine must
-reproduce every digest.  After an intended change of output, re-record
+generator's 6-atom programs never reach.  Every program but those random
+texts also gets two more digests over all modes, one of ``--atoms-only
+--json`` and one of the plain-text output (no ``--json``), so the two
+other shapes the renderer prints are pinned too.  A refactor of an engine
+or of the renderer must reproduce every digest.  After an intended change of output, re-record
 with
 
     PYTHONPATH=src python -m tests.test_digests
@@ -75,6 +78,10 @@ def _jobs(paths: dict[str, Path]):
             for mode in random_modes[name]:
                 yield f"{name}/{mode}", [[str(path), "--mode", mode, "--json"]]
             continue
+        for shape, flags in (("atoms-only", ["--atoms-only", "--json"]), ("text", [])):
+            yield f"{name}/all-modes/{shape}", [
+                [str(path), "--mode", mode, *flags] for mode in MODES
+            ]
         if name.startswith("g") and int(name[1:]) >= BATCH_SEED + BATCH_PROGRAMS:
             yield f"{name}/all-modes", [
                 [str(path), "--mode", mode, "--json"] for mode in MODES

@@ -241,6 +241,36 @@ class TestProperties:
                         d_set_simplistic(op, r, x) & y.literals
                     )
 
+    def test_paper_removal_sets_follow_their_definition_on_shared_heads(self):
+        # A literal l of y leaves rule r's context iff every rule g with
+        # head l and pbody(g) in y is strictly below r and defeated by r at
+        # x; a plain scan over the rules, with no bitsets.
+        rng = random.Random(29)
+        checked = 0
+        for seed in range(120):
+            op = generate_program(GeneratorConfig(seed=seed, order_density=0.4))
+            heads = [r.head for r in op.rules]
+            if len(set(heads)) == len(heads):
+                continue
+            for _ in range(4):
+                x = _consistent(rng, op.universe)
+                for y in (c_op(op.rules, x, op.universe), _consistent(rng, op.universe)):
+                    if y.is_lit:
+                        continue
+                    contexts = defeat_contexts(op, x, y)
+                    for r in op.rules:
+                        expected = frozenset(
+                            l for l in y.literals
+                            if all(
+                                op.order.prefers(g.name, r.name) and defeats(r, g, x)
+                                for g in op.rules
+                                if g.head == l and g.pbody <= y.literals
+                            )
+                        )
+                        assert d_set(op, r, x, y) == contexts[r.name] == expected
+                    checked += 1
+        assert checked > 100
+
     def test_convergence_within_the_bound(self):
         for seed in range(80):
             op = generate_program(GeneratorConfig(seed=seed, order_density=0.4))
