@@ -214,7 +214,8 @@ class LiveClosure:
     its reducts with it, and never sets a context.
 
     ``index`` is ``index_rules(rules)`` where the caller has it already;
-    it is read, never written, so closures over the same rules share it.
+    it is read, never written, so closures over the same rules share it,
+    and kept as ``self.index`` for the next closure.
     """
 
     def __init__(
@@ -226,7 +227,7 @@ class LiveClosure:
     ):
         self._rules = tuple(rules)
         self._universe = universe
-        index = index or index_rules(self._rules)
+        self.index = index = index or index_rules(self._rules)
         self._by_pbody, self._by_nbody, self._by_head = index
         self._missing = [len(r.pbody) for r in self._rules]
         self._watched = 0  # the literals that some negative body holds
@@ -416,17 +417,21 @@ def answer_sets(
 
 
 def well_founded_fixpoint(
-    rules: Sequence[Rule], universe: frozenset[Literal]
+    rules: Sequence[Rule],
+    universe: frozenset[Literal],
+    supported: LiveClosure | None = None,
 ) -> tuple[Interpretation, list[Interpretation]]:
     """Least fixpoint of the alternating operator, with its iterates.
 
     Each half of ``a_op`` is a live closure: the inner one follows the
     growing iterates, the outer one the shrinking contexts they support, so
-    a step costs what changed rather than two closures from scratch.
+    a step costs what changed rather than two closures from scratch.  A
+    caller that passes the inner one, ``supported`` (a ``LiveClosure`` over
+    the same rules), reads ``c_op(rules, lfp)`` from it afterwards without
+    closing again: its last call had the lfp as its context.
     """
-    index = index_rules(rules)
-    inner = LiveClosure(rules, universe, index=index)
-    outer = LiveClosure(rules, universe, index=index)
+    inner = supported or LiveClosure(rules, universe)
+    outer = LiveClosure(rules, universe, index=inner.index)
     return kleene_trace(
         lambda x: outer(inner(x)), universe, "well-founded fixpoint"
     )
@@ -436,5 +441,6 @@ def well_founded_model(
     rules: Sequence[Rule], universe: frozenset[Literal]
 ) -> PartialModel:
     """(lfp, universe minus the consequences of the lfp)."""
-    lfp, _ = well_founded_fixpoint(rules, universe)
-    return PartialModel.from_fixpoint(lfp, c_op(rules, lfp, universe), universe)
+    supported = LiveClosure(rules, universe)
+    lfp, _ = well_founded_fixpoint(rules, universe, supported)
+    return PartialModel.from_fixpoint(lfp, supported(lfp), universe)

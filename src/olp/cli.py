@@ -1,5 +1,11 @@
 """Command-line front end: check, solve, bench, fuzz.
 
+``solve`` renders every answer and trace from bitsets of literal ids:
+true, false and unknown are int operations over the universe's bits,
+``--atoms-only`` is one mask, and each literal's text comes from the
+intern table (``syntax.texts_of``), so no literal set is decoded, built or
+hashed, and no ``PartialModel`` is built.
+
 Exit codes: 0 ok, 1 input error (parse, semantic, enumeration cap,
 non-UTF-8 text or an out-of-range option value), 2 I/O error, 3 internal
 fixpoint divergence.
@@ -14,15 +20,13 @@ import math
 import sys
 import time
 from dataclasses import replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import brewka, classical, preference, prefwfs
 from .fixpoint import FixpointDivergence
 from .oracle import GeneratorConfig, chain_program, check_theorems, generate_program
 from .parser import ParseError, parse_program, render_program
-from .syntax import (
-    Literal, OrderedProgram, ProgramError, bit_positions, bits_of, mentioned_literals
-)
+from .syntax import OrderedProgram, ProgramError, bit_positions, bits_of, texts_of
 
 __all__ = ["main"]
 
@@ -38,20 +42,16 @@ class UsageError(Exception):
     """A command-line value outside the range its command accepts."""
 
 
-def _sorted_strs(literals: Iterable[Literal]) -> list[str]:
-    return sorted(map(str, literals))
-
-
-def _shown(op: OrderedProgram, atoms_only: bool) -> Callable[[Iterable[Literal]], list]:
-    """How a listed set prints: all its literals sorted, or under
+def _shown(op: OrderedProgram, atoms_only: bool) -> Callable[[int], list[str]]:
+    """How a listed set, a bitset, prints: all its literals sorted, or under
     ``--atoms-only`` without the classically negated literals the program
     never mentions."""
     if not atoms_only:
-        return _sorted_strs
-    mentioned = mentioned_literals(op)
-    return lambda literals: _sorted_strs(
-        lit for lit in literals if not lit.negated or lit in mentioned
-    )
+        return texts_of
+    shown = bits_of(lit for lit in op.universe if not lit.negated)
+    for r in op.rules:
+        shown |= r.hbit | r.pmask | r.nmask
+    return lambda bits: texts_of(bits & shown)
 
 
 def _load_program(path: str) -> OrderedProgram:
@@ -65,14 +65,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trace(values: Sequence, extra: Callable[[int, object], dict] | None) -> list[dict]:
-    """The trace entries ``{"step": i, "set": ...}`` of a list of iterates;
-    ``extra(i, value)`` adds a mode's own keys to entry i."""
+def _trace(sets: Sequence[int], extra: Callable[[int], dict] | None) -> list[dict]:
+    """The trace entries ``{"step": i, "set": ...}`` of the bitsets of a
+    list of iterates; ``extra(i)`` adds a mode's own keys to entry i."""
     entries = []
-    for i, value in enumerate(values):
-        entry = {"step": i, "set": _sorted_strs(value)}
+    for i, bits in enumerate(sets):
+        entry = {"step": i, "set": texts_of(bits)}
         if extra is not None:
-            entry.update(extra(i, value))
+            entry.update(extra(i))
         entries.append(entry)
     return entries
 
@@ -81,46 +81,51 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
     """The answer of ``args.mode`` and, under ``--trace``, the iterates
     that reached it."""
     mode, show = args.mode, _shown(op, args.atoms_only)
-    values, extra = (), None
+    names, sets, extra = op.order.rule_names, [], None
     if mode in ("as", "pas"):
         if mode == "as":
-            sets = classical.answer_sets(op.rules, op.universe)
+            found = classical.answer_sets(op.rules, op.universe)
         else:
-            sets = preference.preferred_answer_sets(op)
-        payload = {"answer_sets": sorted(show(x.literals) for x in sets)}
+            found = preference.preferred_answer_sets(op)
+        payload = {"answer_sets": sorted(show(x.bits) for x in found)}
     elif mode == "lfp-ap":
         value, values = preference.lfp_ap_fixpoint(op)
-        payload = {"set": show(value.literals)}
+        payload = {"set": show(value.bits)}
+        sets = [x.bits for x in values]
     elif mode == "brewka":
-        values = brewka.brewka_wf_iterates(op)
-        payload = {"wfset": show(values[-1])}
+        sets = [bits_of(x) for x in brewka.brewka_wf_iterates(op)]
+        payload = {"wfset": show(sets[-1])}
 
-        def extra(i, value):
-            hit, names = prefwfs.hit_bits(op, bits_of(value)), [r.name for r in op.rules]
+        def extra(i):
+            hit = prefwfs.hit_bits(op, sets[i])
             return {"defeated": {
                 name: sorted(names[j] for j in bit_positions(prefwfs.defeat_bits(op, k, hit)))
                 for k, name in enumerate(names)
             }}
     else:
         variant = {"wfs": None, "pwfs": "paper", "pwfs-simplistic": "simplistic"}[mode]
-        model, values = prefwfs.wf_model_trace(op, variant)
+        lfp, supported, values = prefwfs.wf_model_trace(op, variant)
+        universe = bits_of(op.universe)
+        true = lfp.bits
+        false = universe & ~supported.bits & ~true
         payload = {
-            "true": show(model.true_set),
-            "false": show(model.false_set),
-            "unknown": show(model.unknown(op.universe)),
+            "true": show(true),
+            "false": show(false),
+            "unknown": show(universe & ~true & ~false),
         }
+        sets = [x.bits for x in values]
         if variant is not None:
 
-            def extra(i, value):
-                # Removal sets at (value, c_op of the previous iterate).
+            def extra(i):
+                # Removal sets at (iterate i, c_op of the previous iterate).
                 if not i:
                     return {}
                 context = classical.c_op(op.rules, values[i - 1], op.universe)
-                removed = prefwfs.defeat_contexts(op, value, context, variant)
-                return {"dsets": {name: _sorted_strs(removed[name]) for name in sorted(removed)}}
+                removed = zip(names, prefwfs.removal_sets(op, values[i], context, variant))
+                return {"dsets": {name: texts_of(bits) for name, bits in sorted(removed)}}
     payload["mode"] = mode
-    if args.trace and values:
-        payload["trace"] = _trace(values, extra)
+    if args.trace and sets:
+        payload["trace"] = _trace(sets, extra)
     return payload
 
 

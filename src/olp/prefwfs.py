@@ -30,14 +30,18 @@ a literal of x is in nbody(g), so its defeat set is
 ``static[i] = below[i] & nb_of[head(i)]`` is fixed per program, and
 ``hit(x)``, the OR of ``nb_of[l]`` over x, is kept up to date as a closure
 derives literals, one OR per literal.  ``defeats`` stays as the
-reference of the battery invariant ``defeat-bits-agree``.  Literal sets
-are bitsets of literal ids throughout (see ``syntax``); the removal sets
-are decoded to literals only for ``d_set`` and traces.
+reference of the battery invariant ``defeat-bits-agree``.
+
+The firing test of both policies is written once, in ``_removable``: rule
+r fires against y when every literal of nbody(r) within y leaves its
+context, and the scan stops at the first literal that stays.  ``cpn_op``
+and ``tpn_step`` call it once per tested rule, ``d_set`` and
+``removal_sets`` once per literal of y.  Literal sets are bitsets of
+literal ids throughout (see ``syntax``); removal sets are decoded to
+literals only for ``d_set`` and ``defeat_contexts``.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from . import classical
 from .fixpoint import kleene_trace
@@ -68,6 +72,7 @@ __all__ = [
     "preferred_wfs_fixpoint",
     "preferred_wf_model",
     "wf_model_trace",
+    "removal_sets",
     "defeat_contexts",
 ]
 
@@ -125,9 +130,9 @@ def d_set(
     op: OrderedProgram, r: Rule, x: Interpretation, y: Interpretation
 ) -> frozenset[Literal]:
     """Literals of y removable from r's blocking context at state x."""
-    i, ys = op.order.position[r.name], y.bits
-    supporters = supporting_rules(op.rules, ys)
-    return literals_of(ys & ~_kept(op, i, hit_bits(op, x.bits), VARIANT_PAPER, ys, supporters))
+    ys = y.bits
+    i, supporters = op.order.position[r.name], supporting_rules(op.rules, ys)
+    return literals_of(_removed(op, i, hit_bits(op, x.bits), ys, supporters))
 
 
 def d_set_simplistic(
@@ -137,47 +142,41 @@ def d_set_simplistic(
     return frozenset(lower.head for lower in defeated_rules(op, r, x))
 
 
-def _kept(
-    op: OrderedProgram, i: int, hit: int, variant: str, among: int, supporters: int
-) -> int:
-    """The literals of ``among`` (a bitset within a context y) that stay in
-    rule i's blocking context under the removal policy, at a state x with
-    hit(x) = ``hit``; ``supporters`` is ``supporting_rules(op.rules, y)``."""
-    defeated, hb_of, kept = defeat_bits(op, i, hit), op.hb_of, 0
-    for lit in bit_positions(among):
-        if variant == VARIANT_SIMPLISTIC:
-            # A literal goes iff it is the head of a defeated rule.
-            stays = not hb_of.get(lit, 0) & defeated
-        else:
-            # A literal stays iff some rule that can support it within y is
-            # not defeated by rule i; an unsupported literal goes.
-            stays = hb_of.get(lit, 0) & supporters & ~defeated
-        if stays:
-            kept |= 1 << lit
-    return kept
-
-
-def _fires(
-    op: OrderedProgram, y: Interpretation, variant: str
-) -> Callable[[int, int], bool]:
-    """``fires(i, hit)``: rule i fires against y at a state x with hit(x) =
-    ``hit``, that is no negative-body literal survives in y after removal;
-    only literals in nbody(i) & y need a removability check, and the rules
-    that support literals within y are found at the first such check."""
-    _check_variant(variant)
-    rules, ys = op.rules, y.bits
-    supporters = None
-
-    def fires(i, hit):
-        nonlocal supporters
-        among = rules[i].nmask & ys
-        if not among:
-            return True
+def _removable(
+    hb_of: dict[int, int], among: int, defeated: int, supporters: int | None
+) -> bool:
+    """True iff every literal of the bitset ``among`` leaves the blocking
+    context of a rule that defeats the rules ``defeated``: under ``paper``,
+    with ``supporters`` = ``supporting_rules(op.rules, y)``, a literal stays
+    iff one of its supporters within y is not defeated; under
+    ``simplistic``, with ``supporters`` None, a literal goes iff it heads a
+    defeated rule.  The scan stops at the first literal that stays."""
+    while among:
+        low = among & -among
+        heads = hb_of.get(low.bit_length() - 1, 0)
         if supporters is None:
-            supporters = supporting_rules(rules, ys)
-        return not _kept(op, i, hit, variant, among, supporters)
+            if not heads & defeated:
+                return False
+        elif heads & supporters & ~defeated:
+            return False
+        among ^= low
+    return True
 
-    return fires
+
+def _supporters(op: OrderedProgram, variant: str, y: int) -> int | None:
+    """The ``supporters`` argument of ``_removable`` for a context y."""
+    _check_variant(variant)
+    return supporting_rules(op.rules, y) if variant == VARIANT_PAPER else None
+
+
+def _removed(op: OrderedProgram, i: int, hit: int, y: int, supporters: int | None) -> int:
+    """Rule i's removal set within the context y, as a bitset, at a state x
+    with hit(x) = ``hit``; ``supporters`` as for ``_removable``."""
+    defeated, hb_of, removed = defeat_bits(op, i, hit), op.hb_of, 0
+    for lit in bit_positions(y):
+        if _removable(hb_of, 1 << lit, defeated, supporters):
+            removed |= 1 << lit
+    return removed
 
 
 def tpn_step(
@@ -187,8 +186,14 @@ def tpn_step(
     variant: str = VARIANT_PAPER,
 ) -> Interpretation:
     """Heads of rules active wrt (x, y minus their removal set)."""
-    fires, hit = _fires(op, y, variant), hit_bits(op, x.bits)
-    return classical.fire_step(op.rules, lambda i: fires(i, hit), x, op.universe)
+    rules, ys, hb_of, hit = op.rules, y.bits, op.hb_of, hit_bits(op, x.bits)
+    supporters = _supporters(op, variant, ys)
+
+    def fires(i):
+        among = rules[i].nmask & ys
+        return not among or _removable(hb_of, among, defeat_bits(op, i, hit), supporters)
+
+    return classical.fire_step(rules, fires, x, op.universe)
 
 
 def cpn_op(
@@ -199,13 +204,17 @@ def cpn_op(
     A worklist closure over bits.  A rule is tested once its positive body
     is derived (a per-rule counter of missing literals), and again after
     each derived literal l that can change its test: l defeats the rules g
-    with l in their negative body, which ``_kept`` reads only for a rule r
-    with head(g) in nbody(r).  That is the one place the test reads the
-    derived set, under either removal policy; it reads it as hit(derived),
-    which each derived literal updates once.
+    with l in their negative body, which the removal policy reads only for
+    a rule r with head(g) in nbody(r).  That is the one place the test
+    reads the derived set, under either removal policy; it reads it as
+    hit(derived), which each derived literal updates once.  Only the
+    literals of nbody(r) within x need the policy, and the rules that
+    support literals within x are found at the first test that does.
     """
-    fires = _fires(op, x, variant)
+    _check_variant(variant)
     rules, (by_pbody, by_nbody, _), nb_of = op.rules, op.rule_index, op.nb_of
+    hb_of, below, static, xs = op.hb_of, op.order.below, op.static, x.bits
+    paper, supporters = variant == VARIANT_PAPER, None
     missing = [len(r.pbody) for r in rules]
     work = [i for i, n in enumerate(missing) if not n]
     derived = 0
@@ -213,8 +222,14 @@ def cpn_op(
     while work:
         i = work.pop()
         r = rules[i]
-        if missing[i] or derived & r.hbit or not fires(i, hit):
+        if missing[i] or derived & r.hbit:
             continue
+        among = r.nmask & xs
+        if among:
+            if paper and supporters is None:
+                supporters = supporting_rules(rules, xs)
+            if not _removable(hb_of, among, below[i] & (static[i] | hit), supporters):
+                continue
         derived |= r.hbit
         head = r.head_id
         hit |= nb_of.get(head, 0)
@@ -236,11 +251,17 @@ def apn_op(
 
 
 def preferred_wfs_fixpoint(
-    op: OrderedProgram, variant: str = VARIANT_PAPER
+    op: OrderedProgram,
+    variant: str = VARIANT_PAPER,
+    supported: classical.LiveClosure | None = None,
 ) -> tuple[Interpretation, list[Interpretation]]:
     """Least fixpoint of apn_op, with its iterates; the classical half of each
-    step is one live closure that follows the growing iterates."""
-    supported = classical.LiveClosure(op.rules, op.universe, index=op.rule_index)
+    step is one live closure that follows the growing iterates.  A caller
+    that passes that closure, ``supported`` (over ``op.rules``), reads
+    ``c_op(op.rules, lfp)`` from it afterwards without closing again: its
+    last call had the lfp as its context."""
+    if supported is None:
+        supported = classical.LiveClosure(op.rules, op.universe, index=op.rule_index)
     return kleene_trace(
         lambda x: cpn_op(op, supported(x), variant),
         op.universe,
@@ -259,29 +280,44 @@ def preferred_wf_model(
     op: OrderedProgram, variant: str = VARIANT_PAPER
 ) -> PartialModel:
     """(lfp, universe minus consequences of the lfp)."""
-    return wf_model_trace(op, variant)[0]
+    lfp, supported, _ = wf_model_trace(op, variant)
+    return PartialModel.from_fixpoint(lfp, supported, op.universe)
 
 
 def wf_model_trace(
     op: OrderedProgram, variant: str | None
-) -> tuple[PartialModel, list[Interpretation]]:
-    """The standard (variant None) or preferred well-founded model of op,
-    with the iterates of its fixpoint.
+) -> tuple[Interpretation, Interpretation, list[Interpretation]]:
+    """The standard (variant None) or preferred well-founded model of op, as
+    its true set (the lfp) and the set the lfp supports, with the iterates
+    of its fixpoint; a literal in neither is false
+    (``PartialModel.from_fixpoint``).
 
-    Falsity is judged against the classical consequences, except for the
-    simplistic variant: it can make heads true that the classical operator
-    refutes, so its false set is judged against its own consequence
-    operator; otherwise the model would not stay disjoint.
+    The supported set is the classical consequences of the lfp, read from
+    the fixpoint's own live closure, except for the simplistic variant: it
+    can make heads true that the classical operator refutes, so its false
+    set is judged against its own consequence operator; otherwise the model
+    would not stay disjoint.
     """
+    supported = classical.LiveClosure(op.rules, op.universe, index=op.rule_index)
     if variant is None:
-        lfp, iterates = classical.well_founded_fixpoint(op.rules, op.universe)
+        lfp, iterates = classical.well_founded_fixpoint(op.rules, op.universe, supported)
     else:
-        lfp, iterates = preferred_wfs_fixpoint(op, variant)
+        lfp, iterates = preferred_wfs_fixpoint(op, variant, supported)
     if variant == VARIANT_SIMPLISTIC:
-        supported = cpn_op(op, lfp, variant)
-    else:
-        supported = classical.c_op(op.rules, lfp, op.universe)
-    return PartialModel.from_fixpoint(lfp, supported, op.universe), iterates
+        return lfp, cpn_op(op, lfp, variant), iterates
+    return lfp, supported(lfp), iterates
+
+
+def removal_sets(
+    op: OrderedProgram,
+    x: Interpretation,
+    y: Interpretation,
+    variant: str = VARIANT_PAPER,
+) -> list[int]:
+    """Each rule's removal set at state (x, y), as a bitset, in rule order."""
+    ys, hit = y.bits, hit_bits(op, x.bits)
+    supporters = _supporters(op, variant, ys)
+    return [_removed(op, i, hit, ys, supporters) for i in range(len(op.rules))]
 
 
 def defeat_contexts(
@@ -292,10 +328,5 @@ def defeat_contexts(
 ) -> dict[str, frozenset[Literal]]:
     """Each rule's removal set at state (x, y), by rule name, for traces
     and diagnostics."""
-    _check_variant(variant)
-    ys, hit = y.bits, hit_bits(op, x.bits)
-    supporters = supporting_rules(op.rules, ys)
-    return {
-        r.name: literals_of(ys & ~_kept(op, i, hit, variant, ys, supporters))
-        for i, r in enumerate(op.rules)
-    }
+    removed = removal_sets(op, x, y, variant)
+    return {r.name: literals_of(bits) for r, bits in zip(op.rules, removed)}

@@ -11,13 +11,15 @@ complementary pair exactly when ``bits & (bits >> 1) & EVEN`` is non-zero,
 where EVEN has bit 2k set for every atom k interned so far.  A ``Rule``
 carries its head id and the masks of its positive and negative bodies; an
 ``Interpretation`` is its bits and the Lit flag, and decodes its literals
-only when they are read.
+only when they are read.  ``texts_of`` prints a bitset from the texts the
+intern table keeps per id, so printing builds no literal.
 
 Literals, rules, programs and interpretations are immutable values that
 can be shared across threads.  Two tables are process-wide state, and both
-only grow.  The intern table gives each atom its index under a lock, and
-an id never changes once given; the literal kept for an id is the first
-one built, and two threads that race store equal literals.  The set of
+only grow.  The intern table gives each atom its index, and its literals
+their texts, under a lock, and an id never changes once given; the
+literal kept for an id is the first one built, and two threads that race
+store equal literals.  The set of
 rule names already checked against the identifier pattern is added to
 without the lock: a name that two threads check at once is checked twice.
 Ids differ between processes, so every value that holds one pickles as
@@ -65,6 +67,7 @@ __all__ = [
     "bit_positions",
     "bits_of",
     "literals_of",
+    "texts_of",
     "has_pair",
     "validate_order",
     "is_consistent",
@@ -107,6 +110,7 @@ class DuplicateRuleError(ProgramError):
 
 _ATOMS: dict[str, int] = {}  # atom name -> atom index k
 _LITERALS: list["Literal"] = []  # literal id -> its literal
+_TEXTS: list[str] = []  # literal id -> its text, ``str`` of its literal
 _RULE_NAMES: set[str] = set()  # rule names already checked
 _EVEN = 0  # bit 2k for every interned atom k
 _intern_lock = threading.Lock()
@@ -125,6 +129,7 @@ def _intern(name: str) -> int:
         if k is None:
             k = len(_LITERALS) // 2
             _LITERALS.extend((None, None))
+            _TEXTS.extend((name, "-" + name))
             _EVEN |= 1 << 2 * k
             _ATOMS[name] = k
     return k
@@ -385,6 +390,12 @@ def bits_of(literals: Iterable[Literal]) -> int:
 def literals_of(bits: int) -> frozenset[Literal]:
     """The literals of a bitset."""
     return frozenset(_LITERALS[i] for i in bit_positions(bits))
+
+
+def texts_of(bits: int) -> list[str]:
+    """The texts of the literals of a bitset, sorted; no literal is built
+    or hashed."""
+    return sorted([_TEXTS[i] for i in bit_positions(bits)])
 
 
 def has_pair(bits: int) -> int:

@@ -261,7 +261,7 @@ class TestSolveErrors:
         from olp import cli
         from olp.fixpoint import FixpointDivergence
 
-        def explode(rules, universe):
+        def explode(rules, universe, supported=None):
             raise FixpointDivergence("forced for the exit-code test")
 
         monkeypatch.setattr(cli.classical, "well_founded_fixpoint", explode)

@@ -79,6 +79,14 @@ MUTANTS = {
         91, ("cpn-simplistic-routes-agree",),
         "e38ab885e554e2bd1d3e1d9f3582c81005615be4ba5f3777e968cfdefeb10ad8",
     ),
+    # The removal policy that cpn_op, tpn_step and d_set share, reading only
+    # the lowest literal of a negative body.
+    "removal-scan-stops-after-one-literal": (
+        prefwfs, "_removable",
+        "among ^= low", "break",
+        20, ("cpn-anti-monotone",),
+        "24d4a1b5793d63c91bfcadaeff54609bdb0eb5aac737269544f8da2f87c3ab49",
+    ),
 }
 
 SEARCHED = 200
