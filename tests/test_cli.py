@@ -481,6 +481,16 @@ class TestOneFixpointPerSolve:
         assert code == 0
         assert calls == {fixpoint: 1}
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_partial_model_is_built(self, capsys, monkeypatch, mode):
+        # The payload is computed from bitsets; PartialModel is library API.
+        def refuse(*args, **kwargs):
+            raise AssertionError("olp solve built a PartialModel")
+
+        monkeypatch.setattr(PartialModel, "__init__", refuse)
+        argv = ["solve", str(CORPUS / "ex5.olp"), "--mode", mode, "--json", "--trace"]
+        assert run(capsys, *argv)[0] == 0
+
     # The one Kleene iteration is the top-level fixpoint; every inner
     # consequence closure goes through classical.derive.
     @pytest.mark.parametrize("trace", [False, True])
