@@ -29,6 +29,7 @@ bits.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable
 
 from .classical import Fires, LiveClosure, c_star, cl, derive
@@ -51,23 +52,10 @@ __all__ = [
 Close = Callable[[int], int]  # close(rule bitset) -> literal bitset
 
 
-def _cached(close: Close) -> Close:
-    """``close``, remembering its value for each rule set."""
-    closed: dict[int, int] = {}
-
-    def cached(key):
-        context = closed.get(key)
-        if context is None:
-            context = closed[key] = close(key)
-        return context
-
-    return cached
-
-
 def moving_closure(op: OrderedProgram) -> Close:
     """The closures of rule sets, cached by set; a miss moves one live
     closure from the last set to the new one."""
-    return _cached(LiveClosure(op.rules, op.universe, index=op.rule_index).within)
+    return cache(LiveClosure(op.rules, op.universe, index=op.rule_index).within)
 
 
 def _fires(
@@ -106,7 +94,7 @@ def t_star_step(
     """One derivation step against defeat-pruned reduct closures, each
     closed from scratch."""
     xs, rules = bits_of(x), op.rules
-    close = _cached(lambda key: derive([rules[j] for j in bit_positions(key)]))
+    close = cache(lambda key: derive([rules[j] for j in bit_positions(key)]))
     fires, _ = _fires(op, bits_of(y), close, xs)
     return frozenset(
         r.head for i, r in enumerate(rules) if r.pmask & xs == r.pmask and fires(i)

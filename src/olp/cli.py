@@ -26,7 +26,9 @@ from . import brewka, classical, preference, prefwfs
 from .fixpoint import FixpointDivergence
 from .oracle import GeneratorConfig, chain_program, check_theorems, generate_program
 from .parser import ParseError, parse_program, render_program
-from .syntax import OrderedProgram, ProgramError, bit_positions, bits_of, texts_of
+from .syntax import (
+    OrderedProgram, ProgramError, bit_positions, bits_of, false_bits, texts_of,
+)
 
 __all__ = ["main"]
 
@@ -107,7 +109,7 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
         lfp, supported, values = prefwfs.wf_model_trace(op, variant)
         universe = bits_of(op.universe)
         true = lfp.bits
-        false = universe & ~supported.bits & ~true
+        false = false_bits(universe, true, supported.bits)
         payload = {
             "true": show(true),
             "false": show(false),

@@ -30,6 +30,7 @@ from .syntax import (
     Rule,
     bits_of,
     is_consistent,
+    neg,
     pos,
     program,
     validate_order,
@@ -152,8 +153,7 @@ def generate_program(cfg: GeneratorConfig) -> OrderedProgram:
     """
     rng = random.Random(cfg.seed)
     names = _ATOM_NAMES[: rng.randint(1, cfg.max_atoms)]
-    # The interned literals, each beside its cached complement.
-    polarities = [(p, p.complement()) for p in map(pos, names)]
+    polarities = [(pos(name), neg(name)) for name in names]
 
     def literal() -> Literal:
         return rng.choice(polarities)[rng.random() < cfg.classical_negation_prob]
@@ -256,8 +256,8 @@ def _random_consistent(
 def _subset_pairs(
     rng: random.Random, universe: frozenset[Literal], count: int
 ) -> list[tuple[Interpretation, Interpretation]]:
-    # The universe's own literal objects, by atom, with atoms and literals
-    # drawn in sorted order, so the draws do not follow set iteration order.
+    # Atoms and literals are drawn in sorted order, so the draws do not
+    # follow set iteration order.
     polarities = {
         lit.atom: (lit, lit.complement()) for lit in sorted(universe) if not lit.negated
     }

@@ -115,9 +115,7 @@ def parse_program(text: str) -> OrderedProgram:
     lexical, syntax, duplicate-name, cyclic-order, unknown-rule.  The text
     is split into words by one regex scan; a stray character anywhere is
     reported before any syntax error.  Each atom's two literals are looked
-    up once per parse, as the complement pair interned for its name: rules
-    share literal and atom objects, within a parse and across parses, and
-    those pairs are the program's universe.
+    up once per parse, and those pairs are the program's universe.
     """
     words = _WORD_RE.findall(_COMMENT_RE.sub("", text) if "%" in text else text)
     words.append("")

@@ -12,14 +12,13 @@ where EVEN has bit 2k set for every atom k interned so far.  A ``Rule``
 carries its head id and the masks of its positive and negative bodies; an
 ``Interpretation`` is its bits and the Lit flag, and decodes its literals
 only when they are read.  ``texts_of`` prints a bitset from the texts the
-intern table keeps per id, so printing builds no literal.
+intern table keeps per id, so printing reads no literal.
 
 Literals, rules, programs and interpretations are immutable values that
 can be shared across threads.  Two tables are process-wide state, and both
-only grow.  The intern table gives each atom its index, and its literals
-their texts, under a lock, and an id never changes once given; the
-literal kept for an id is the first one built, and two threads that race
-store equal literals.  The set of
+only grow.  The intern table gives each atom its index and builds its
+atom, both its literals and their texts, under a lock, and an id never
+changes once given: each literal id has one object.  The set of
 rule names already checked against the identifier pattern is added to
 without the lock: a name that two threads check at once is checked twice.
 Ids differ between processes, so every value that holds one pickles as
@@ -69,6 +68,7 @@ __all__ = [
     "literals_of",
     "texts_of",
     "has_pair",
+    "false_bits",
     "validate_order",
     "is_consistent",
     "pos",
@@ -109,7 +109,7 @@ class DuplicateRuleError(ProgramError):
 
 
 _ATOMS: dict[str, int] = {}  # atom name -> atom index k
-_LITERALS: list["Literal"] = []  # literal id -> its literal
+_LITERALS: list["Literal"] = []  # literal id -> its one literal
 _TEXTS: list[str] = []  # literal id -> its text, ``str`` of its literal
 _RULE_NAMES: set[str] = set()  # rule names already checked
 _EVEN = 0  # bit 2k for every interned atom k
@@ -117,7 +117,8 @@ _intern_lock = threading.Lock()
 
 
 def _intern(name: str) -> int:
-    """The atom index of ``name``, checked and interned on first sight."""
+    """The atom index of ``name``, checked and interned on first sight
+    together with the atom's one ``Atom`` and both its literals."""
     k = _ATOMS.get(name)
     if k is not None:
         return k
@@ -128,9 +129,20 @@ def _intern(name: str) -> int:
         k = _ATOMS.get(name)
         if k is None:
             k = len(_LITERALS) // 2
-            _LITERALS.extend((None, None))
+            # Built past the constructors: ``Atom(...)`` would intern again,
+            # under this lock, and ``Literal(...)`` looks the table up.
+            atom = _new(Atom)
+            _set_atom_name(atom, name)
+            for negated in (False, True):
+                lit = _new(Literal)
+                _set_atom(lit, atom)
+                _set_negated(lit, negated)
+                _set_id(lit, 2 * k + negated)
+                _set_hash(lit, hash((atom, negated)))
+                _LITERALS.append(lit)
             _TEXTS.extend((name, "-" + name))
             _EVEN |= 1 << 2 * k
+            # Last, so that a reader that finds the name finds its literals.
             _ATOMS[name] = k
     return k
 
@@ -152,69 +164,55 @@ class Atom:
 class Literal:
     """An atom or its classical negation.
 
-    The hash is computed once, at construction, and is the value the
-    generated dataclass hash would give, ``hash((atom, negated))``.  ``id``
-    is ``2k`` or ``2k + 1`` for the atom's index k.  The complement is
-    cached.
+    Each literal id has one object, built by the intern table with its
+    atom: ``Literal(atom, negated)`` returns it and builds nothing.  ``id``
+    is ``2k`` or ``2k + 1`` for the atom's index k, and the hash, computed
+    once, is the value the generated dataclass hash would give,
+    ``hash((atom, negated))``.
     """
 
     atom: Atom
     negated: bool = False
     id: int = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
-    _complement: Literal = field(init=False, repr=False, compare=False)
 
-    def __init__(self, atom: Atom, negated: bool = False):
-        i = _intern(atom.name) << 1 | bool(negated)
-        _set_atom(self, atom)
-        _set_negated(self, negated)
-        _set_id(self, i)
-        _set_hash(self, hash((atom, negated)))
-        if _LITERALS[i] is None:
-            _LITERALS[i] = self
+    def __new__(cls, atom: Atom, negated: bool = False):
+        return _LITERALS[_intern(atom.name) << 1 | bool(negated)]
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        # Rebuild on load: a stored hash would be stale under another seed.
+        # Load as the loading process's literal: ids and hashes differ there.
         return Literal, (self.atom, self.negated)
 
     def complement(self) -> "Literal":
-        try:
-            return self._complement
-        except AttributeError:
-            flipped = Literal(self.atom, not self.negated)
-            _set_complement(flipped, self)
-            _set_complement(self, flipped)
-            return flipped
+        return _LITERALS[self.id ^ 1]
 
     def __str__(self) -> str:
-        return f"-{self.atom}" if self.negated else str(self.atom)
+        return _TEXTS[self.id]
 
 
 # Atom, Literal and Rule are slotted, so no instance has a ``__dict__`` and
 # every attribute read in the engines' loops stays on CPython's fast path.
-# Their constructors write the slots through the descriptors, past the
-# frozen ``__setattr__``.
+# Their builders write the slots through the descriptors, past the frozen
+# ``__setattr__``.
+_new = object.__new__
+_set_atom_name = Atom.name.__set__
 _set_atom = Literal.atom.__set__
 _set_negated = Literal.negated.__set__
 _set_id = Literal.id.__set__
 _set_hash = Literal._hash.__set__
-_set_complement = Literal._complement.__set__
 
 
 def pos(name: str) -> Literal:
-    """The positive literal of the atom ``name`` that stands for its id in
-    this process (its cached complement is the negated one); built, and the
-    name checked, only on first sight."""
-    k = _ATOMS.get(name)
-    lit = None if k is None else _LITERALS[2 * k]
-    return Literal(Atom(name)) if lit is None else lit
+    """The positive literal of the atom ``name``; the name is checked only
+    on first sight."""
+    return _LITERALS[_intern(name) << 1]
 
 
 def neg(name: str) -> Literal:
-    return pos(name).complement()
+    return _LITERALS[_intern(name) << 1 | 1]
 
 
 def complement(lit: Literal) -> Literal:
@@ -393,7 +391,7 @@ def literals_of(bits: int) -> frozenset[Literal]:
 
 
 def texts_of(bits: int) -> list[str]:
-    """The texts of the literals of a bitset, sorted; no literal is built
+    """The texts of the literals of a bitset, sorted; no literal is read
     or hashed."""
     return sorted([_TEXTS[i] for i in bit_positions(bits)])
 
@@ -566,13 +564,8 @@ def program(
 def literal_universe(source: OrderedProgram | Iterable[Rule]) -> frozenset[Literal]:
     """Both polarities of every atom occurring anywhere in the program."""
     rules = source.rules if isinstance(source, OrderedProgram) else source
-    # Reuse the program's literal objects and their cached complements.
-    some: dict[Atom, Literal] = {}
-    for r in rules:
-        for lit in r.literals():
-            some.setdefault(lit.atom, lit)
-    positive = (lit.complement() if lit.negated else lit for lit in some.values())
-    return frozenset(lit for p in positive for lit in (p, p.complement()))
+    atoms = {lit.id >> 1 for r in rules for lit in r.literals()}
+    return frozenset(_LITERALS[i] for k in atoms for i in (2 * k, 2 * k + 1))
 
 
 Positions = dict[int, list[int]]
@@ -713,7 +706,6 @@ class Interpretation:
 
 # The constructors write the slots through their descriptors, past the
 # raising __setattr__.
-_new = object.__new__
 _set_bits = Interpretation.bits.__set__
 _set_is_lit = Interpretation.is_lit.__set__
 _set_literals = Interpretation._literals.__set__
@@ -738,12 +730,9 @@ class PartialModel:
     def from_fixpoint(
         cls, lfp: Interpretation, supported: Interpretation, universe: frozenset
     ) -> "PartialModel":
-        """lfp is true; a literal neither true nor supported by lfp is false.
-
-        A fixpoint can collapse to the whole universe while what it
-        supports stays small, so true literals are never reported false.
-        """
-        return cls(lfp.literals, universe - supported.literals - lfp.literals)
+        """lfp is true, and ``false_bits`` gives the false set."""
+        false = false_bits(bits_of(universe), lfp.bits, supported.bits)
+        return cls(lfp.literals, literals_of(false))
 
     def unknown(self, universe: Iterable[Literal]) -> frozenset[Literal]:
         return frozenset(universe) - self.true_set - self.false_set
@@ -751,3 +740,13 @@ class PartialModel:
     def __str__(self) -> str:
         fmt = lambda s: "{" + ", ".join(sorted(map(str, s))) + "}"
         return f"({fmt(self.true_set)}, {fmt(self.false_set)})"
+
+
+def false_bits(universe: int, true: int, supported: int) -> int:
+    """The well-founded false set: the literals of the universe neither true
+    nor supported by the true set, all three bitsets.
+
+    A fixpoint can collapse to the whole universe while what it supports
+    stays small, so true literals are never reported false.
+    """
+    return universe & ~supported & ~true

@@ -10,6 +10,7 @@ process: values pickled in one process must load equal in a process that
 interned its atoms in another order.
 """
 
+import copy
 import dataclasses
 import os
 import pickle
@@ -76,6 +77,18 @@ class TestLiteralIds:
         assert Literal(Atom("q3"), True).id == neg("q3").id
         assert pos("q3").id != neg("q3").id
 
+    def test_each_literal_id_has_one_object(self):
+        assert Literal(Atom("o_late"), True) is neg("o_late")  # built first
+        for name, k in list(syntax._ATOMS.items()):
+            lit = pos(name)
+            assert lit is Literal(Atom(name)) is syntax._LITERALS[2 * k]
+            assert neg(name) is Literal(Atom(name), True) is lit.complement()
+        assert None not in syntax._LITERALS
+        for i, lit in enumerate(syntax._LITERALS):
+            assert lit.id == i and [*literals_of(1 << i)][0] is lit
+            assert copy.copy(lit) is lit and copy.deepcopy(lit) is lit
+            assert pickle.loads(pickle.dumps(lit)) is lit
+
     def test_rule_masks_are_the_bits_of_head_and_bodies(self):
         r = rule("r1", neg("q1"), [pos("q2"), neg("q3")], [pos("q4")])
         assert r.head_id == neg("q1").id and r.hbit == 1 << r.head_id
@@ -87,7 +100,7 @@ class TestLiteralIds:
 class TestSlottedRecords:
     FIELDS = {
         Atom: ("name",),
-        Literal: ("atom", "negated", "id", "_hash", "_complement"),
+        Literal: ("atom", "negated", "id", "_hash"),
         Rule: ("name", "head", "pbody", "nbody", "head_id", "hbit", "pmask", "nmask"),
     }
 
@@ -225,28 +238,45 @@ class TestIdsAcrossProcesses:
         assert done.stdout == b"ok\n"
 
 
+def _race(intern, count=8):
+    """Run ``intern(seed)`` on ``count`` threads released together by a
+    barrier, switching threads as often as the interpreter allows; returns
+    what each call returned."""
+    barrier = threading.Barrier(count)
+    seen = []
+
+    def work(seed):
+        barrier.wait(timeout=60)
+        seen.append(intern(seed))
+
+    workers = [threading.Thread(target=work, args=(seed,)) for seed in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(seen) == count
+    return seen
+
+
+def _shuffled(names, seed):
+    order = names[:]
+    random.Random(seed).shuffle(order)
+    return order
+
+
 class TestInternTableUnderThreads:
     def test_concurrent_interning_gives_each_name_one_index(self):
         names = [f"t_{k}" for k in range(300)]
-        seen: list[list[Literal]] = []
-
-        def intern(seed):
-            order = names[:]
-            random.Random(seed).shuffle(order)
-            seen.append([neg(name) if k % 2 else pos(name) for k, name in enumerate(order)])
-
-        workers = [threading.Thread(target=intern, args=(seed,)) for seed in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert len(seen) == len(workers)
+        seen = _race(lambda seed: [
+            neg(name) if k % 2 else pos(name)
+            for k, name in enumerate(_shuffled(names, seed))
+        ])
         ids = {}
         for lits in seen:
             for lit in lits:
@@ -255,6 +285,27 @@ class TestInternTableUnderThreads:
         for name, k in ids.items():
             assert syntax._LITERALS[2 * k] == pos(name)
             assert syntax.has_pair(3 << 2 * k)
+
+    def test_racing_threads_share_one_object_per_literal_id(self):
+        names = [f"race_{k}" for k in range(200)]
+        seen = _race(lambda seed: [
+            lit
+            for name in _shuffled(names, seed)
+            for lit in (
+                Literal(Atom(name), seed % 2 == 1), pos(name), neg(name),
+                Literal(Atom(name), seed % 2 == 0),
+            )
+        ])
+        objects: dict[int, Literal] = {}
+        for lits in seen:
+            for lit in lits:
+                assert objects.setdefault(lit.id, lit) is lit
+        assert len(objects) == 2 * len(names)
+        for i, lit in objects.items():
+            assert lit.complement() is objects[i ^ 1]
+            assert syntax._LITERALS[i] is lit
+        for i, lit in enumerate(syntax._LITERALS):
+            assert syntax._TEXTS[i] == str(lit)
 
 
 class TestNamesCheckedOnce:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from olp import prefwfs
 from olp.classical import c_op, t_step, well_founded_fixpoint, well_founded_model
 from olp.fixpoint import iterate_union
 from olp.oracle import GeneratorConfig, generate_program
@@ -22,6 +23,7 @@ from olp.prefwfs import (
 )
 from olp.syntax import Interpretation, PartialModel
 from .conftest import A, B, C, NA, NB, NP, NQ, P, Q, interp
+from .test_mutations import _install
 
 E = Interpretation.empty()
 
@@ -242,34 +244,18 @@ class TestProperties:
                     )
 
     def test_paper_removal_sets_follow_their_definition_on_shared_heads(self):
-        # A literal l of y leaves rule r's context iff every rule g with
-        # head l and pbody(g) in y is strictly below r and defeated by r at
-        # x; a plain scan over the rules, with no bitsets.
-        rng = random.Random(29)
-        checked = 0
-        for seed in range(120):
-            op = generate_program(GeneratorConfig(seed=seed, order_density=0.4))
-            heads = [r.head for r in op.rules]
-            if len(set(heads)) == len(heads):
-                continue
-            for _ in range(4):
-                x = _consistent(rng, op.universe)
-                for y in (c_op(op.rules, x, op.universe), _consistent(rng, op.universe)):
-                    if y.is_lit:
-                        continue
-                    contexts = defeat_contexts(op, x, y)
-                    for r in op.rules:
-                        expected = frozenset(
-                            l for l in y.literals
-                            if all(
-                                op.order.prefers(g.name, r.name) and defeats(r, g, x)
-                                for g in op.rules
-                                if g.head == l and g.pbody <= y.literals
-                            )
-                        )
-                        assert d_set(op, r, x, y) == contexts[r.name] == expected
-                    checked += 1
+        checked, mismatch = _paper_removal_mismatch()
+        assert mismatch is None
         assert checked > 100
+
+    def test_the_definition_check_kills_a_policy_that_ignores_supporters(
+        self, monkeypatch
+    ):
+        _install(
+            monkeypatch, prefwfs, "_removable",
+            "elif heads & supporters & ~defeated:", "elif heads & ~defeated:",
+        )
+        assert _paper_removal_mismatch()[1] is not None
 
     def test_convergence_within_the_bound(self):
         for seed in range(80):
@@ -318,3 +304,38 @@ def _consistent(rng, universe):
                 )
             )
     return Interpretation.of(picked)
+
+
+def _paper_removal_mismatch():
+    """Check the paper removal sets on shared-head programs against their
+    definition: a literal l of y leaves rule r's context iff every rule g
+    with head l and pbody(g) in y is strictly below r and defeated by r at
+    x; a plain scan over the rules, with no bitsets.  Returns the number of
+    (x, y) pairs checked and the first mismatch, or None."""
+    rng = random.Random(29)
+    checked = 0
+    for seed in range(120):
+        op = generate_program(GeneratorConfig(seed=seed, order_density=0.4))
+        heads = [r.head for r in op.rules]
+        if len(set(heads)) == len(heads):
+            continue
+        for _ in range(4):
+            x = _consistent(rng, op.universe)
+            for y in (c_op(op.rules, x, op.universe), _consistent(rng, op.universe)):
+                if y.is_lit:
+                    continue
+                contexts = defeat_contexts(op, x, y)
+                for r in op.rules:
+                    expected = frozenset(
+                        l for l in y.literals
+                        if all(
+                            op.order.prefers(g.name, r.name) and defeats(r, g, x)
+                            for g in op.rules
+                            if g.head == l and g.pbody <= y.literals
+                        )
+                    )
+                    got = (d_set(op, r, x, y), contexts[r.name])
+                    if got != (expected, expected):
+                        return checked, (seed, r.name, x, y, got, expected)
+                checked += 1
+    return checked, None

@@ -75,7 +75,7 @@ class TestLiteralValueContract:
     @pytest.mark.parametrize("lit", LITERALS, ids=str)
     def test_separately_built_literals_are_equal(self, lit):
         other = Literal(Atom(lit.atom.name), lit.negated)
-        assert other is not lit
+        assert other is lit
         assert other == lit and hash(other) == hash(lit)
         assert other != other.complement()
 
