@@ -187,31 +187,36 @@ def a_op(
     return c_op(rules, c_op(rules, x, universe), universe)
 
 
+def _alone(i: int) -> tuple[int]:
+    """Rule i alone: what bit i of a rule bitset stands for."""
+    return (i,)
+
+
 class LiveClosure:
     """``c_op(rules, x, universe)`` for a sequence of contexts x, kept live.
 
     The closure keeps its raw derived set (``c_star`` at the last context,
     as bits) between calls, and one counter per rule: its positive-body
-    literals not derived yet plus its negative-body literals in the
-    context.  A rule fires when its counter is zero; deriving a literal
-    counts down the rules with it in their positive body and puts those
-    that reach zero on the worklist (the counter-based Horn closure of
-    Dowling & Gallier, J. Logic Programming 1984).  A new context is
-    diffed against the last one (``new & ~old`` and ``old & ~new``).  A
-    literal that leaves it counts down the rules with it in their negative
-    body.  A literal that joins it counts them up, and blocks those whose
-    negative body missed the old context: their heads go, together with
-    everything derived through them; every rule that can derive a deleted
-    literal again is then re-tested (DRed's over-delete and re-derive:
-    Gupta, Mumick & Subrahmanian, SIGMOD 1993).  A call costs the size of
-    the change and of what it retracts; the collapse to Lit is one test of
-    the bits.
+    literals not derived yet, plus its negative-body literals in the
+    context, plus one while the rule is outside the rule set.  A rule fires
+    when its counter is zero; deriving a literal counts down the rules with
+    it in their positive body and puts those that reach zero on the
+    worklist (the counter-based Horn closure of Dowling & Gallier, J. Logic
+    Programming 1984).
 
-    ``within(mask)`` moves the closure between rule sets the same way: a
-    rule outside the bitset ``mask`` (over rule positions) counts one more,
-    so a rule that leaves the set is blocked and retracts what it
-    supported, and a rule that joins it is counted down.  brewka closes
-    its reducts with it, and never sets a context.
+    Both moves go through one recount step.  A new context is diffed
+    against the last one: a literal that joins it counts up the rules with
+    it in their negative body, one that leaves counts them down.
+    ``within(mask)`` moves the closure between rule sets (bitsets over rule
+    positions) the same way: a rule that leaves the set counts up, one that
+    joins counts down.  A rule that reaches zero is queued, and a rule that
+    leaves zero retracts what it supported: its head goes, together with
+    everything derived through it, and every rule that can derive a
+    deleted literal again is then re-tested (DRed's over-delete and
+    re-derive: Gupta, Mumick & Subrahmanian, SIGMOD 1993).  A move costs
+    the size of the change and of what it retracts; the collapse to Lit is
+    one test of the bits.  brewka closes its reducts with ``within`` and
+    never sets a context.
 
     ``index`` is ``index_rules(rules)`` where the caller has it already;
     it is read, never written, so closures over the same rules share it,
@@ -240,9 +245,11 @@ class LiveClosure:
         self._value: Interpretation | None = None
 
     def __call__(self, x: Interpretation) -> Interpretation:
-        context = x.bits & self._watched
-        if context != self._context:
-            self._retract(self._move_to(context))
+        context, old = x.bits & self._watched, self._context
+        if context != old:
+            self._context = context
+            doomed = self._recount(context & ~old, old & ~context, self._by_nbody.__getitem__)
+            self._retract(doomed)
         if self._work:
             self._fire()
         if self._value is None:
@@ -254,47 +261,34 @@ class LiveClosure:
         ``mask``, their negative bodies ignored (the context stays empty):
         over-delete what the rules that left the set supported, derive
         again from the rules that stay, and fire the rules that joined."""
-        missing, old = self._missing, self._mask
-        blocked = []
-        for i in bit_positions(old & ~mask):
-            if not missing[i]:  # only a rule at zero supports its head
-                blocked.append(i)
-            missing[i] += 1
-        for i in bit_positions(mask & ~old):
-            missing[i] -= 1
-            if not missing[i]:
-                self._work.append(i)
-        self._mask = mask
-        self._retract(blocked)
+        old, self._mask = self._mask, mask
+        self._retract(self._recount(old & ~mask, mask & ~old, _alone))
         if self._work:
             self._fire()
         return self._derived
 
-    def _move_to(self, context: int) -> list[int]:
-        """Recount the counters; queue the freed rules, return the newly
-        blocked ones."""
-        rules, old, missing, by_nbody = self._rules, self._context, self._missing, self._by_nbody
-        blocked = []
-        for lit in bit_positions(context & ~old):
-            for i in by_nbody[lit]:
+    def _recount(self, joined: int, left: int, rules_of: Callable[[int], Iterable[int]]) -> int:
+        """Count the rules ``rules_of(j)`` one more for each set bit j of
+        ``joined`` and one less for each set bit of ``left``; queue the
+        rules that reach zero, return the heads of those that leave it."""
+        rules, missing, work = self._rules, self._missing, self._work
+        doomed = 0
+        for j in bit_positions(joined):
+            for i in rules_of(j):
+                if not missing[i]:  # only a rule at zero supports its head
+                    doomed |= rules[i].hbit
                 missing[i] += 1
-                if not rules[i].nmask & old:
-                    blocked.append(i)
-        for lit in bit_positions(old & ~context):
-            for i in by_nbody[lit]:
+        for j in bit_positions(left):
+            for i in rules_of(j):
                 missing[i] -= 1
                 if not missing[i]:
-                    self._work.append(i)
-        self._context = context
-        return blocked
+                    work.append(i)
+        return doomed
 
-    def _retract(self, blocked: list[int]) -> None:
-        """Over-delete what the blocked rules supported, then queue every
-        rule that can derive a deleted literal again."""
+    def _retract(self, doomed: int) -> None:
+        """Over-delete the doomed literals and what they derived, then queue
+        every rule that can derive a deleted literal again."""
         rules, derived = self._rules, self._derived
-        doomed = 0
-        for i in blocked:
-            doomed |= rules[i].hbit
         doomed &= derived
         if not doomed:
             return

@@ -14,7 +14,8 @@ Grammar (whitespace insignificant, ``%`` comments to end of line)::
 statements may appear anywhere; rule names are resolved at end of parse.
 Unnamed rules are assigned r1, r2, ... in source order, skipping names
 taken explicitly elsewhere.  The word ``not`` is reserved and cannot be
-used as a rule name or atom.
+used as a rule name or atom; ``Atom`` and ``Rule`` reject it too, so every
+program the API builds renders to text that parses back to it.
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ __all__ = [
     "program",
 ]
 
-IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
+IDENT_RE = re.compile(r"(?!not\Z)[a-z][A-Za-z0-9_]*\Z")
 
 
 class ProgramError(Exception):
@@ -149,7 +149,8 @@ def _intern(name: str) -> int:
 
 @dataclass(frozen=True, order=True, slots=True)
 class Atom:
-    """A propositional atom; names follow the identifier lexical class."""
+    """A propositional atom; names follow the identifier lexical class,
+    and ``not``, reserved by the ``.olp`` format, is rejected here too."""
 
     name: str
 

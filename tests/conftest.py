@@ -18,6 +18,18 @@ def interp(*literals) -> Interpretation:
     return Interpretation.of(literals)
 
 
+def random_consistent(rng, universe) -> Interpretation:
+    """A random consistent interpretation over the atoms of ``universe``:
+    each atom, visited in name order so that a draw does not depend on the
+    hash seed, is left out, true or false with equal odds."""
+    picked = []
+    for name in sorted({lit.atom.name for lit in universe}):
+        choice = rng.choice((0, 1, 2))
+        if choice:
+            picked.append(pos(name) if choice == 1 else neg(name))
+    return Interpretation.of(picked)
+
+
 def corpus_text(name: str) -> str:
     return (CORPUS / f"{name}.olp").read_text()
 

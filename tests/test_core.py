@@ -20,11 +20,11 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from olp import syntax
-from olp.parser import parse_program
+from olp.parser import parse_program, render_program
 from olp.syntax import (
     Atom,
     Interpretation,
@@ -335,3 +335,28 @@ class TestNamesCheckedOnce:
         with pytest.raises(ProgramError):
             Atom("Fresh")
         assert calls == ["Fresh"]
+
+
+class TestNamesTheFormatCanSpell:
+    """The API accepts exactly the names that ``.olp`` text can spell, so a
+    program built in Python renders to text that parses back to it."""
+
+    def test_the_reserved_word_and_a_final_newline_are_rejected(self):
+        builds = (Atom, pos, lambda n: Rule(n, pos("q1")), lambda n: rule(n, pos("q1")))
+        for build in builds:
+            for name in ("not", "ab\n", "r1\n"):
+                with pytest.raises(ProgramError):
+                    build(name)
+            for name in ("nota", "not_"):
+                build(name)
+
+    @given(st.text(alphabet="anot_1X \n-", min_size=1, max_size=5))
+    @example("not")
+    @example("a\n")
+    def test_every_accepted_name_round_trips_through_the_text(self, name):
+        try:
+            Atom(name)
+        except ProgramError:
+            return
+        p = program([rule(name, pos(name))])
+        assert parse_program(render_program(p)) == p

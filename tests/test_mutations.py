@@ -42,34 +42,38 @@ MUTANTS = {
         2, ("live-closure-matches-c-op",),
         "ca1a57be4e583f88993e36323791134a4b955f644d15cb3fb03dfc93f1bcd1a6",
     ),
-    "move-to-retracts-nothing": (
-        classical.LiveClosure, "_move_to",
-        "blocked.append(i)", "pass",
+    # The one recount step that moves the live closure, for a new context
+    # and for a new rule set alike.
+    "recount-retracts-nothing": (
+        classical.LiveClosure, "_recount",
+        "doomed |= rules[i].hbit", "pass",
         0, ("live-closure-matches-c-op",),
         "70814d8d7587fee19b38a9ee613e4ca41b93e78526c49eee9cc13b5047c21dea",
     ),
-    "move-to-queues-no-freed-rule": (
-        classical.LiveClosure, "_move_to",
-        "self._work.append(i)", "pass",
+    "recount-queues-no-freed-rule": (
+        classical.LiveClosure, "_recount",
+        "work.append(i)", "pass",
         0, ("live-closure-matches-c-op",),
         "148eb91833bb9a625b38058ef1cd72fbf7dc1c53b13fc24231a9b1898a9f1d47",
     ),
-    # The three steps of moving the live closure between rule sets.
+    "recount-counts-nothing-up": (
+        classical.LiveClosure, "_recount",
+        "missing[i] += 1", "pass",
+        0, ("live-closure-matches-c-op",),
+        "43260367089575f84ab1981c830fcef6a28b023d0cd5993b9b6649d1a3a21a9d",
+    ),
+    # The two bitsets that moving between rule sets hands to the recount.
     "within-over-deletes-nothing": (
         classical.LiveClosure, "within",
-        "blocked.append(i)", "pass",
-        6, ("c-star-pref-routes-agree",),
-        "813d9f8681f2b7fcaef191f6e47bd8135e5bd417052ab7e08a39b1821de9cbc2",
-    ),
-    "within-rederives-from-removed-rules": (
-        classical.LiveClosure, "within",
-        "missing[i] += 1", "pass",
+        "self._retract(self._recount(old & ~mask, mask & ~old, _alone))",
+        "self._retract(self._recount(0, mask & ~old, _alone))",
         6, ("c-star-pref-routes-agree",),
         "813d9f8681f2b7fcaef191f6e47bd8135e5bd417052ab7e08a39b1821de9cbc2",
     ),
     "within-fires-no-added-rule": (
         classical.LiveClosure, "within",
-        "self._work.append(i)", "pass",
+        "self._retract(self._recount(old & ~mask, mask & ~old, _alone))",
+        "self._retract(self._recount(old & ~mask, 0, _alone))",
         9, ("c-star-pref-routes-agree",),
         "c1d4b6526d0350fae5615f95e30ab52964a3c0786a37001804b4c1334df6a1d3",
     ),

@@ -11,7 +11,7 @@ from olp.preference import (
     tp_step,
 )
 from olp.syntax import Interpretation, program, rule
-from .conftest import A, B, interp
+from .conftest import A, B, interp, random_consistent
 
 E = Interpretation.empty()
 
@@ -81,7 +81,7 @@ class TestApOp:
                         small = Interpretation.empty()
                 else:
                     small = Interpretation.of(
-                        l for l in big.literals if rng.random() < 0.5
+                        l for l in sorted(big.literals) if rng.random() < 0.5
                     )
                 assert ap_op(op, small).issubset(ap_op(op, big))
                 assert cp_op(op, big).issubset(cp_op(op, small))
@@ -144,15 +144,4 @@ class TestLfpAp:
 def _sample(rng, universe):
     if universe and rng.random() < 0.1:
         return Interpretation.lit(universe)
-    picked = []
-    for atom in {lit.atom for lit in universe}:
-        choice = rng.choice((0, 1, 2))
-        if choice:
-            picked.append(
-                next(
-                    l
-                    for l in universe
-                    if l.atom == atom and l.negated == (choice == 2)
-                )
-            )
-    return Interpretation.of(picked)
+    return random_consistent(rng, universe)

@@ -22,7 +22,7 @@ from olp.prefwfs import (
     wf_model_trace,
 )
 from olp.syntax import Interpretation, PartialModel
-from .conftest import A, B, C, NA, NB, NP, NQ, P, Q, interp
+from .conftest import A, B, C, NA, NB, NP, NQ, P, Q, interp, random_consistent
 from .test_mutations import _install
 
 E = Interpretation.empty()
@@ -95,7 +95,7 @@ class TestTpnStep:
         for seed in range(60):
             op = generate_program(GeneratorConfig(seed=seed, order_density=0.0))
             for _ in range(4):
-                x = _consistent(rng, op.universe)
+                x = random_consistent(rng, op.universe)
                 y = c_op(op.rules, x, op.universe)
                 if y.is_lit:
                     continue
@@ -196,9 +196,9 @@ class TestProperties:
         for seed in range(80):
             op = generate_program(GeneratorConfig(seed=seed, order_density=0.4))
             for _ in range(8):
-                big = _consistent(rng, op.universe)
+                big = random_consistent(rng, op.universe)
                 small = Interpretation.of(
-                    l for l in big.literals if rng.random() < 0.5
+                    l for l in sorted(big.literals) if rng.random() < 0.5
                 )
                 assert cpn_op(op, big).issubset(cpn_op(op, small))
                 assert apn_op(op, small).issubset(apn_op(op, big))
@@ -234,7 +234,7 @@ class TestProperties:
             if len(set(heads)) != len(heads):
                 continue
             for _ in range(4):
-                x = _consistent(rng, op.universe)
+                x = random_consistent(rng, op.universe)
                 y = c_op(op.rules, x, op.universe)
                 if y.is_lit:
                     continue
@@ -246,7 +246,7 @@ class TestProperties:
     def test_paper_removal_sets_follow_their_definition_on_shared_heads(self):
         checked, mismatch = _paper_removal_mismatch()
         assert mismatch is None
-        assert checked > 100
+        assert checked == 578
 
     def test_the_definition_check_kills_a_policy_that_ignores_supporters(
         self, monkeypatch
@@ -291,21 +291,6 @@ class TestProperties:
             call(ex3)
 
 
-def _consistent(rng, universe):
-    picked = []
-    for atom in {lit.atom for lit in universe}:
-        choice = rng.choice((0, 1, 2))
-        if choice:
-            picked.append(
-                next(
-                    l
-                    for l in universe
-                    if l.atom == atom and l.negated == (choice == 2)
-                )
-            )
-    return Interpretation.of(picked)
-
-
 def _paper_removal_mismatch():
     """Check the paper removal sets on shared-head programs against their
     definition: a literal l of y leaves rule r's context iff every rule g
@@ -320,8 +305,8 @@ def _paper_removal_mismatch():
         if len(set(heads)) == len(heads):
             continue
         for _ in range(4):
-            x = _consistent(rng, op.universe)
-            for y in (c_op(op.rules, x, op.universe), _consistent(rng, op.universe)):
+            x = random_consistent(rng, op.universe)
+            for y in (c_op(op.rules, x, op.universe), random_consistent(rng, op.universe)):
                 if y.is_lit:
                     continue
                 contexts = defeat_contexts(op, x, y)
