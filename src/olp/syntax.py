@@ -25,15 +25,16 @@ Ids differ between processes, so every value that holds one pickles as
 the literals it stands for.
 
 Validating an order only counts, in one Kahn pass over the declared pairs,
-and keeps the rule positions in the order that pass lists them, highest
-first.
-The closed order is Python-int bitsets over rule positions, one ``above``
-and one ``below`` mask per rule, each closed by a Kahn pass when first
-read, so ``check``, ``wfs`` and ``as`` never close the order and the
-O(n^2) closed pairs are never listed unless ``pairs`` is read.  A program
-adds, on first use, ``nb_of[i]`` and ``hb_of[i]`` (the rules with literal
-id i in their negative body, and with head i) and ``static[r] = below[r] &
-nb_of[head(r)]``, from which ``prefwfs`` forms defeat sets.  The rules
+and keeps each rule's list of the rules declared directly below it and the
+order the pass lists the rules in, highest first.  The closed order is
+Python-int bitsets over rule positions, one ``above`` and one ``below``
+mask per rule, each closed over those lists when first read, so ``check``,
+``wfs`` and ``as`` never close the order and the O(n^2) closed pairs are
+never listed unless ``pairs`` is read.  A program adds, on first use,
+``nb_of[i]`` and ``hb_of[i]`` (the rules with literal id i in their
+negative body, and with head i; one pass over the rules builds both) and
+``static[r] = below[r] & nb_of[head(r)]``, from which ``prefwfs`` forms
+defeat sets.  The rules
 that can support a literal within a context y are one bitset too,
 ``supporting_rules(rules, y)``, read by ``preference`` and ``prefwfs``.
 """
@@ -309,22 +310,23 @@ class PreferenceOrder:
     """A strict partial order on rule names, closed as bitsets when read.
 
     Bit j of ``above[i]`` is set when rule ``rule_names[j]`` has higher
-    priority than rule ``rule_names[i]``; ``below`` is the transpose, bit j
-    of ``below[i]`` set when rule j has lower priority than rule i.  Each is
-    closed only when first read: ``above`` by ``lfp-ap`` and ``pas``,
+    priority than rule ``rule_names[i]``; ``below`` is the transpose.  Each
+    is closed only when first read: ``above`` by ``lfp-ap`` and ``pas``,
     ``below`` by ``pwfs``, ``pwfs-simplistic`` and ``brewka``.
     ``generators`` keeps the pairs as originally declared so that a program
     can be rendered back without materialising the closure; orders are
-    equal when their declared pairs are.  ``highest_first`` is the list of
-    rule positions that validation's Kahn pass leaves, every rule after the
-    rules above it: a linear extension of the order, kept so that ``above``
-    closes along it, ``below`` along its reverse, and the closures of the
-    semantics visit the rules along it (empty when there are no pairs).
+    equal when their declared pairs are.  Validation's Kahn pass leaves
+    ``lower[i]``, the rules declared directly below rule i, and
+    ``highest_first``, every rule after the rules above it (a linear
+    extension of the order; both empty when there are no pairs).  ``above``
+    is pushed down ``highest_first`` over ``lower``, ``below`` pulled up its
+    reverse, and the closures of the semantics visit the rules along it.
     """
 
     generators: frozenset[tuple[str, str]] = frozenset()
     rule_names: tuple[str, ...] = field(default=(), compare=False)
     highest_first: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    lower: Sequence[Sequence[int]] = field(default=(), compare=False, repr=False)
 
     @classmethod
     def empty(cls) -> "PreferenceOrder":
@@ -337,18 +339,24 @@ class PreferenceOrder:
 
     @cached_property
     def above(self) -> tuple[int, ...]:
-        """For each rule, the rules above it, closed over the generators."""
-        if not self.generators:
-            return (0,) * len(self.rule_names)
-        return _closure(self.generators, self.position, self.highest_first)
+        """For each rule, the rules above it, handed down ``highest_first``."""
+        lower, reach = self.lower, [0] * len(self.rule_names)
+        for j in self.highest_first:
+            up = reach[j] | 1 << j
+            for i in lower[j]:
+                reach[i] |= up
+        return tuple(reach)
 
     @cached_property
     def below(self) -> tuple[int, ...]:
-        """The transpose of ``above``."""
-        if not self.generators:
-            return (0,) * len(self.rule_names)
-        pairs = [(b, a) for a, b in self.generators]
-        return _closure(pairs, self.position, self.highest_first[::-1])
+        """The transpose of ``above``, gathered up ``highest_first``."""
+        lower, reach = self.lower, [0] * len(self.rule_names)
+        for j in reversed(self.highest_first):
+            down = 0
+            for i in lower[j]:
+                down |= reach[i] | 1 << i
+            reach[j] = down
+        return tuple(reach)
 
     @cached_property
     def pairs(self) -> frozenset[tuple[str, str]]:
@@ -432,22 +440,6 @@ def _kahn(waiting: list[int], into: list[list[int]]) -> list[int]:
     return done
 
 
-def _closure(
-    pairs: Iterable[tuple[str, str]], position: dict[str, int], order: Sequence[int]
-) -> tuple[int, ...]:
-    """For each rule a, the bitset of the rules that acyclic ``pairs``
-    ``(a, b)`` lead to from a, closed transitively; ``order`` lists every
-    rule after the rules its pairs lead to."""
-    into = _edges(pairs, position)[1]
-    assert len(order) == len(into), "an order with pairs keeps validation's list"
-    reach = [0] * len(into)
-    for j in order:
-        bits = reach[j] | 1 << j
-        for i in into[j]:
-            reach[i] |= bits
-    return tuple(reach)
-
-
 def validate_order(
     pairs: Iterable[tuple[str, str]], rules: Iterable[Rule]
 ) -> PreferenceOrder:
@@ -481,7 +473,7 @@ def validate_order(
             seen.add(i)
             i = next(j for j in upper[i] if waiting[j])
         raise CycleError(names[i])
-    return PreferenceOrder(pairs, names, tuple(ranked))
+    return PreferenceOrder(pairs, names, tuple(ranked), lower)
 
 
 @dataclass(frozen=True)
@@ -518,13 +510,23 @@ class OrderedProgram:
     def nb_of(self) -> dict[int, int]:
         """For each literal id, the rules with it in their negative body, as
         a bitset over rule positions."""
-        return {i: _rule_bits(at) for i, at in self.rule_index[1].items()}
+        return self._defeat_maps[0]
 
     @cached_property
     def hb_of(self) -> dict[int, int]:
         """For each literal id, the rules with it as head, as a bitset over
         rule positions."""
-        return {i: _rule_bits(at) for i, at in self.rule_index[2].items()}
+        return self._defeat_maps[1]
+
+    @cached_property
+    def _defeat_maps(self) -> tuple[dict[int, int], dict[int, int]]:
+        """``nb_of`` and ``hb_of``, built in one pass over the rules."""
+        nb_of, hb_of = {}, {}
+        for i, r in enumerate(self.rules):
+            hb_of[r.head_id] = hb_of.get(r.head_id, 0) | 1 << i
+            for lit in r.nbody:
+                nb_of[lit.id] = nb_of.get(lit.id, 0) | 1 << i
+        return nb_of, hb_of
 
     @cached_property
     def static(self) -> tuple[int, ...]:
@@ -591,13 +593,10 @@ def index_rules(rules: Sequence[Rule]) -> RuleIndex:
 def supporting_rules(rules: Sequence[Rule], y: int) -> int:
     """The rules whose positive body lies in the literal bitset y, as a
     bitset over rule positions."""
-    return _rule_bits(i for i, r in enumerate(rules) if r.pmask & y == r.pmask)
-
-
-def _rule_bits(positions: Iterable[int]) -> int:
     bits = 0
-    for i in positions:
-        bits |= 1 << i
+    for i, r in enumerate(rules):
+        if r.pmask & y == r.pmask:
+            bits |= 1 << i
     return bits
 
 

@@ -1,8 +1,8 @@
 """Mutation table: one-line engine edits the theorem battery must kill.
 
 Each entry edits one line of an engine function's source (a removed line
-becomes ``pass``), compiles the edited function in a copy of its module's
-namespace and installs it wherever ``olp`` binds the original.  The battery
+becomes ``pass``; a cached property is edited in the function it wraps),
+compiles the edited function in a copy of its module's namespace and installs it wherever ``olp`` binds the original.  The battery
 then runs on the criterion-7 batch, in order, until a report fails.  The
 index of that program and a digest of the report's JSON lines are recorded
 below, and both must reproduce.  ``olp fuzz`` passes every invariant, so
@@ -14,10 +14,11 @@ import hashlib
 import inspect
 import sys
 import textwrap
+from functools import cached_property
 
 import pytest
 
-from olp import classical, prefwfs
+from olp import classical, prefwfs, syntax
 from olp.oracle import GeneratorConfig, check_theorems, generate_program
 from .test_acceptance import BATCH_SEED
 
@@ -91,6 +92,19 @@ MUTANTS = {
         20, ("cpn-anti-monotone",),
         "24d4a1b5793d63c91bfcadaeff54609bdb0eb5aac737269544f8da2f87c3ab49",
     ),
+    # The two closure loops of the order, over validation's edge lists.
+    "above-hands-down-no-rule": (
+        syntax.PreferenceOrder, "above",
+        "up = reach[j] | 1 << j", "up = reach[j]",
+        6, ("defeat-bits-agree",),
+        "c4ff2799424b48836f334ce6d236c372ed232b30e0135990e35d7b7452f8a7be",
+    ),
+    "below-gathers-only-direct-edges": (
+        syntax.PreferenceOrder, "below",
+        "down |= reach[i] | 1 << i", "down |= 1 << i",
+        37, ("defeat-bits-agree",),
+        "c08555d4429ff989652555549725411f8621965a8bdb5dd6e64aab63580cec87",
+    ),
 }
 
 SEARCHED = 200
@@ -98,12 +112,13 @@ SEARCHED = 200
 
 def _install(monkeypatch, owner, name, line, replacement):
     original = vars(owner)[name]
-    source = textwrap.dedent(inspect.getsource(original)).splitlines(keepends=True)
+    function = original.func if isinstance(original, cached_property) else original
+    source = textwrap.dedent(inspect.getsource(function)).splitlines(keepends=True)
     at = [i for i, text in enumerate(source) if text.strip() == line]
     assert len(at) == 1, f"{name}: {line!r} matches {len(at)} lines"
     text = source[at[0]]
     source[at[0]] = text[: len(text) - len(text.lstrip())] + replacement + "\n"
-    module = sys.modules[original.__module__]
+    module = sys.modules[function.__module__]
     namespace = dict(vars(module))
     exec(
         compile(
@@ -114,6 +129,8 @@ def _install(monkeypatch, owner, name, line, replacement):
     )
     mutant = namespace[name]
     if isinstance(owner, type):
+        if isinstance(mutant, cached_property):
+            mutant.__set_name__(owner, name)
         monkeypatch.setattr(owner, name, mutant)
         return
     for loaded, bound in list(sys.modules.items()):

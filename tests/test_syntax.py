@@ -281,9 +281,11 @@ class TestOrderedProgram:
         render_program(op)
         answers("wfs", "as")
         assert not {"above", "below", "pairs"} & vars(op.order).keys()
-        # lfp-ap and pas read above only; pwfs reads below.
+        # lfp-ap and pas read above only, and no rule index; pwfs reads below.
+        op = load("ex4")
         answers("lfp-ap", "pas")
         assert "above" in vars(op.order) and "below" not in vars(op.order)
+        assert "rule_index" not in vars(op)
         answers("pwfs")
         assert "below" in vars(op.order)
 
