@@ -55,7 +55,7 @@ Close = Callable[[int], int]  # close(rule bitset) -> literal bitset
 def moving_closure(op: OrderedProgram) -> Close:
     """The closures of rule sets, cached by set; a miss moves one live
     closure from the last set to the new one."""
-    return cache(LiveClosure(op.rules, op.universe, index=op.rule_index).within)
+    return cache(LiveClosure(op.rules, index=op.rule_index).within)
 
 
 def _fires(

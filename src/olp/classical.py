@@ -9,7 +9,9 @@ well-founded model as the least fixpoint of ``a_op = c_op . c_op``.
 The alternating fixpoints do not close from scratch at every step: each
 half of the alternation is a ``LiveClosure``, which keeps its derived set
 between calls and, for a new context, re-tests only the rules whose
-counters the change touches.  ``derive`` and ``c_op`` stay the plain,
+counters the change touches.  Like ``_c_star`` it returns the raw closure
+as bits; the fixpoints collapse it to Lit where they read a value, as
+``c_op`` collapses ``_c_star``.  ``derive`` and ``c_op`` stay the plain,
 stateless references that the theorem battery checks it against.
 
 The answer-set search branches only on the heads that its bounds leave
@@ -193,7 +195,8 @@ def _alone(i: int) -> tuple[int]:
 
 
 class LiveClosure:
-    """``c_op(rules, x, universe)`` for a sequence of contexts x, kept live.
+    """``_c_star(rules, y)`` for a sequence of contexts y, kept live: the
+    raw closure, as bits, with no collapse to Lit.
 
     The closure keeps its raw derived set (``c_star`` at the last context,
     as bits) between calls, and one counter per rule: its positive-body
@@ -204,34 +207,28 @@ class LiveClosure:
     worklist (the counter-based Horn closure of Dowling & Gallier, J. Logic
     Programming 1984).
 
-    Both moves go through one recount step.  A new context is diffed
-    against the last one: a literal that joins it counts up the rules with
-    it in their negative body, one that leaves counts them down.
-    ``within(mask)`` moves the closure between rule sets (bitsets over rule
-    positions) the same way: a rule that leaves the set counts up, one that
-    joins counts down.  A rule that reaches zero is queued, and a rule that
-    leaves zero retracts what it supported: its head goes, together with
-    everything derived through it, and every rule that can derive a
-    deleted literal again is then re-tested (DRed's over-delete and
-    re-derive: Gupta, Mumick & Subrahmanian, SIGMOD 1993).  A move costs
-    the size of the change and of what it retracts; the collapse to Lit is
-    one test of the bits.  brewka closes its reducts with ``within`` and
-    never sets a context.
+    Both moves go through one step, ``_move``.  A new context (a bitset,
+    complementary pairs allowed) is diffed against the last one: a literal
+    that joins it counts up the rules with it in their negative body, one
+    that leaves counts them down.  ``within(mask)`` moves the closure
+    between rule sets (bitsets over rule positions) the same way: a rule
+    that leaves the set counts up, one that joins counts down.  A rule that
+    reaches zero is queued, and a rule that leaves zero retracts what it
+    supported: its head goes, together with everything derived through it,
+    and every rule that can derive a deleted literal again is then
+    re-tested (DRed's over-delete and re-derive: Gupta, Mumick &
+    Subrahmanian, SIGMOD 1993).  A move costs the size of the change and of
+    what it retracts.  A caller that reads a collapsed value collapses the
+    bits itself (``Interpretation.from_bits``).  brewka closes its reducts
+    with ``within`` and never sets a context.
 
     ``index`` is ``index_rules(rules)`` where the caller has it already;
     it is read, never written, so closures over the same rules share it,
     and kept as ``self.index`` for the next closure.
     """
 
-    def __init__(
-        self,
-        rules: Sequence[Rule],
-        universe: frozenset[Literal],
-        *,
-        index: RuleIndex | None = None,
-    ):
+    def __init__(self, rules: Sequence[Rule], *, index: RuleIndex | None = None):
         self._rules = tuple(rules)
-        self._universe = universe
         self.index = index = index or index_rules(self._rules)
         self._by_pbody, self._by_nbody, self._by_head = index
         self._missing = [len(r.pbody) for r in self._rules]
@@ -242,35 +239,26 @@ class LiveClosure:
         self._derived = 0
         self._context = 0  # the watched literals of the last context
         self._mask = (1 << len(self._rules)) - 1  # the rules in the set
-        self._value: Interpretation | None = None
 
-    def __call__(self, x: Interpretation) -> Interpretation:
-        context, old = x.bits & self._watched, self._context
-        if context != old:
-            self._context = context
-            doomed = self._recount(context & ~old, old & ~context, self._by_nbody.__getitem__)
-            self._retract(doomed)
-        if self._work:
-            self._fire()
-        if self._value is None:
-            self._value = Interpretation.from_bits(self._derived, self._universe)
-        return self._value
+    def __call__(self, y: int) -> int:
+        """The raw closure, as bits, of the rules in the set whose negative
+        body misses the context y."""
+        context, old = y & self._watched, self._context
+        self._context = context
+        return self._move(context & ~old, old & ~context, self._by_nbody.__getitem__)
 
     def within(self, mask: int) -> int:
         """The raw closure, as bits, of the rules at the set bits of
-        ``mask``, their negative bodies ignored (the context stays empty):
-        over-delete what the rules that left the set supported, derive
-        again from the rules that stay, and fire the rules that joined."""
+        ``mask`` whose negative body misses the context (brewka's stays
+        empty)."""
         old, self._mask = self._mask, mask
-        self._retract(self._recount(old & ~mask, mask & ~old, _alone))
-        if self._work:
-            self._fire()
-        return self._derived
+        return self._move(old & ~mask, mask & ~old, _alone)
 
-    def _recount(self, joined: int, left: int, rules_of: Callable[[int], Iterable[int]]) -> int:
+    def _move(self, joined: int, left: int, rules_of: Callable[[int], Iterable[int]]) -> int:
         """Count the rules ``rules_of(j)`` one more for each set bit j of
-        ``joined`` and one less for each set bit of ``left``; queue the
-        rules that reach zero, return the heads of those that leave it."""
+        ``joined`` and one less for each set bit of ``left``; retract the
+        heads of the rules that leave zero, fire those that reach it, and
+        return the raw closure."""
         rules, missing, work = self._rules, self._missing, self._work
         doomed = 0
         for j in bit_positions(joined):
@@ -283,7 +271,10 @@ class LiveClosure:
                 missing[i] -= 1
                 if not missing[i]:
                     work.append(i)
-        return doomed
+        self._retract(doomed)
+        if work:
+            self._fire()
+        return self._derived
 
     def _retract(self, doomed: int) -> None:
         """Over-delete the doomed literals and what they derived, then queue
@@ -305,13 +296,11 @@ class LiveClosure:
                 missing[i] += 1
             work.extend(self._by_head[lit])
         self._derived = derived & ~doomed
-        self._value = None
 
     def _fire(self) -> None:
         """Fire the queued rules until the worklist is empty."""
         rules, derived, work = self._rules, self._derived, self._work
         missing, by_pbody = self._missing, self._by_pbody
-        before = derived
         while work:
             i = work.pop()
             r = rules[i]
@@ -322,9 +311,7 @@ class LiveClosure:
                 missing[j] -= 1
                 if not missing[j]:
                     work.append(j)
-        if derived != before:
-            self._derived = derived
-            self._value = None
+        self._derived = derived
 
 
 def head_candidates(
@@ -419,15 +406,18 @@ def well_founded_fixpoint(
 
     Each half of ``a_op`` is a live closure: the inner one follows the
     growing iterates, the outer one the shrinking contexts they support, so
-    a step costs what changed rather than two closures from scratch.  A
+    a step costs what changed rather than two closures from scratch.  Each
+    half's raw bits are collapsed to Lit here, where ``c_op`` would.  A
     caller that passes the inner one, ``supported`` (a ``LiveClosure`` over
-    the same rules), reads ``c_op(rules, lfp)`` from it afterwards without
+    the same rules), reads c_star(lfp) as bits from it afterwards without
     closing again: its last call had the lfp as its context.
     """
-    inner = supported or LiveClosure(rules, universe)
-    outer = LiveClosure(rules, universe, index=inner.index)
+    inner = supported or LiveClosure(rules)
+    outer = LiveClosure(rules, index=inner.index)
+    from_bits = Interpretation.from_bits
     return kleene_trace(
-        lambda x: outer(inner(x)), universe, "well-founded fixpoint"
+        lambda x: from_bits(outer(from_bits(inner(x.bits), universe).bits), universe),
+        universe, "well-founded fixpoint",
     )
 
 
@@ -435,6 +425,6 @@ def well_founded_model(
     rules: Sequence[Rule], universe: frozenset[Literal]
 ) -> PartialModel:
     """(lfp, universe minus the consequences of the lfp)."""
-    supported = LiveClosure(rules, universe)
+    supported = LiveClosure(rules)
     lfp, _ = well_founded_fixpoint(rules, universe, supported)
-    return PartialModel.from_fixpoint(lfp, supported(lfp), universe)
+    return PartialModel.from_fixpoint(lfp, supported(lfp.bits), universe)

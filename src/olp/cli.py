@@ -7,8 +7,9 @@ intern table (``syntax.texts_of``), so no literal set is decoded, built or
 hashed, and no ``PartialModel`` is built.
 
 Exit codes: 0 ok, 1 input error (parse, semantic, enumeration cap,
-non-UTF-8 text or an out-of-range option value), 2 I/O error, 3 internal
-fixpoint divergence.
+non-UTF-8 text or an out-of-range option value), 2 I/O error or an
+argparse usage error (unknown ``--mode``, missing argument or unknown
+command, with the usage text), 3 internal fixpoint divergence.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
         lfp, supported, values = prefwfs.wf_model_trace(op, variant)
         universe = bits_of(op.universe)
         true = lfp.bits
-        false = false_bits(universe, true, supported.bits)
+        false = false_bits(universe, true, supported)
         payload = {
             "true": show(true),
             "false": show(false),

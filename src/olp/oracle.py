@@ -366,12 +366,13 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
         return cache(lambda x: iterate_union(lambda cur: step(x, cur), universe))
 
     direct = list(map(c, sides))
-    close = brewka.moving_closure(op)
+    close, live = brewka.moving_closure(op), classical.LiveClosure(rules)
     first = sides[:20]
     routes = (
         ("c-op-routes-agree", direct,
          iterated(lambda x, cur: classical.t_step(rules, x, cur, universe))),
-        ("live-closure-matches-c-op", direct, classical.LiveClosure(rules, universe)),
+        ("live-closure-matches-c-op", direct,
+         lambda x: Interpretation.from_bits(live(x.bits), universe)),
         ("cp-op-routes-agree", list(map(cp, first)),
          iterated(lambda x, cur: preference.tp_step(op, x, cur))),
         ("cpn-op-routes-agree", list(map(cpn, first)),

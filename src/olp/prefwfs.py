@@ -18,10 +18,11 @@ Two removal policies are implemented:
 
 Both closures of the alternation avoid rescanning the program.  The
 classical half is a ``classical.LiveClosure`` kept for the whole fixpoint,
-so a step re-tests only the rules its change of context touches.  The
-defeat-aware half, ``cpn_op``, is a worklist closure: a rule is tested
-when its positive body is complete, and again whenever a newly derived
-literal can shrink its removal set.
+so a step re-tests only the rules its change of context touches; it
+returns the raw closure as bits, which the step collapses to Lit before
+``cpn_op`` reads it.  The defeat-aware half, ``cpn_op``, is a worklist
+closure: a rule is tested when its positive body is complete, and again
+whenever a newly derived literal can shrink its removal set.
 
 Defeat sets are bitsets over rule positions, never rescans of the rules
 below a rule.  Rule i defeats the lower rule g at state x when head(i) or
@@ -256,14 +257,15 @@ def preferred_wfs_fixpoint(
     supported: classical.LiveClosure | None = None,
 ) -> tuple[Interpretation, list[Interpretation]]:
     """Least fixpoint of apn_op, with its iterates; the classical half of each
-    step is one live closure that follows the growing iterates.  A caller
-    that passes that closure, ``supported`` (over ``op.rules``), reads
-    ``c_op(op.rules, lfp)`` from it afterwards without closing again: its
-    last call had the lfp as its context."""
+    step is one live closure that follows the growing iterates, its raw bits
+    collapsed to Lit here.  A caller that passes that closure, ``supported``
+    (over ``op.rules``), reads c_star(lfp) as bits from it afterwards without
+    closing again: its last call had the lfp as its context."""
     if supported is None:
-        supported = classical.LiveClosure(op.rules, op.universe, index=op.rule_index)
+        supported = classical.LiveClosure(op.rules, index=op.rule_index)
+    from_bits = Interpretation.from_bits
     return kleene_trace(
-        lambda x: cpn_op(op, supported(x), variant),
+        lambda x: cpn_op(op, from_bits(supported(x.bits), op.universe), variant),
         op.universe,
         "preferred well-founded fixpoint",
     )
@@ -286,26 +288,26 @@ def preferred_wf_model(
 
 def wf_model_trace(
     op: OrderedProgram, variant: str | None
-) -> tuple[Interpretation, Interpretation, list[Interpretation]]:
+) -> tuple[Interpretation, int, list[Interpretation]]:
     """The standard (variant None) or preferred well-founded model of op, as
-    its true set (the lfp) and the set the lfp supports, with the iterates
-    of its fixpoint; a literal in neither is false
-    (``PartialModel.from_fixpoint``).
+    its true set (the lfp) and the set the lfp supports, as bits, with the
+    iterates of its fixpoint; a literal in neither is false (``false_bits``,
+    which reads a supported set with a complementary pair as the whole
+    universe).
 
-    The supported set is the classical consequences of the lfp, read from
-    the fixpoint's own live closure, except for the simplistic variant: it
-    can make heads true that the classical operator refutes, so its false
-    set is judged against its own consequence operator; otherwise the model
-    would not stay disjoint.
+    The supported set is c_star(lfp), read raw from the fixpoint's own live
+    closure, except for the simplistic variant: it can make heads true that
+    the classical operator refutes, so its false set is judged against its
+    own consequence operator; otherwise the model would not stay disjoint.
     """
-    supported = classical.LiveClosure(op.rules, op.universe, index=op.rule_index)
+    supported = classical.LiveClosure(op.rules, index=op.rule_index)
     if variant is None:
         lfp, iterates = classical.well_founded_fixpoint(op.rules, op.universe, supported)
     else:
         lfp, iterates = preferred_wfs_fixpoint(op, variant, supported)
     if variant == VARIANT_SIMPLISTIC:
-        return lfp, cpn_op(op, lfp, variant), iterates
-    return lfp, supported(lfp), iterates
+        return lfp, cpn_op(op, lfp, variant).bits, iterates
+    return lfp, supported(lfp.bits), iterates
 
 
 def removal_sets(

@@ -728,10 +728,11 @@ class PartialModel:
 
     @classmethod
     def from_fixpoint(
-        cls, lfp: Interpretation, supported: Interpretation, universe: frozenset
+        cls, lfp: Interpretation, supported: int, universe: frozenset
     ) -> "PartialModel":
-        """lfp is true, and ``false_bits`` gives the false set."""
-        false = false_bits(bits_of(universe), lfp.bits, supported.bits)
+        """lfp is true, and ``false_bits`` gives the false set of the raw
+        supported bits."""
+        false = false_bits(bits_of(universe), lfp.bits, supported)
         return cls(lfp.literals, literals_of(false))
 
     def unknown(self, universe: Iterable[Literal]) -> frozenset[Literal]:
@@ -746,7 +747,9 @@ def false_bits(universe: int, true: int, supported: int) -> int:
     """The well-founded false set: the literals of the universe neither true
     nor supported by the true set, all three bitsets.
 
-    A fixpoint can collapse to the whole universe while what it supports
-    stays small, so true literals are never reported false.
+    ``supported`` is raw: when it holds a complementary pair, the collapsed
+    support is the whole universe and nothing is false.  A fixpoint can
+    collapse to the whole universe while what it supports stays small, so
+    true literals are never reported false.
     """
-    return universe & ~supported & ~true
+    return 0 if has_pair(supported) else universe & ~supported & ~true

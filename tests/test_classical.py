@@ -8,6 +8,7 @@ from olp.classical import (
     answer_sets,
     c_op,
     cn,
+    derive,
     is_active,
     reduct,
     t_step,
@@ -19,6 +20,7 @@ from olp.syntax import (
     Interpretation,
     PartialModel,
     ProgramError,
+    has_pair,
     literal_universe,
     pos,
     rule,
@@ -110,11 +112,11 @@ def _follow(rules, steps):
     """Feed a live closure each context in turn; at every step it must equal
     c_op at that context and the expected value."""
     universe = literal_universe(rules)
-    live = LiveClosure(rules, universe)
+    live = LiveClosure(rules)
     for context, expected in steps:
         want = Interpretation.lit(universe) if expected == "Lit" else interp(*expected)
         assert c_op(rules, context, universe) == want, context
-        assert live(context) == want, context
+        assert Interpretation.from_bits(live(context.bits), universe) == want, context
 
 
 class TestLiveClosure:
@@ -196,8 +198,48 @@ class TestLiveClosure:
             ],
         )
 
+    def test_retraction_reaches_past_one_level(self):
+        # a :- not p.  b :- a.  q :- b.  Blocking a must take b and q.
+        rules = (
+            rule("r1", A, nbody=[P]),
+            rule("r2", B, pbody=[A]),
+            rule("r3", Q, pbody=[B]),
+        )
+        _follow(rules, [(E, [A, B, Q]), (interp(P), []), (E, [A, B, Q])])
+
     def test_atom_free_program(self):
         _follow((), [(E, []), (Interpretation.lit(frozenset()), []), (E, [])])
+
+    def test_raw_moves_match_derive_over_the_current_rules_and_context(self):
+        # Contexts are raw bitsets: they may hold a complementary pair,
+        # which no Interpretation can express, and literals in no negative
+        # body.  Rule-set moves (within) interleave with them on one
+        # closure; after every call the raw closure must equal derive over
+        # the rules in the set whose negative body misses the context.
+        rng = random.Random(22)
+        paired = unwatched = 0
+        for seed in range(150):
+            rules = generate_program(GeneratorConfig(seed=seed)).rules
+            ids = [lit.id for lit in sorted(literal_universe(rules), key=str)]
+            watched = 0
+            for r in rules:
+                watched |= r.nmask
+            live, every = LiveClosure(rules), (1 << len(rules)) - 1
+            mask, y = every, 0
+            for _ in range(12):
+                if rng.random() < 0.3:
+                    mask = rng.randint(0, every)
+                    got = live.within(mask)
+                else:
+                    y = sum(1 << i for i in ids if rng.random() < 0.5)
+                    paired += bool(has_pair(y))
+                    unwatched += bool(y & ~watched)
+                    got = live(y)
+                chosen = [
+                    r for i, r in enumerate(rules) if mask >> i & 1 and not r.nmask & y
+                ]
+                assert got == derive(chosen), (seed, bin(mask), bin(y))
+        assert paired and unwatched
 
 
 class TestAOp:
@@ -243,6 +285,13 @@ class TestWellFoundedModel:
         rules = (rule("r1", A),)
         model = well_founded_model(rules, literal_universe(rules))
         assert model == PartialModel(frozenset({A}), frozenset({NA}))
+
+    def test_support_with_a_pair_makes_nothing_false(self):
+        # a :- not b.  -a :- not b.  The lfp is empty and consistent, but
+        # what it supports, {a, -a}, collapses to the whole universe.
+        rules = (rule("r1", A, nbody=[B]), rule("r2", NA, nbody=[B]))
+        model = well_founded_model(rules, literal_universe(rules))
+        assert model == PartialModel(frozenset(), frozenset())
 
     def test_trace_ends_in_a_repeat(self, ex4):
         _, trace = well_founded_fixpoint(ex4.rules, ex4.universe)

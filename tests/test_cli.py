@@ -132,6 +132,24 @@ class TestSolveText:
         assert full == f"{label}: {{-a, -b, a, b}}\n"
         assert shown == f"{label}: {{-a, a, b}}\n"
 
+    @pytest.mark.parametrize(
+        "mode, line",
+        [
+            ("wfs", "true: {} false: {} unknown: {-a, -b, a, b}\n"),
+            ("pwfs-simplistic", "true: {} false: {} unknown: {-a, -b, a, b}\n"),
+            ("pwfs", "true: {-a, -b, a, b} false: {} unknown: {}\n"),
+        ],
+    )
+    def test_support_that_collapses_while_the_lfp_stays_consistent(
+        self, capsys, tmp_path, mode, line
+    ):
+        # The classical support of the empty lfp is {a, -a}, whose collapse
+        # is the whole universe, so nothing is false; pwfs's lfp is Lit.
+        path = tmp_path / "pair.olp"
+        path.write_text("r1: a :- not b.\nr2: -a :- not b.\n")
+        _, out, _ = run(capsys, "solve", str(path), "--mode", mode)
+        assert out == line
+
     def test_answer_set_listing(self, capsys):
         _, out, _ = run(capsys, "solve", str(CORPUS / "ex3.olp"), "--mode", "as")
         assert out == "answer set: {a}\nanswer set: {b}\n"

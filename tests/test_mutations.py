@@ -43,40 +43,62 @@ MUTANTS = {
         2, ("live-closure-matches-c-op",),
         "ca1a57be4e583f88993e36323791134a4b955f644d15cb3fb03dfc93f1bcd1a6",
     ),
-    # The one recount step that moves the live closure, for a new context
-    # and for a new rule set alike.
+    "retract-over-deletes-one-level": (
+        classical.LiveClosure, "_retract",
+        "stack.append(r.head_id)", "pass",
+        165, ("live-closure-matches-c-op",),
+        "18559ce0b5150e4be8895e6c00b20ad08f65f565303d3837b66422e2c0797dff",
+    ),
+    # The one step that moves the live closure, for a new context and for a
+    # new rule set alike.
     "recount-retracts-nothing": (
-        classical.LiveClosure, "_recount",
+        classical.LiveClosure, "_move",
         "doomed |= rules[i].hbit", "pass",
         0, ("live-closure-matches-c-op",),
         "70814d8d7587fee19b38a9ee613e4ca41b93e78526c49eee9cc13b5047c21dea",
     ),
     "recount-queues-no-freed-rule": (
-        classical.LiveClosure, "_recount",
+        classical.LiveClosure, "_move",
         "work.append(i)", "pass",
         0, ("live-closure-matches-c-op",),
         "148eb91833bb9a625b38058ef1cd72fbf7dc1c53b13fc24231a9b1898a9f1d47",
     ),
     "recount-counts-nothing-up": (
-        classical.LiveClosure, "_recount",
+        classical.LiveClosure, "_move",
         "missing[i] += 1", "pass",
         0, ("live-closure-matches-c-op",),
         "43260367089575f84ab1981c830fcef6a28b023d0cd5993b9b6649d1a3a21a9d",
     ),
-    # The two bitsets that moving between rule sets hands to the recount.
+    # The two bitsets that moving between rule sets hands to the move.
     "within-over-deletes-nothing": (
         classical.LiveClosure, "within",
-        "self._retract(self._recount(old & ~mask, mask & ~old, _alone))",
-        "self._retract(self._recount(0, mask & ~old, _alone))",
+        "return self._move(old & ~mask, mask & ~old, _alone)",
+        "return self._move(0, mask & ~old, _alone)",
         6, ("c-star-pref-routes-agree",),
         "813d9f8681f2b7fcaef191f6e47bd8135e5bd417052ab7e08a39b1821de9cbc2",
     ),
     "within-fires-no-added-rule": (
         classical.LiveClosure, "within",
-        "self._retract(self._recount(old & ~mask, mask & ~old, _alone))",
-        "self._retract(self._recount(old & ~mask, 0, _alone))",
+        "return self._move(old & ~mask, mask & ~old, _alone)",
+        "return self._move(old & ~mask, 0, _alone)",
         9, ("c-star-pref-routes-agree",),
         "c1d4b6526d0350fae5615f95e30ab52964a3c0786a37001804b4c1334df6a1d3",
+    ),
+    # The live closure returns raw bits; the wfs step and the false set
+    # collapse them where they read a value.
+    "wfs-step-skips-the-inner-collapse": (
+        classical, "well_founded_fixpoint",
+        "lambda x: from_bits(outer(from_bits(inner(x.bits), universe).bits), universe),",
+        "lambda x: from_bits(outer(inner(x.bits)), universe),",
+        12, ("thm3-inclusions",),
+        "2d80fecb78700da514beca19d4d0cd53ec52b987d8bad747f0b35261caa097d6",
+    ),
+    "false-bits-ignores-a-collapsed-support": (
+        syntax, "false_bits",
+        "return 0 if has_pair(supported) else universe & ~supported & ~true",
+        "return universe & ~supported & ~true",
+        63, ("thm3-inclusions",),
+        "e152321c077d16ce2c44a0fe6a7b7eacb2090d1f25d1d8697394337fa595dabd",
     ),
     "cpn-op-drops-the-wake": (
         prefwfs, "cpn_op",

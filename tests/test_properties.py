@@ -154,9 +154,10 @@ def programs_with_contexts(draw, length=10, family=programs):
 @given(programs_with_contexts())
 def test_live_closure_follows_c_op(case):
     op, sequence = case
-    live = classical.LiveClosure(op.rules, op.universe)
+    live = classical.LiveClosure(op.rules)
     for x in sequence:
-        assert live(x) == classical.c_op(op.rules, x, op.universe), x
+        value = Interpretation.from_bits(live(x.bits), op.universe)
+        assert value == classical.c_op(op.rules, x, op.universe), x
 
 
 @PROPERTY
@@ -229,7 +230,7 @@ def defeat_heavy_programs_with_rule_sets(draw):
 @given(defeat_heavy_programs_with_rule_sets())
 def test_moving_closure_matches_derive_over_each_rule_set(case):
     op, masks = case
-    live = classical.LiveClosure(op.rules, op.universe)
+    live = classical.LiveClosure(op.rules)
     for mask in masks:
         chosen = [r for i, r in enumerate(op.rules) if mask >> i & 1]
         assert live.within(mask) == classical.derive(chosen), bin(mask)
