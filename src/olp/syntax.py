@@ -10,9 +10,10 @@ set of literals is the int with those bits set.  A set holds a
 complementary pair exactly when ``bits & (bits >> 1) & EVEN`` is non-zero,
 where EVEN has bit 2k set for every atom k interned so far.  A ``Rule``
 carries its head id and the masks of its positive and negative bodies; an
-``Interpretation`` is its bits and the Lit flag, and decodes its literals
-only when they are read.  ``texts_of`` prints a bitset from the texts the
-intern table keeps per id, so printing reads no literal.
+``Interpretation`` is its bits alone, Lit being the bits that hold a pair,
+and decodes its literals only when they are read.  ``texts_of`` prints a
+bitset from the texts the intern table keeps per id, so printing reads no
+literal.
 
 Literals, rules, programs and interpretations are immutable values that
 can be shared across threads.  Two tables are process-wide state, and both
@@ -615,25 +616,21 @@ def is_consistent(literals: Iterable[Literal]) -> bool:
 class Interpretation:
     """A consistent literal set, or the whole universe (``is_lit``).
 
-    The value is ``bits``, its literals as a bitset, and the ``is_lit``
-    flag; equality and hash use only these two, and assigning to any
-    attribute raises, as it did on the frozen dataclass this replaced.  The inconsistent case is always represented by
-    the flag together with the full universe, never by a raw contradictory
-    set.  A value built from literals keeps the frozenset it was given; one
-    built from bits decodes ``literals`` when it is first read.
+    The value is ``bits``, its literals as a bitset; equality and hash
+    read only it, and assigning to any attribute raises.  Lit is the whole
+    universe, whose bits hold every complementary pair, so ``is_lit`` is
+    read from the bits.  A value built from literals keeps the frozenset
+    it was given; one built from bits decodes ``literals`` when first read.
     """
 
-    __slots__ = ("bits", "is_lit", "_literals")
+    __slots__ = ("bits", "_literals")
 
     def __init__(self, literals: Iterable[Literal] = frozenset(), is_lit: bool = False):
         literals = frozenset(literals)
         bits = bits_of(literals)
-        if is_lit and not bits:
-            is_lit = False  # the universe of an atom-free program is consistent
-        elif not is_lit and has_pair(bits):
+        if not is_lit and has_pair(bits):
             raise ProgramError("inconsistent interpretation must be flagged as Lit")
         _set_bits(self, bits)
-        _set_is_lit(self, is_lit)
         _set_literals(self, literals)
 
     @classmethod
@@ -655,9 +652,12 @@ class Interpretation:
             return cls.lit(universe)
         value = _new(cls)
         _set_bits(value, bits)
-        _set_is_lit(value, False)
         _set_literals(value, None)
         return value
+
+    @property
+    def is_lit(self) -> bool:
+        return bool(has_pair(self.bits))
 
     @property
     def literals(self) -> frozenset[Literal]:
@@ -668,10 +668,10 @@ class Interpretation:
     def __eq__(self, other):
         if type(other) is not Interpretation:
             return NotImplemented
-        return self.bits == other.bits and self.is_lit == other.is_lit
+        return self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((self.bits, self.is_lit))
+        return hash(self.bits)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Interpretation is immutable; cannot set {name!r}")
@@ -707,7 +707,6 @@ class Interpretation:
 # The constructors write the slots through their descriptors, past the
 # raising __setattr__.
 _set_bits = Interpretation.bits.__set__
-_set_is_lit = Interpretation.is_lit.__set__
 _set_literals = Interpretation._literals.__set__
 _EMPTY = Interpretation()
 

@@ -9,6 +9,7 @@ from olp.classical import (
     c_op,
     cn,
     derive,
+    head_candidates,
     is_active,
     reduct,
     t_step,
@@ -268,6 +269,12 @@ class TestAnswerSets:
     def test_self_blocking_rule_has_none(self):
         rules = (rule("r1", A, nbody=[A]),)
         assert answer_sets(rules, literal_universe(rules)) == frozenset()
+
+    def test_candidates_over_more_than_twenty_heads_are_an_input_error(self):
+        rules = [rule(f"r{k}", pos(f"h{k}")) for k in range(21)]
+        assert next(head_candidates(rules[:20], literal_universe(rules[:20]))) == E
+        with pytest.raises(ProgramError, match="21 heads"):
+            next(head_candidates(rules, literal_universe(rules)))
 
 
 class TestWellFoundedModel:

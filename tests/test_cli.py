@@ -267,6 +267,15 @@ class TestBench:
 
         assert _fit_exponent((10, 20), (1.0, 8.0)) == pytest.approx(3.0)
 
+    def test_a_steep_exponent_warns(self, capsys, monkeypatch):
+        from olp import cli
+
+        monkeypatch.setattr(cli, "_fit_exponent", lambda sizes, times: 4.0)
+        code, out, err = run(capsys, "bench", "--sizes", "10,20")
+        assert code == 0
+        assert "fitted pwfs growth exponent: 4.00" in out
+        assert err == "warning: pwfs growth exponent exceeds 3.5\n"
+
 
 class TestSolveErrors:
     def test_parse_error_exits_one(self, capsys, tmp_path):

@@ -4,7 +4,9 @@ Every engine computes on bitsets of literal ids, so the values built from
 them must agree with the literal-set definitions they replace.  Hypothesis
 draws literal sets over up to 12 atoms, plus Lit, and checks each
 constructor of ``Interpretation`` against frozenset consistency, equality,
-hash, subset and membership.  The records ``Atom``, ``Literal`` and
+hash, subset and membership.  A value is its bits alone: Lit is read from
+a complementary pair in them, on drawn sets and on the operators' values
+over generator programs alike.  The records ``Atom``, ``Literal`` and
 ``Rule`` are slotted and frozen, derived attributes included.  Ids are per
 process: values pickled in one process must load equal in a process that
 interned its atoms in another order.
@@ -24,7 +26,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from olp import syntax
+from olp.classical import c_op
+from olp.oracle import GeneratorConfig, generate_program
 from olp.parser import parse_program, render_program
+from olp.preference import cp_op
+from olp.prefwfs import cpn_op
 from olp.syntax import (
     Atom,
     Interpretation,
@@ -192,6 +198,48 @@ class TestAgainstFrozensets:
             assert hash(value) == before
         decoded = Interpretation.from_bits(bits_of(literals), UNIVERSE)
         assert decoded.literals == literals  # the lazy decode still fills its slot
+
+
+def assert_one_value(values):
+    """Each value is its bits: Lit is a pair in them, equality and hash
+    follow them, and a pickle round trip keeps them."""
+    for x in values:
+        assert x.is_lit == bool(syntax.has_pair(x.bits))
+        assert pickle.loads(pickle.dumps(x)) == x
+        for y in values:
+            assert (x == y) == (x.bits == y.bits)
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+class TestOneValue:
+    @CORE
+    @given(literal_sets, literal_sets)
+    def test_drawn_sets_are_their_bits(self, first, second):
+        values = [Interpretation.from_bits(bits_of(s), UNIVERSE) for s in (first, second)]
+        values += [value_of(first), value_of(second), Interpretation.lit(UNIVERSE)]
+        assert_one_value(values)
+        for literals in (first, second):
+            if syntax.has_pair(bits_of(literals)):
+                assert Interpretation.from_bits(bits_of(literals), UNIVERSE) == values[-1]
+
+    @CORE
+    @given(st.integers(0, 2**32 - 1))
+    def test_operator_values_over_generator_programs_are_their_bits(self, seed):
+        op = generate_program(GeneratorConfig(seed=seed))
+        rng = random.Random(seed)
+        full = bits_of(op.universe)
+        lit = Interpretation.lit(op.universe)
+        contexts = [Interpretation.from_bits(rng.getrandbits(full.bit_length()) & full,
+                                             op.universe) for _ in range(4)]
+        values = [lit, *contexts]
+        for x in contexts:
+            values += [c_op(op.rules, x, op.universe), cp_op(op, x), cpn_op(op, x)]
+        assert_one_value(values)
+        for x in values:
+            if x.bits:  # add the complement of its lowest literal
+                low = (x.bits & -x.bits).bit_length() - 1
+                assert Interpretation.from_bits(x.bits | 1 << (low ^ 1), op.universe) == lit
 
 
 class TestIdsAcrossProcesses:

@@ -1,8 +1,9 @@
 """Mutation table: one-line engine edits the theorem battery must kill.
 
 Each entry edits one line of an engine function's source (a removed line
-becomes ``pass``; a cached property is edited in the function it wraps),
-compiles the edited function in a copy of its module's namespace and installs it wherever ``olp`` binds the original.  The battery
+becomes ``pass``; a property or cached property is edited in the function
+it wraps), compiles the edited function in a copy of its module's namespace
+and installs it wherever ``olp`` binds the original.  The battery
 then runs on the criterion-7 batch, in order, until a report fails.  The
 index of that program and a digest of the report's JSON lines are recorded
 below, and both must reproduce.  ``olp fuzz`` passes every invariant, so
@@ -127,6 +128,13 @@ MUTANTS = {
         37, ("defeat-bits-agree",),
         "c08555d4429ff989652555549725411f8621965a8bdb5dd6e64aab63580cec87",
     ),
+    # Lit is read from the bits: a value is Lit when they hold a pair.
+    "is-lit-ignores-the-pair": (
+        syntax.Interpretation, "is_lit",
+        "return bool(has_pair(self.bits))", "return False",
+        12, ("dset-variants-agree-distinct-heads",),
+        "e96fa69e1c2d7d4bfa0ea0bf73f5b4ddc5600aae64206830e9d007bd7ae5a70d",
+    ),
 }
 
 SEARCHED = 200
@@ -134,7 +142,10 @@ SEARCHED = 200
 
 def _install(monkeypatch, owner, name, line, replacement):
     original = vars(owner)[name]
-    function = original.func if isinstance(original, cached_property) else original
+    if isinstance(original, cached_property):
+        function = original.func
+    else:
+        function = original.fget if isinstance(original, property) else original
     source = textwrap.dedent(inspect.getsource(function)).splitlines(keepends=True)
     at = [i for i, text in enumerate(source) if text.strip() == line]
     assert len(at) == 1, f"{name}: {line!r} matches {len(at)} lines"

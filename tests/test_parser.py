@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from olp.oracle import GeneratorConfig, generate_program
-from olp.parser import ParseError, ParseErrorKind, parse_program, render_program
+from olp.parser import ParseError, ParseErrorKind, SourceSpan, parse_program, render_program
 from olp.syntax import OrderedProgram, literal_universe
 from .conftest import A, B, NA, NP, ROOT, corpus_text
 
@@ -93,6 +93,12 @@ class TestParseErrors:
     def test_unknown_rule(self):
         err = self.expect("r1: a.\nr1 < r9.\n", ParseErrorKind.UNKNOWN_RULE)
         assert err.span.line == 2
+
+    def test_a_span_starts_at_line_and_column_one(self):
+        assert str(SourceSpan(1, 1, 0)) == "1:1"
+        for line, column, length in ((0, 1, 0), (1, 0, 0), (1, 1, -1)):
+            with pytest.raises(ValueError):
+                SourceSpan(line, column, length)
 
     def test_lexical_error_with_span(self):
         err = self.expect("r1: A.\n", ParseErrorKind.LEXICAL)

@@ -25,6 +25,7 @@ from olp.syntax import (
     bit_positions,
     complement,
     literal_universe,
+    pos,
     program,
     rule,
     validate_order,
@@ -52,6 +53,9 @@ class TestLiterals:
         for lit in universe:
             assert complement(complement(lit)) == lit
             assert complement(lit) in universe
+
+    def test_an_atom_prints_as_its_name(self):
+        assert str(Atom("q1")) == "q1"
 
     def test_atom_name_is_validated(self):
         with pytest.raises(ProgramError):
@@ -223,6 +227,21 @@ class TestInterpretation:
 
     def test_empty_universe_lit_normalises_to_empty(self):
         assert Interpretation.lit(frozenset()) == Interpretation.empty()
+
+    def test_lit_over_a_pair_free_universe_is_that_consistent_set(self):
+        q9 = frozenset({pos("q9")})
+        assert Interpretation.lit(q9) == Interpretation.of(q9)
+        assert not Interpretation.lit(q9).is_lit
+
+    def test_a_value_equals_no_other_type(self):
+        assert Interpretation.empty().__eq__(frozenset()) is NotImplemented
+        assert not Interpretation.empty() == frozenset()
+        assert Interpretation.empty() != frozenset()
+
+    def test_repr_shows_the_literals_and_lit(self):
+        assert repr(interp(A)) == f"Interpretation(literals={frozenset({A})!r}, is_lit=False)"
+        lit = Interpretation.lit(frozenset({A, NA}))
+        assert repr(lit) == f"Interpretation(literals={frozenset({A, NA})!r}, is_lit=True)"
 
     def test_subset_and_membership(self):
         assert A in interp(A, B)
