@@ -101,12 +101,13 @@ def derive(
         waiting = []
         for i in pending:
             r = rules[i]
-            if derived & r.hbit:
+            h = r.head_id
+            if derived >> h & 1:
                 continue
             if r.pmask & derived == r.pmask and (fires is None or fires(i)):
-                derived |= r.hbit
+                derived |= 1 << h
                 if grow:
-                    grow(r.head_id)
+                    grow(h)
             else:
                 waiting.append(i)
         if not waiting or len(waiting) == len(pending):
@@ -127,7 +128,7 @@ def fire_step(
     heads = 0
     for i, r in enumerate(rules):
         if r.pmask & xs == r.pmask and (fires is None or fires(i)):
-            heads |= r.hbit
+            heads |= 1 << r.head_id
     return Interpretation.from_bits(heads, universe)
 
 
@@ -264,7 +265,7 @@ class LiveClosure:
         for j in bit_positions(joined):
             for i in rules_of(j):
                 if not missing[i]:  # only a rule at zero supports its head
-                    doomed |= rules[i].hbit
+                    doomed |= 1 << rules[i].head_id
                 missing[i] += 1
         for j in bit_positions(left):
             for i in rules_of(j):
@@ -286,10 +287,10 @@ class LiveClosure:
         stack = list(bit_positions(doomed))
         while stack:
             for i in self._by_pbody.get(stack.pop(), ()):
-                r = rules[i]
-                if derived & r.hbit and not doomed & r.hbit:
-                    doomed |= r.hbit
-                    stack.append(r.head_id)
+                h = rules[i].head_id
+                if derived >> h & 1 and not doomed >> h & 1:
+                    doomed |= 1 << h
+                    stack.append(h)
         missing, work = self._missing, self._work
         for lit in bit_positions(doomed):
             for i in self._by_pbody.get(lit, ()):
@@ -303,11 +304,11 @@ class LiveClosure:
         missing, by_pbody = self._missing, self._by_pbody
         while work:
             i = work.pop()
-            r = rules[i]
-            if missing[i] or derived & r.hbit:
+            h = rules[i].head_id
+            if missing[i] or derived >> h & 1:
                 continue
-            derived |= r.hbit
-            for j in by_pbody.get(r.head_id, ()):
+            derived |= 1 << h
+            for j in by_pbody.get(h, ()):
                 missing[j] -= 1
                 if not missing[j]:
                     work.append(j)
@@ -373,7 +374,7 @@ def answer_sets(
         found.add(lit)
     heads = 0
     for r in rules:
-        heads |= r.hbit
+        heads |= 1 << r.head_id
     root = _tighten(rules, 0, heads)
     undecided = (root[1] & ~root[0]).bit_count() if root else 0
     if undecided > MAX_ENUM_HEADS:

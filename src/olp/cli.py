@@ -53,7 +53,7 @@ def _shown(op: OrderedProgram, atoms_only: bool) -> Callable[[int], list[str]]:
         return texts_of
     shown = bits_of(lit for lit in op.universe if not lit.negated)
     for r in op.rules:
-        shown |= r.hbit | r.pmask | r.nmask
+        shown |= 1 << r.head_id | r.pmask | r.nmask
     return lambda bits: texts_of(bits & shown)
 
 

@@ -387,7 +387,7 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
     )
     for invariant, expected, route in routes:
         battery.agree(invariant, ((route(x), want, x) for x, want in zip(sides, expected)))
-    # The defeat sets the engines read from bitsets (below, static, hit)
+    # The defeat sets the engines read from bitsets (below, nb_of, hit)
     # must be the rules a scan with ``defeats`` finds below each rule;
     # each distinct side is checked once.
     lower = {

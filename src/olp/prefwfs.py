@@ -27,8 +27,8 @@ whenever a newly derived literal can shrink its removal set.
 Defeat sets are bitsets over rule positions, never rescans of the rules
 below a rule.  Rule i defeats the lower rule g at state x when head(i) or
 a literal of x is in nbody(g), so its defeat set is
-``below[i] & (static[i] | hit(x))``: ``below`` is the order's transpose,
-``static[i] = below[i] & nb_of[head(i)]`` is fixed per program, and
+``below[i] & (nb_of[head(i)] | hit(x))``: ``below`` is the order's
+transpose, ``nb_of[l]`` the rules with l in their negative body, and
 ``hit(x)``, the OR of ``nb_of[l]`` over x, is kept up to date as a closure
 derives literals, one OR per literal.  ``defeats`` stays as the
 reference of the battery invariant ``defeat-bits-agree``.
@@ -110,11 +110,11 @@ def defeat_bits(op: OrderedProgram, i: int, hit: int) -> int:
     """The rules strictly below rule i that it defeats at a state x with
     hit(x) = ``hit``, as a bitset over rule positions.
 
-    Rule i defeats a lower rule g when head(i) is in nbody(g), which
-    ``op.static[i]`` holds for every state, or when x meets nbody(g), which
-    is bit g of hit(x).
+    Rule i defeats a lower rule g when head(i) is in nbody(g), which is bit
+    g of ``op.nb_of[head(i)]`` at every state, or when x meets nbody(g),
+    which is bit g of hit(x).
     """
-    return op.order.below[i] & (op.static[i] | hit)
+    return op.order.below[i] & (op.nb_of.get(op.rules[i].head_id, 0) | hit)
 
 
 def defeated_rules(
@@ -214,7 +214,7 @@ def cpn_op(
     """
     _check_variant(variant)
     rules, (by_pbody, by_nbody, _), nb_of = op.rules, op.rule_index, op.nb_of
-    hb_of, below, static, xs = op.hb_of, op.order.below, op.static, x.bits
+    hb_of, below, xs = op.hb_of, op.order.below, x.bits
     paper, supporters = variant == VARIANT_PAPER, None
     missing = [len(r.pbody) for r in rules]
     work = [i for i, n in enumerate(missing) if not n]
@@ -223,16 +223,16 @@ def cpn_op(
     while work:
         i = work.pop()
         r = rules[i]
-        if missing[i] or derived & r.hbit:
+        head = r.head_id
+        if missing[i] or derived >> head & 1:
             continue
         among = r.nmask & xs
         if among:
             if paper and supporters is None:
                 supporters = supporting_rules(rules, xs)
-            if not _removable(hb_of, among, below[i] & (static[i] | hit), supporters):
+            if not _removable(hb_of, among, below[i] & (nb_of.get(head, 0) | hit), supporters):
                 continue
-        derived |= r.hbit
-        head = r.head_id
+        derived |= 1 << head
         hit |= nb_of.get(head, 0)
         for j in by_pbody.get(head, ()):
             missing[j] -= 1

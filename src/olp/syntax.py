@@ -33,10 +33,9 @@ mask per rule, each closed over those lists when first read, so ``check``,
 ``wfs`` and ``as`` never close the order and the O(n^2) closed pairs are
 never listed unless ``pairs`` is read.  A program adds, on first use,
 ``nb_of[i]`` and ``hb_of[i]`` (the rules with literal id i in their
-negative body, and with head i; one pass over the rules builds both) and
-``static[r] = below[r] & nb_of[head(r)]``, from which ``prefwfs`` forms
-defeat sets.  The rules
-that can support a literal within a context y are one bitset too,
+negative body, and with head i; one pass over the rules builds both).
+``prefwfs`` forms defeat sets from ``below`` and ``nb_of`` alone.  The
+rules that can support a literal within a context y are one bitset too,
 ``supporting_rules(rules, y)``, read by ``preference`` and ``prefwfs``.
 """
 
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -198,7 +197,7 @@ class Literal:
 
 # Atom, Literal and Rule are slotted, so no instance has a ``__dict__`` and
 # every attribute read in the engines' loops stays on CPython's fast path.
-# Their builders write the slots through the descriptors, past the frozen
+# Their builders write the slots through the descriptors, past the refusing
 # ``__setattr__``.
 _new = object.__new__
 _set_atom_name = Atom.name.__set__
@@ -227,8 +226,8 @@ def complement(lit: Literal) -> Literal:
 class Rule:
     """A named rule ``head :- pbody, not nbody``; empty bodies make a fact.
 
-    ``head_id`` is the head's literal id, ``hbit`` its bit, and ``pmask``
-    and ``nmask`` the bits of the two bodies.
+    ``head_id`` is the head's literal id, and ``pmask`` and ``nmask`` the
+    bits of the two bodies.
     """
 
     name: str
@@ -236,7 +235,6 @@ class Rule:
     pbody: frozenset[Literal] = frozenset()
     nbody: frozenset[Literal] = frozenset()
     head_id: int = field(init=False, repr=False, compare=False)
-    hbit: int = field(init=False, repr=False, compare=False)
     pmask: int = field(init=False, repr=False, compare=False)
     nmask: int = field(init=False, repr=False, compare=False)
 
@@ -255,9 +253,7 @@ class Rule:
             if not IDENT_RE.match(name):
                 raise ProgramError(f"invalid rule name {name!r}")
             _RULE_NAMES.add(name)
-        head_id = head.id
-        _set_head_id(self, head_id)
-        _set_hbit(self, 1 << head_id)
+        _set_head_id(self, head.id)
         _set_pmask(self, bits_of(pbody))
         _set_nmask(self, bits_of(nbody))
 
@@ -291,9 +287,23 @@ _set_head = Rule.head.__set__
 _set_pbody = Rule.pbody.__set__
 _set_nbody = Rule.nbody.__set__
 _set_head_id = Rule.head_id.__set__
-_set_hbit = Rule.hbit.__set__
 _set_pmask = Rule.pmask.__set__
 _set_nmask = Rule.nmask.__set__
+
+
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+# The frozen dataclass methods hand a name that is not a field to
+# ``super()``, which fails on the class that ``slots=True`` rebuilds; this
+# pair refuses every name alike.
+Atom.__setattr__ = Literal.__setattr__ = Rule.__setattr__ = _refuse_set
+Atom.__delattr__ = Literal.__delattr__ = Rule.__delattr__ = _refuse_delete
 
 
 def rule(
@@ -482,8 +492,8 @@ class OrderedProgram:
     """A finite rule sequence plus a validated preference order.
 
     The order's bitsets are over this program's rule positions: bit i is
-    ``rules[i]``.  ``nb_of``, ``hb_of`` and ``static`` are built on first
-    use; they serve the defeat sets of ``prefwfs`` and the live set of
+    ``rules[i]``.  ``nb_of`` and ``hb_of`` are built on first use; they
+    serve the defeat sets of ``prefwfs`` and the live set of
     ``preference``.
     """
 
@@ -528,16 +538,6 @@ class OrderedProgram:
             for lit in r.nbody:
                 nb_of[lit.id] = nb_of.get(lit.id, 0) | 1 << i
         return nb_of, hb_of
-
-    @cached_property
-    def static(self) -> tuple[int, ...]:
-        """For each rule i, ``below[i] & nb_of[head(i)]``: the lower rules
-        that rule i defeats at every state, whatever has been derived."""
-        nb_of = self.nb_of
-        return tuple(
-            bits and bits & nb_of.get(r.head_id, 0)
-            for r, bits in zip(self.rules, self.order.below)
-        )
 
     @cached_property
     def rule_index(self) -> RuleIndex:
@@ -673,11 +673,7 @@ class Interpretation:
     def __hash__(self) -> int:
         return hash(self.bits)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Interpretation is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Interpretation is immutable; cannot delete {name!r}")
+    __setattr__, __delattr__ = _refuse_set, _refuse_delete
 
     def __reduce__(self):
         # Rebuild on load from the literals: ids differ between processes.
@@ -705,7 +701,7 @@ class Interpretation:
 
 
 # The constructors write the slots through their descriptors, past the
-# raising __setattr__.
+# refusing ``__setattr__``.
 _set_bits = Interpretation.bits.__set__
 _set_literals = Interpretation._literals.__set__
 _EMPTY = Interpretation()

@@ -97,7 +97,7 @@ class TestLiteralIds:
 
     def test_rule_masks_are_the_bits_of_head_and_bodies(self):
         r = rule("r1", neg("q1"), [pos("q2"), neg("q3")], [pos("q4")])
-        assert r.head_id == neg("q1").id and r.hbit == 1 << r.head_id
+        assert r.head_id == neg("q1").id
         assert literals_of(r.pmask) == r.pbody
         assert literals_of(r.nmask) == r.nbody
         assert r.reduct_rule().nmask == 0
@@ -107,7 +107,7 @@ class TestSlottedRecords:
     FIELDS = {
         Atom: ("name",),
         Literal: ("atom", "negated", "id", "_hash"),
-        Rule: ("name", "head", "pbody", "nbody", "head_id", "hbit", "pmask", "nmask"),
+        Rule: ("name", "head", "pbody", "nbody", "head_id", "pmask", "nmask"),
     }
 
     def test_records_have_no_dict_and_refuse_assignment(self):
@@ -117,23 +117,24 @@ class TestSlottedRecords:
             assert not hasattr(record, "__dict__"), type(record).__name__
         for record in records:
             before = hash(record)
-            for name in self.FIELDS[type(record)]:
+            # Fields, names that are no field and a property are refused alike.
+            for name in self.FIELDS[type(record)] + ("foo", "basic", "hbit"):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(record, name, None)
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     delattr(record, name)
             assert hash(record) == before
-        assert r.pmask == bits_of(r.pbody) and r.hbit == 1 << neg("q1").id
+        assert r.pmask == bits_of(r.pbody) and r.head_id == neg("q1").id
 
     def test_replace_recomputes_the_derived_values(self):
         r = rule("r1", neg("q1"), [pos("q2")], [neg("q3")])
         renamed = dataclasses.replace(r, name="r9")
         fresh = rule("r9", neg("q1"), [pos("q2")], [neg("q3")])
         assert renamed == fresh and hash(renamed) == hash(fresh)
-        for name in ("head_id", "hbit", "pmask", "nmask"):
+        for name in ("head_id", "pmask", "nmask"):
             assert getattr(renamed, name) == getattr(fresh, name), name
         moved = dataclasses.replace(r, head=pos("q4"), nbody=frozenset())
-        assert moved.head_id == pos("q4").id and moved.hbit == 1 << pos("q4").id
+        assert moved.head_id == pos("q4").id
         assert moved.pmask == r.pmask and moved.nmask == 0
         flipped = dataclasses.replace(pos("q5"), negated=True)
         assert flipped == neg("q5") and flipped.id == neg("q5").id
@@ -269,7 +270,7 @@ class TestIdsAcrossProcesses:
             "assert values[3] == Interpretation.empty()\n"
             "for r in rules + list(op.rules):\n"
             "    assert r.pmask == bits_of(r.pbody) and r.nmask == bits_of(r.nbody)\n"
-            "    assert r.hbit == 1 << r.head.id\n"
+            "    assert r.head_id == r.head.id\n"
             "assert op.nb_of == {pos('w_gamma').id: 1}\n"
             "assert op.order.prefers('r1', 'r2')\n"
             "print('ok')\n"

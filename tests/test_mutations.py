@@ -46,7 +46,7 @@ MUTANTS = {
     ),
     "retract-over-deletes-one-level": (
         classical.LiveClosure, "_retract",
-        "stack.append(r.head_id)", "pass",
+        "stack.append(h)", "pass",
         165, ("live-closure-matches-c-op",),
         "18559ce0b5150e4be8895e6c00b20ad08f65f565303d3837b66422e2c0797dff",
     ),
@@ -54,7 +54,7 @@ MUTANTS = {
     # new rule set alike.
     "recount-retracts-nothing": (
         classical.LiveClosure, "_move",
-        "doomed |= rules[i].hbit", "pass",
+        "doomed |= 1 << rules[i].head_id", "pass",
         0, ("live-closure-matches-c-op",),
         "70814d8d7587fee19b38a9ee613e4ca41b93e78526c49eee9cc13b5047c21dea",
     ),

@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from olp import prefwfs
 from olp.oracle import GeneratorConfig, chain_program, generate_program
 from olp.parser import parse_program
 from olp.syntax import (
@@ -84,9 +85,11 @@ def _check_views(op):
     by_pbody, by_nbody, by_head = index_rules(op.rules)
     assert op.nb_of == {lit: _bits(at) for lit, at in by_nbody.items()}
     assert op.hb_of == {lit: _bits(at) for lit, at in by_head.items()}
-    assert op.static == tuple(
-        order.below[i] & op.nb_of.get(r.head_id, 0) for i, r in enumerate(op.rules)
-    )
+    for i, r in enumerate(op.rules):
+        assert prefwfs.defeat_bits(op, i, 0) == _bits(
+            j for j, g in enumerate(op.rules)
+            if (g.name, r.name) in closed and r.head in g.nbody
+        )
     universe = sorted(op.universe)
     rng = random.Random(len(universe) * 7919 + n)
     contexts = [0, -1] + [

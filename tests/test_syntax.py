@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from olp import classical, cli
+from olp import classical, cli, prefwfs
 from olp.cli import main
 from olp.oracle import GeneratorConfig, generate_program
 from olp.syntax import (
@@ -340,4 +340,4 @@ class TestOrderedProgram:
         rules = [rule("r1", A), rule("r2", B, nbody=[A]), rule("r3", A, nbody=[B])]
         p = program(rules, {("r2", "r1"), ("r3", "r2")})
         assert p.nb_of == {A.id: 0b010, B.id: 0b100}
-        assert p.static == (0b010, 0b100, 0)
+        assert tuple(prefwfs.defeat_bits(p, i, 0) for i in range(3)) == (0b010, 0b100, 0)
