@@ -1,7 +1,9 @@
 """Parse gate: ``parse_program`` must answer every recorded text as before.
 
-``parse_digests.json`` holds about 2,000 seeded mutations of the corpus
-texts and of small chain and random texts, each with what
+``parse_digests.json`` holds 2,200 seeded mutations of the corpus texts
+and of small chain and random texts, then a second seeded batch of 500
+whose pieces add characters that ``str.split`` takes for whitespace and
+identifier characters, each with what
 ``parse_program`` made of it when recorded: ``ok`` and the sha256 of the
 ``render_program`` output, or the error as ``kind line:column length
 message``.  A mutation deletes, inserts or replaces one to three pieces of
@@ -31,6 +33,9 @@ PIECES = (
     "a", "b", "p0", "r1", "r2", "r9", "not", "-", ":-", ":", "<", ",", ".", "%",
     " ", "\t", "\r", "\n", "A", "1", "é", "\x0c", "\x00", "﻿",
 )
+SECOND_SEED = 20261020
+SECOND_COUNT = 500
+SECOND_PIECES = PIECES + ("\x0b", "\x1c", "\x1f", "\x85", "_", "aB")
 
 
 def outcome(text: str) -> str:
@@ -62,7 +67,7 @@ def _base_texts() -> list[str]:
     return texts
 
 
-def _mutate(text: str, rng: random.Random) -> str:
+def _mutate(text: str, rng: random.Random, pieces: tuple[str, ...] = PIECES) -> str:
     for _ in range(rng.randint(1, 3)):
         at = rng.randrange(len(text) + 1)
         cut = rng.randint(1, 3)
@@ -70,20 +75,25 @@ def _mutate(text: str, rng: random.Random) -> str:
         if edit == "delete":
             text = text[:at] + text[at + cut:]
         elif edit == "insert":
-            text = text[:at] + rng.choice(PIECES) + text[at:]
+            text = text[:at] + rng.choice(pieces) + text[at:]
         else:
-            text = text[:at] + rng.choice(PIECES) + text[at + cut:]
+            text = text[:at] + rng.choice(pieces) + text[at + cut:]
     return text
 
 
 def mutations() -> list[str]:
+    """The first batch, every base text mutated alike, then the second,
+    each text a mutation of a base text drawn at random."""
+    texts = _base_texts()
     rng = random.Random(MUTATION_SEED)
-    return [_mutate(text, rng) for text in _base_texts() for _ in range(MUTANTS_PER_TEXT)]
+    first = [_mutate(text, rng) for text in texts for _ in range(MUTANTS_PER_TEXT)]
+    rng = random.Random(SECOND_SEED)
+    return first + [_mutate(rng.choice(texts), rng, SECOND_PIECES) for _ in range(SECOND_COUNT)]
 
 
 def test_parse_outcomes_match_the_records():
     cases = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    assert len(cases) >= 2000
+    assert len(cases) == len(_base_texts()) * MUTANTS_PER_TEXT + SECOND_COUNT
     changed = [(text, want, got) for text, want in cases if (got := outcome(text)) != want]
     assert not changed, f"{len(changed)} outcomes changed, first: {changed[:3]}"
 

@@ -148,6 +148,12 @@ ERROR_TABLE = [
     ("vertical-tab", 'r1: a.\x0br2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\x0b'"),
     ("no-break-space", 'r1: a.\xa0r2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\xa0'"),
     ("line-separator", 'r1: a.\u2028r2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\u2028'"),
+    ("file-separator", 'r1: a.\x1cr2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\x1c'"),
+    ("group-separator", 'r1: a.\x1dr2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\x1d'"),
+    ("record-separator", 'r1: a.\x1er2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\x1e'"),
+    ("unit-separator", 'r1: a.\x1fr2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\x1f'"),
+    ("next-line", 'r1: a.\x85r2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\x85'"),
+    ("ideographic-space", 'r1: a.\u3000r2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\u3000'"),
     ("dangling-comma", 'r1: a :- b,.\n', "syntax", 1, 12, 1, "expected an atom, found '.'"),
 ]
 
