@@ -52,10 +52,21 @@ __all__ = [
 Close = Callable[[int], int]  # close(rule bitset) -> literal bitset
 
 
+class _Closures(dict):
+    """Closures by rule set; a miss moves the live closure ``within``."""
+
+    __slots__ = ("within",)
+
+    def __missing__(self, key: int) -> int:
+        self[key] = closed = self.within(key)
+        return closed
+
+
 def moving_closure(op: OrderedProgram) -> Close:
-    """The closures of rule sets, cached by set; a miss moves one live
-    closure from the last set to the new one."""
-    return cache(LiveClosure(op.rules, index=op.rule_index).within)
+    """The closure of each rule set, cached over one new live closure."""
+    closures = _Closures()
+    closures.within = LiveClosure(op.rules, index=op.rule_index).within
+    return closures.__getitem__
 
 
 def _fires(

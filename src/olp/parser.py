@@ -16,6 +16,9 @@ Unnamed rules are assigned r1, r2, ... in source order, skipping names
 taken explicitly elsewhere.  The word ``not`` is reserved and cannot be
 used as a rule name or atom; ``Atom`` and ``Rule`` reject it too, so every
 program the API builds renders to text that parses back to it.
+
+The words are those ``str.split`` finds once the punctuation is padded or,
+for text outside that split's guard and for a failed parse, a regex scan's.
 """
 
 from __future__ import annotations
@@ -113,20 +116,30 @@ def parse_program(text: str) -> OrderedProgram:
     """Parse ``.olp`` text into a validated program.
 
     Raises ParseError with a span inside the input and one of the kinds
-    lexical, syntax, duplicate-name, cyclic-order, unknown-rule.  The text
-    is split into words by one regex scan; a stray character anywhere is
-    reported before any syntax error.  Each atom's two literals are looked
-    up once per parse, and those pairs are the program's universe.
+    lexical, syntax, duplicate-name, cyclic-order, unknown-rule.  The words
+    come from the padded split or else the regex scan; a stray character
+    anywhere is reported before any syntax error.  Each atom's two literals
+    are looked up once per parse, and those pairs are the program's universe.
     """
-    words = _WORD_RE.findall(_COMMENT_RE.sub("", text) if "%" in text else text)
+    code = _COMMENT_RE.sub("", text) if "%" in text else text
+    # In ASCII, str.split skips only these six besides the four.  A parse
+    # that succeeds has checked every word: an atom or rule name as an
+    # identifier, a preference name against the rule names, any other word
+    # against a mark.  So a stray character fails a parse, and the split
+    # words of a text that parses are the scan's.  ":-" alone pads to ":  -".
+    if code.isascii() and not any(c in code for c in "\x0b\x0c\x1c\x1d\x1e\x1f"):
+        spaced = code.replace(",", " , ").replace(".", " . ").replace("<", " < ")
+        spaced = spaced.replace(":", " : ").replace("-", " - ").replace(":  -", ":-")
+        try:
+            return _parse_words(text, [*spaced.split(), ""])
+        except (ParseError, ProgramError):
+            pass
+    words = _WORD_RE.findall(code)
     words.append("")
     try:
         return _parse_words(text, words)
     except (ParseError, ProgramError):
-        # A stray character is never a word of a valid program: an atom or
-        # rule name fails the identifier check, a preference name names no
-        # rule, and any other place expects a punctuation mark.  So only a
-        # failed parse looks for one, and reports the first instead.
+        # Report the first stray character instead, if there is one.
         strays = [w for w in set(words) if w not in _RESERVED and not "a" <= w[0] <= "z"]
         if not strays:
             raise
