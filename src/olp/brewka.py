@@ -23,17 +23,16 @@ order's ``highest_first`` list: a rule is freed by defeating rules below
 it, which have then been tested, and on a chain the keys met one after
 another differ by about one rule.  ``t_star_step`` closes every key from
 scratch with ``derive``, so the battery's routes compare the two.  The
-public functions take and return literal sets; everything between is
-bits.
+fixpoint iterates bitsets; the other public functions take and return
+literal sets, and everything between is bits.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from .classical import Fires, LiveClosure, c_star, cl, derive
-from .fixpoint import kleene
+from .fixpoint import kleene, last
 from .prefwfs import defeat_bits, defeated_rules, hit_bits
 from .syntax import Literal, OrderedProgram, bit_positions, bits_of, literals_of
 
@@ -53,20 +52,22 @@ Close = Callable[[int], int]  # close(rule bitset) -> literal bitset
 
 
 class _Closures(dict):
-    """Closures by rule set; a miss moves the live closure ``within``."""
+    """Closures by rule set; a miss closes the set with ``close``."""
 
-    __slots__ = ("within",)
+    __slots__ = ("close",)
+
+    def __init__(self, close: Close):
+        self.close = close
 
     def __missing__(self, key: int) -> int:
-        self[key] = closed = self.within(key)
+        self[key] = closed = self.close(key)
         return closed
 
 
 def moving_closure(op: OrderedProgram) -> Close:
-    """The closure of each rule set, cached over one new live closure."""
-    closures = _Closures()
-    closures.within = LiveClosure(op.rules, index=op.rule_index).within
-    return closures.__getitem__
+    """The closure of each rule set, cached over one new live closure that
+    a miss moves ``within`` the set."""
+    return _Closures(LiveClosure(op.rules, index=op.rule_index).within).__getitem__
 
 
 def _fires(
@@ -105,8 +106,8 @@ def t_star_step(
     """One derivation step against defeat-pruned reduct closures, each
     closed from scratch."""
     xs, rules = bits_of(x), op.rules
-    close = cache(lambda key: derive([rules[j] for j in bit_positions(key)]))
-    fires, _ = _fires(op, bits_of(y), close, xs)
+    close = _Closures(lambda key: derive([rules[j] for j in bit_positions(key)]))
+    fires, _ = _fires(op, bits_of(y), close.__getitem__, xs)
     return frozenset(
         r.head for i, r in enumerate(rules) if r.pmask & xs == r.pmask and fires(i)
     )
@@ -125,21 +126,17 @@ def c_star_pref(
     return literals_of(derive(op.rules, *fires, op.order.highest_first[::-1]))
 
 
-def brewka_wf_iterates(op: OrderedProgram) -> list[frozenset[Literal]]:
-    """Iterates of the fused alternating operator, ending in a repeat.
-
-    Every step shares one cache of closed rule sets and one moving closure.
-    """
-    close = moving_closure(op)
-    _, values = kleene(
-        lambda x: c_star_pref(op, x, close),
-        frozenset(),
-        len(op.universe) + 1,
-        "paraconsistent well-founded fixpoint",
+def brewka_wf_iterates(op: OrderedProgram) -> Iterator[int]:
+    """The iterates of the fused alternating operator from the empty set,
+    the lfp repeated last; every step shares one cache of closed rule sets
+    and one moving closure."""
+    close, lowest_first = moving_closure(op), op.order.highest_first[::-1]
+    return kleene(
+        lambda x: derive(op.rules, *_fires(op, x, close), lowest_first),
+        0, len(op.universe) + 1, "paraconsistent well-founded fixpoint",
     )
-    return values
 
 
 def brewka_wf_set(op: OrderedProgram) -> frozenset[Literal]:
     """Least fixpoint of the fused alternating operator from the empty set."""
-    return brewka_wf_iterates(op)[-1]
+    return literals_of(last(brewka_wf_iterates(op)))

@@ -130,8 +130,8 @@ def parse_program(text: str) -> OrderedProgram:
     if code.isascii() and not any(c in code for c in "\x0b\x0c\x1c\x1d\x1e\x1f"):
         spaced = code.replace(",", " , ").replace(".", " . ").replace("<", " < ")
         spaced = spaced.replace(":", " : ").replace("-", " - ").replace(":  -", ":-")
-        try:
-            return _parse_words(text, [*spaced.split(), ""])
+        try:  # with no text, an error here rescans nothing; the scan reports it
+            return _parse_words("", [*spaced.split(), ""])
         except (ParseError, ProgramError):
             pass
     words = _WORD_RE.findall(code)
