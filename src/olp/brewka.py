@@ -23,16 +23,16 @@ order's ``highest_first`` list: a rule is freed by defeating rules below
 it, which have then been tested, and on a chain the keys met one after
 another differ by about one rule.  ``t_star_step`` closes every key from
 scratch with ``derive``, so the battery's routes compare the two.  The
-fixpoint iterates bitsets; the other public functions take and return
-literal sets, and everything between is bits.
+public functions take and return literal sets; everything between is
+bits.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 from .classical import Fires, LiveClosure, c_star, cl, derive
-from .fixpoint import kleene, last
+from .fixpoint import kleene
 from .prefwfs import defeat_bits, defeated_rules, hit_bits
 from .syntax import Literal, OrderedProgram, bit_positions, bits_of, literals_of
 
@@ -65,8 +65,7 @@ class _Closures(dict):
 
 
 def moving_closure(op: OrderedProgram) -> Close:
-    """The closure of each rule set, cached over one new live closure that
-    a miss moves ``within`` the set."""
+    """The closure of each rule set, cached over one new live closure."""
     return _Closures(LiveClosure(op.rules, index=op.rule_index).within).__getitem__
 
 
@@ -126,17 +125,21 @@ def c_star_pref(
     return literals_of(derive(op.rules, *fires, op.order.highest_first[::-1]))
 
 
-def brewka_wf_iterates(op: OrderedProgram) -> Iterator[int]:
-    """The iterates of the fused alternating operator from the empty set,
-    the lfp repeated last; every step shares one cache of closed rule sets
-    and one moving closure."""
-    close, lowest_first = moving_closure(op), op.order.highest_first[::-1]
-    return kleene(
-        lambda x: derive(op.rules, *_fires(op, x, close), lowest_first),
-        0, len(op.universe) + 1, "paraconsistent well-founded fixpoint",
+def brewka_wf_iterates(op: OrderedProgram) -> list[frozenset[Literal]]:
+    """Iterates of the fused alternating operator, ending in a repeat.
+
+    Every step shares one cache of closed rule sets and one moving closure.
+    """
+    close = moving_closure(op)
+    _, values = kleene(
+        lambda x: c_star_pref(op, x, close),
+        frozenset(),
+        len(op.universe) + 1,
+        "paraconsistent well-founded fixpoint",
     )
+    return values
 
 
 def brewka_wf_set(op: OrderedProgram) -> frozenset[Literal]:
     """Least fixpoint of the fused alternating operator from the empty set."""
-    return literals_of(last(brewka_wf_iterates(op)))
+    return brewka_wf_iterates(op)[-1]

@@ -6,13 +6,13 @@ of basic programs, the immediate consequence operator with a blocking
 context, answer sets by a search between alternating bounds, and the
 well-founded model as the least fixpoint of ``a_op = c_op . c_op``.
 
-The alternating fixpoints iterate ints, bitsets of literal ids, and do
-not close from scratch at every step: each half of the alternation is a
-``LiveClosure``, which keeps its derived set between calls and, for a new
-context, re-tests only the rules whose counters the change touches.  It
-returns the raw closure as bits, which the fixpoints collapse to Lit where
-they read a value, as ``c_op`` collapses ``_c_star``; ``derive`` and
-``c_op`` stay the stateless references the battery checks it against.
+The alternating fixpoints do not close from scratch at every step: each
+half of the alternation is a ``LiveClosure``, which keeps its derived set
+between calls and, for a new context, re-tests only the rules whose
+counters the change touches.  Like ``_c_star`` it returns the raw closure
+as bits; the fixpoints collapse it to Lit where they read a value, as
+``c_op`` collapses ``_c_star``.  ``derive`` and ``c_op`` stay the plain,
+stateless references that the theorem battery checks it against.
 
 The answer-set search branches only on the heads that its bounds leave
 undecided, as smodels does (Simons, Niemela & Soininen, AIJ 2002); it is a
@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .fixpoint import kleene, last
+from .fixpoint import kleene_trace
 from .syntax import (
     Interpretation,
     Literal,
@@ -35,7 +35,6 @@ from .syntax import (
     RuleIndex,
     bit_positions,
     bits_of,
-    collapse_to,
     has_pair,
     index_rules,
     is_consistent,
@@ -221,7 +220,7 @@ class LiveClosure:
     re-tested (DRed's over-delete and re-derive: Gupta, Mumick &
     Subrahmanian, SIGMOD 1993).  A move costs the size of the change and of
     what it retracts.  A caller that reads a collapsed value collapses the
-    bits itself (``syntax.collapse_to``).  brewka closes its reducts
+    bits itself (``Interpretation.from_bits``).  brewka closes its reducts
     with ``within`` and never sets a context.
 
     ``index`` is ``index_rules(rules)`` where the caller has it already;
@@ -403,29 +402,30 @@ def well_founded_fixpoint(
     rules: Sequence[Rule],
     universe: frozenset[Literal],
     supported: LiveClosure | None = None,
-) -> Iterator[int]:
-    """The iterates of the alternating operator from the empty set, the
-    lfp repeated last.
+) -> tuple[Interpretation, list[Interpretation]]:
+    """Least fixpoint of the alternating operator, with its iterates.
 
     Each half of ``a_op`` is a live closure: the inner one follows the
     growing iterates, the outer one the shrinking contexts they support, so
     a step costs what changed rather than two closures from scratch.  Each
     half's raw bits are collapsed to Lit here, where ``c_op`` would.  A
     caller that passes the inner one, ``supported`` (a ``LiveClosure`` over
-    the same rules), reads c_star(lfp) from it once the iterates are
-    through, without closing again: its last call had the lfp as context.
+    the same rules), reads c_star(lfp) as bits from it afterwards without
+    closing again: its last call had the lfp as its context.
     """
     inner = supported or LiveClosure(rules)
     outer = LiveClosure(rules, index=inner.index)
-    collapse = collapse_to(universe)
-    return kleene(
-        lambda x: collapse(outer(collapse(inner(x)))),
-        0, len(universe) + 1, "well-founded fixpoint",
+    from_bits = Interpretation.from_bits
+    return kleene_trace(
+        lambda x: from_bits(outer(from_bits(inner(x.bits), universe).bits), universe),
+        universe, "well-founded fixpoint",
     )
 
 
-def well_founded_model(rules: Sequence[Rule], universe: frozenset[Literal]) -> PartialModel:
+def well_founded_model(
+    rules: Sequence[Rule], universe: frozenset[Literal]
+) -> PartialModel:
     """(lfp, universe minus the consequences of the lfp)."""
     supported = LiveClosure(rules)
-    lfp = last(well_founded_fixpoint(rules, universe, supported))
-    return PartialModel.from_fixpoint(lfp, supported(lfp), universe)
+    lfp, _ = well_founded_fixpoint(rules, universe, supported)
+    return PartialModel.from_fixpoint(lfp, supported(lfp.bits), universe)

@@ -4,8 +4,7 @@
 true, false and unknown are int operations over the universe's bits,
 ``--atoms-only`` is one mask, and each literal's text comes from the
 intern table (``syntax.texts_of``), so no literal set is decoded, built or
-hashed, and no ``PartialModel`` is built.  A fixpoint's iterates are
-listed only under ``--trace``; otherwise only the current one is kept.
+hashed, and no ``PartialModel`` is built.
 
 Exit codes: 0 ok, 1 input error (parse, semantic, enumeration cap,
 non-UTF-8 text or an out-of-range option value), 2 I/O error or an
@@ -25,11 +24,11 @@ from dataclasses import replace
 from typing import Callable, Sequence
 
 from . import brewka, classical, preference, prefwfs
-from .fixpoint import FixpointDivergence, last
+from .fixpoint import FixpointDivergence
 from .oracle import GeneratorConfig, chain_program, check_theorems, generate_program
 from .parser import ParseError, parse_program, render_program
 from .syntax import (
-    Interpretation, OrderedProgram, ProgramError, bit_positions, bits_of, false_bits, texts_of,
+    OrderedProgram, ProgramError, bit_positions, bits_of, false_bits, texts_of,
 )
 
 __all__ = ["main"]
@@ -83,13 +82,9 @@ def _trace(sets: Sequence[int], extra: Callable[[int], dict] | None) -> list[dic
 
 def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
     """The answer of ``args.mode`` and, under ``--trace``, the iterates
-    that reached it; untraced, a fixpoint keeps only its current iterate."""
+    that reached it."""
     mode, show = args.mode, _shown(op, args.atoms_only)
     names, sets, extra = op.order.rule_names, [], None
-
-    def run(iterates):
-        return list(iterates) if args.trace else [last(iterates)]
-
     if mode in ("as", "pas"):
         if mode == "as":
             found = classical.answer_sets(op.rules, op.universe)
@@ -97,10 +92,11 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
             found = preference.preferred_answer_sets(op)
         payload = {"answer_sets": sorted(show(x.bits) for x in found)}
     elif mode == "lfp-ap":
-        sets = run(preference.lfp_ap_fixpoint(op))
-        payload = {"set": show(sets[-1])}
+        value, values = preference.lfp_ap_fixpoint(op)
+        payload = {"set": show(value.bits)}
+        sets = [x.bits for x in values]
     elif mode == "brewka":
-        sets = run(brewka.brewka_wf_iterates(op))
+        sets = [bits_of(x) for x in brewka.brewka_wf_iterates(op)]
         payload = {"wfset": show(sets[-1])}
 
         def extra(i):
@@ -111,25 +107,24 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
             }}
     else:
         variant = {"wfs": None, "pwfs": "paper", "pwfs-simplistic": "simplistic"}[mode]
-        iterates, supported = prefwfs.wf_model_trace(op, variant)
-        sets = run(iterates)
+        lfp, supported, values = prefwfs.wf_model_trace(op, variant)
         universe = bits_of(op.universe)
-        true = sets[-1]
-        false = false_bits(universe, true, supported(true))
+        true = lfp.bits
+        false = false_bits(universe, true, supported)
         payload = {
             "true": show(true),
             "false": show(false),
             "unknown": show(universe & ~true & ~false),
         }
+        sets = [x.bits for x in values]
         if variant is not None:
 
             def extra(i):
                 # Removal sets at (iterate i, c_op of the previous iterate).
                 if not i:
                     return {}
-                x, previous = (Interpretation.from_bits(sets[k], op.universe) for k in (i, i - 1))
-                context = classical.c_op(op.rules, previous, op.universe)
-                removed = zip(names, prefwfs.removal_sets(op, x, context, variant))
+                context = classical.c_op(op.rules, values[i - 1], op.universe)
+                removed = zip(names, prefwfs.removal_sets(op, values[i], context, variant))
                 return {"dsets": {name: texts_of(bits) for name, bits in sorted(removed)}}
     payload["mode"] = mode
     if args.trace and sets:

@@ -1,22 +1,25 @@
-"""Fixpoint iteration shared by all engines: one generator of iterates.
+"""Fixpoint iteration plumbing shared by all engines.
 
 The outer alternations are monotone on a finite lattice, so Kleene
-iteration from the empty set reaches their least fixpoint within
+iteration from the empty interpretation reaches their least fixpoint within
 ``|universe| + 1`` applications; exceeding the cap signals a bug, not an
-input property.  The alternating fixpoints iterate ints, bitsets of
-literal ids; a trace lists the iterates, and a caller that wants only the
-fixpoint takes the ``last`` and keeps no other.  Inner closures (``derive``
-and the worklist closures of ``LiveClosure`` and ``cpn_op``) fire each
+input property.  Inner closures (``classical.derive`` and the worklist
+closures of ``classical.LiveClosure`` and ``prefwfs.cpn_op``) fire each
 rule at most once per call and need no cap.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
-from .syntax import Literal, literals_of
+from .syntax import Interpretation, Literal
 
-__all__ = ["FixpointDivergence", "kleene", "last"]
+__all__ = [
+    "FixpointDivergence",
+    "kleene",
+    "kleene_trace",
+    "iterate_union",
+]
 
 T = TypeVar("T")
 
@@ -25,8 +28,8 @@ class FixpointDivergence(RuntimeError):
     """Iteration did not converge within the structural bound.
 
     ``previous`` and ``last`` are the last two iterates, when known, and
-    ``difference`` the literals that differ between them (an iterate is a
-    bitset, decoded here, or an ``Interpretation`` or a raw literal set);
+    ``difference`` the literals that differ between them (an iterate is an
+    ``Interpretation`` or a raw literal set; both iterate their literals);
     the one-line message names those literals.
     """
 
@@ -34,35 +37,48 @@ class FixpointDivergence(RuntimeError):
         self.previous, self.last = previous, last
         self.difference: frozenset[Literal] = frozenset()
         if previous is not None and last is not None:
-            decode = literals_of if isinstance(last, int) else frozenset
-            self.difference = decode(previous) ^ decode(last)
+            self.difference = frozenset(previous) ^ frozenset(last)
             names = ", ".join(sorted(map(str, self.difference)))
             message += f"; its last two iterates differ on {{{names}}}"
         super().__init__(message)
 
 
-def kleene(step: Callable[[T], T], start: T, cap: int, what: str = "fixpoint") -> Iterator[T]:
-    """The iterates of ``step`` from ``start``, up to and including the
-    first repeat; raise past ``cap`` applications."""
+def kleene(
+    step: Callable[[T], T],
+    start: T,
+    cap: int,
+    what: str = "fixpoint",
+) -> tuple[T, list[T]]:
+    """Iterate ``step`` from ``start`` until it repeats; raise past ``cap``."""
+    values = [start]
     current = start
-    yield current
     for _ in range(cap + 1):
-        previous, current = current, step(current)
-        yield current
-        if current == previous:
-            return
+        nxt = step(current)
+        values.append(nxt)
+        if nxt == current:
+            return current, values
+        current = nxt
     raise FixpointDivergence(
-        f"{what} did not converge within {cap + 1} applications", previous, current
+        f"{what} did not converge within {cap + 1} applications", *values[-2:]
     )
 
 
-def last(iterates: Iterable[T]) -> T:
-    """The last of the iterates, the fixpoint; no earlier one is kept."""
-    for value in iterates:
-        pass
-    return value
+def kleene_trace(
+    step: Callable[[Interpretation], Interpretation],
+    universe: frozenset[Literal],
+    what: str = "fixpoint",
+) -> tuple[Interpretation, list[Interpretation]]:
+    """Least fixpoint of a monotone step from the empty interpretation, and
+    its iterates, the last a repeat."""
+    return kleene(step, Interpretation.empty(), len(universe) + 1, what)
 
 
-# The benchmark's layer tracer (``perfbench/tracing.py``) patches the loop
-# under these earlier names too; they are ``kleene`` itself.
-kleene_trace = iterate_union = kleene
+def iterate_union(
+    step: Callable[[Interpretation], Interpretation], universe: frozenset[Literal]
+) -> Interpretation:
+    """Union of the iterates of ``step`` from the empty interpretation.
+
+    The step operators used here are monotone and inflationary from the
+    empty set, so the union equals the final iterate.
+    """
+    return kleene(step, Interpretation.empty(), len(universe) + 1, "consequence closure")[0]

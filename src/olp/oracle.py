@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from . import brewka, classical, preference, prefwfs
-from .fixpoint import kleene, last
+from .fixpoint import iterate_union, kleene
 from .parser import render_program
 from .syntax import (
     Atom,
@@ -30,7 +30,6 @@ from .syntax import (
     Rule,
     bits_of,
     is_consistent,
-    literals_of,
     neg,
     pos,
     program,
@@ -363,9 +362,8 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
     # brewka's moving closure: one serves every c_star_pref side, while
     # t_star_step closes each rule set from scratch.  These two carry state
     # between sides, so they get no memo and see every side, repeats too.
-    def iterated(step, start=Interpretation.empty()):
-        return cache(lambda x: last(kleene(
-            lambda cur: step(x, cur), start, len(universe) + 1, "consequence closure")))
+    def iterated(step):
+        return cache(lambda x: iterate_union(lambda cur: step(x, cur), universe))
 
     direct = list(map(c, sides))
     close, live = brewka.moving_closure(op), classical.LiveClosure(rules)
@@ -384,7 +382,8 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
          iterated(lambda x, cur: prefwfs.tpn_step(op, x, cur, "simplistic"))),
         ("c-star-pref-routes-agree",
          [brewka.c_star_pref(op, x.literals, close) for x in first],
-         iterated(lambda x, cur: cur | brewka.t_star_step(op, x.literals, cur), frozenset())),
+         cache(lambda x: kleene(lambda cur: cur | brewka.t_star_step(op, x.literals, cur),
+                                frozenset(), len(universe) + 1)[0])),
     )
     for invariant, expected, route in routes:
         battery.agree(invariant, ((route(x), want, x) for x, want in zip(sides, expected)))
@@ -415,10 +414,10 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
 
     # Convergence bounds for every least-fixpoint computation.
     bound = len(universe) + 1
-    wf_iterates = [Interpretation.from_bits(x, universe)
-                   for x in classical.well_founded_fixpoint(rules, universe)]
-    steps = max(len(list(iterates)) for iterates in (
-        wf_iterates, preference.lfp_ap_fixpoint(op), prefwfs.preferred_wfs_fixpoint(op))) - 1
+    _, wf_iterates = classical.well_founded_fixpoint(rules, universe)
+    _, ap_iterates = preference.lfp_ap_fixpoint(op)
+    _, pwfs_iterates = prefwfs.preferred_wfs_fixpoint(op)
+    steps = max(map(len, (wf_iterates, ap_iterates, pwfs_iterates))) - 1
     battery.check("alternating-convergence", steps <= bound, f"bound {bound}")
 
     # Answer-set cross-checks against the independent oracle.
@@ -529,7 +528,7 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
     else:
         battery.skip("dset-variants-agree-distinct-heads", "heads are shared")
 
-    iterates = list(map(literals_of, brewka.brewka_wf_iterates(plain)))
+    iterates = brewka.brewka_wf_iterates(plain)
     contexts = [brewka.c_star(rules, v) for v in iterates]
     if all(map(is_consistent, iterates)) and all(map(is_consistent, contexts)):
         battery.agree("brewka-empty-order-standard", [

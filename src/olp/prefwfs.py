@@ -16,11 +16,11 @@ Two removal policies are implemented:
   negative control; it is kept because the test suite must be able to
   detect the difference.
 
-The fixpoint iterates ints, bitsets of literal ids.  The classical half
-of the alternation is a ``classical.LiveClosure`` kept for the whole
-fixpoint, so a step re-tests only the rules its change of context
-touches; it returns the raw closure as bits, collapsed to Lit before the
-defeat-aware half, ``cpn_op`` on bits, reads it.  That half is a worklist
+Both closures of the alternation avoid rescanning the program.  The
+classical half is a ``classical.LiveClosure`` kept for the whole fixpoint,
+so a step re-tests only the rules its change of context touches; it
+returns the raw closure as bits, which the step collapses to Lit before
+``cpn_op`` reads it.  The defeat-aware half, ``cpn_op``, is a worklist
 closure: a rule is tested when its positive body is complete, and again
 whenever a newly derived literal can shrink its removal set.
 
@@ -44,10 +44,8 @@ literals only for ``d_set`` and ``defeat_contexts``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
-
 from . import classical
-from .fixpoint import kleene, last
+from .fixpoint import kleene_trace
 from .syntax import (
     Interpretation,
     Literal,
@@ -56,7 +54,6 @@ from .syntax import (
     Rule,
     bit_positions,
     bits_of,
-    collapse_to,
     literals_of,
     supporting_rules,
 )
@@ -200,27 +197,24 @@ def tpn_step(
     return classical.fire_step(rules, fires, x, op.universe)
 
 
-def cpn_op(op: OrderedProgram, x: Interpretation, variant: str = VARIANT_PAPER) -> Interpretation:
-    """Least set closed under the tpn_step firing test, with x as context."""
-    _check_variant(variant)
-    return Interpretation.from_bits(_cpn(op, x.bits, variant), op.universe)
+def cpn_op(
+    op: OrderedProgram, x: Interpretation, variant: str = VARIANT_PAPER
+) -> Interpretation:
+    """Least set closed under the tpn_step firing test, with x as context.
 
-
-def _cpn(op: OrderedProgram, xs: int, variant: str) -> int:
-    """``cpn_op`` on bits, with no collapse.
-
-    A worklist closure.  A rule is tested once its positive body is derived
-    (a per-rule counter of missing literals), and again after each derived
-    literal l that can change its test: l defeats the rules g with l in
-    their negative body, which the removal policy reads only for a rule r
-    with head(g) in nbody(r).  That is the one place the test reads the
-    derived set, under either removal policy; it reads it as hit(derived),
-    which each derived literal updates once.  Only the literals of nbody(r)
-    within xs need the policy, and the rules that support literals within
-    xs are found at the first test that does.
+    A worklist closure over bits.  A rule is tested once its positive body
+    is derived (a per-rule counter of missing literals), and again after
+    each derived literal l that can change its test: l defeats the rules g
+    with l in their negative body, which the removal policy reads only for
+    a rule r with head(g) in nbody(r).  That is the one place the test
+    reads the derived set, under either removal policy; it reads it as
+    hit(derived), which each derived literal updates once.  Only the
+    literals of nbody(r) within x need the policy, and the rules that
+    support literals within x are found at the first test that does.
     """
+    _check_variant(variant)
     rules, (by_pbody, by_nbody, _), nb_of = op.rules, op.rule_index, op.nb_of
-    hb_of, below = op.hb_of, op.order.below
+    hb_of, below, xs = op.hb_of, op.order.below, x.bits
     paper, supporters = variant == VARIANT_PAPER, None
     missing = [len(r.pbody) for r in rules]
     work = [i for i, n in enumerate(missing) if not n]
@@ -246,7 +240,7 @@ def _cpn(op: OrderedProgram, xs: int, variant: str) -> int:
                 work.append(j)
         for g in by_nbody.get(head, ()):
             work.extend(by_nbody.get(rules[g].head_id, ()))
-    return derived
+    return Interpretation.from_bits(derived, op.universe)
 
 
 def apn_op(
@@ -261,40 +255,45 @@ def preferred_wfs_fixpoint(
     op: OrderedProgram,
     variant: str = VARIANT_PAPER,
     supported: classical.LiveClosure | None = None,
-) -> Iterator[int]:
-    """The iterates of apn_op from the empty set, the lfp repeated last.
-    The classical half of each step is one live closure that follows the
-    iterates; a caller that passes it, ``supported`` (over ``op.rules``),
-    reads c_star(lfp) from it once they are through, without closing again."""
-    _check_variant(variant)
+) -> tuple[Interpretation, list[Interpretation]]:
+    """Least fixpoint of apn_op, with its iterates; the classical half of each
+    step is one live closure that follows the growing iterates, its raw bits
+    collapsed to Lit here.  A caller that passes that closure, ``supported``
+    (over ``op.rules``), reads c_star(lfp) as bits from it afterwards without
+    closing again: its last call had the lfp as its context."""
     if supported is None:
         supported = classical.LiveClosure(op.rules, index=op.rule_index)
-    collapse = collapse_to(op.universe)
-    return kleene(
-        lambda x: collapse(_cpn(op, collapse(supported(x)), variant)),
-        0, len(op.universe) + 1, "preferred well-founded fixpoint",
+    from_bits = Interpretation.from_bits
+    return kleene_trace(
+        lambda x: cpn_op(op, from_bits(supported(x.bits), op.universe), variant),
+        op.universe,
+        "preferred well-founded fixpoint",
     )
 
 
-def preferred_wfs_set(op: OrderedProgram, variant: str = VARIANT_PAPER) -> Interpretation:
+def preferred_wfs_set(
+    op: OrderedProgram, variant: str = VARIANT_PAPER
+) -> Interpretation:
     """Least fixpoint of apn_op by iteration from the empty set."""
-    return Interpretation.from_bits(last(preferred_wfs_fixpoint(op, variant)), op.universe)
+    return preferred_wfs_fixpoint(op, variant)[0]
 
 
-def preferred_wf_model(op: OrderedProgram, variant: str = VARIANT_PAPER) -> PartialModel:
+def preferred_wf_model(
+    op: OrderedProgram, variant: str = VARIANT_PAPER
+) -> PartialModel:
     """(lfp, universe minus consequences of the lfp)."""
-    iterates, supported = wf_model_trace(op, variant)
-    lfp = last(iterates)
-    return PartialModel.from_fixpoint(lfp, supported(lfp), op.universe)
+    lfp, supported, _ = wf_model_trace(op, variant)
+    return PartialModel.from_fixpoint(lfp, supported, op.universe)
 
 
 def wf_model_trace(
     op: OrderedProgram, variant: str | None
-) -> tuple[Iterator[int], Callable[[int], int]]:
-    """The iterates of the standard (variant None) or preferred
-    well-founded fixpoint of op, the lfp last, and ``supported``, which
-    gives the raw set the lfp supports once the iterates are through.  The
-    lfp is true, and a literal in neither set is false (``false_bits``).
+) -> tuple[Interpretation, int, list[Interpretation]]:
+    """The standard (variant None) or preferred well-founded model of op, as
+    its true set (the lfp) and the set the lfp supports, as bits, with the
+    iterates of its fixpoint; a literal in neither is false (``false_bits``,
+    which reads a supported set with a complementary pair as the whole
+    universe).
 
     The supported set is c_star(lfp), read raw from the fixpoint's own live
     closure, except for the simplistic variant: it can make heads true that
@@ -303,12 +302,12 @@ def wf_model_trace(
     """
     supported = classical.LiveClosure(op.rules, index=op.rule_index)
     if variant is None:
-        iterates = classical.well_founded_fixpoint(op.rules, op.universe, supported)
+        lfp, iterates = classical.well_founded_fixpoint(op.rules, op.universe, supported)
     else:
-        iterates = preferred_wfs_fixpoint(op, variant, supported)
+        lfp, iterates = preferred_wfs_fixpoint(op, variant, supported)
     if variant == VARIANT_SIMPLISTIC:
-        return iterates, lambda lfp: _cpn(op, lfp, variant)
-    return iterates, supported
+        return lfp, cpn_op(op, lfp, variant).bits, iterates
+    return lfp, supported(lfp.bits), iterates
 
 
 def removal_sets(

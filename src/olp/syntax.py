@@ -45,7 +45,7 @@ import re
 import threading
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Atom",
@@ -69,7 +69,6 @@ __all__ = [
     "literals_of",
     "texts_of",
     "has_pair",
-    "collapse_to",
     "false_bits",
     "validate_order",
     "is_consistent",
@@ -422,21 +421,6 @@ def has_pair(bits: int) -> int:
     return bits & (bits >> 1) & _EVEN
 
 
-def collapse_to(universe: Iterable[Literal]) -> Callable[[int], int]:
-    """The collapse over a universe: a bitset with a complementary pair
-    becomes Lit, the universe's bits, computed at the first such bitset."""
-    lit = 0
-
-    def collapse(bits: int) -> int:
-        nonlocal lit
-        if not has_pair(bits):
-            return bits
-        lit = lit or bits_of(universe)
-        return lit
-
-    return collapse
-
-
 def _edges(
     pairs: Iterable[tuple[str, str]], position: dict[str, int]
 ) -> tuple[list[int], list[list[int]]]:
@@ -738,11 +722,13 @@ class PartialModel:
             )
 
     @classmethod
-    def from_fixpoint(cls, lfp: int, supported: int, universe: frozenset) -> "PartialModel":
-        """The lfp's bits are true, and ``false_bits`` gives the false set
-        of the raw supported bits."""
-        false = false_bits(bits_of(universe), lfp, supported)
-        return cls(literals_of(lfp), literals_of(false))
+    def from_fixpoint(
+        cls, lfp: Interpretation, supported: int, universe: frozenset
+    ) -> "PartialModel":
+        """lfp is true, and ``false_bits`` gives the false set of the raw
+        supported bits."""
+        false = false_bits(bits_of(universe), lfp.bits, supported)
+        return cls(lfp.literals, literals_of(false))
 
     def unknown(self, universe: Iterable[Literal]) -> frozenset[Literal]:
         return frozenset(universe) - self.true_set - self.false_set

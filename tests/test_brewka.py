@@ -12,7 +12,7 @@ from olp.brewka import (
 from olp.classical import c_op, reduct, well_founded_model
 from olp.oracle import GeneratorConfig, generate_program
 from olp.parser import parse_program
-from olp.syntax import Interpretation, is_consistent, literal_universe, literals_of, rule
+from olp.syntax import Interpretation, is_consistent, literal_universe, rule
 from .conftest import A, B, NA
 
 E = frozenset()
@@ -104,7 +104,7 @@ class TestBrewkaWfSet:
         checked = 0
         for seed in range(120):
             op = generate_program(GeneratorConfig(seed=seed, order_density=0.0))
-            iterates = list(map(literals_of, brewka_wf_iterates(op)))
+            iterates = brewka_wf_iterates(op)
             contexts = [c_star(op.rules, v) for v in iterates]
             if not all(map(is_consistent, iterates + contexts)):
                 continue
@@ -117,7 +117,7 @@ class TestBrewkaWfSet:
     def test_iterates_grow_monotonically(self):
         for seed in range(80):
             op = generate_program(GeneratorConfig(seed=seed, order_density=0.4))
-            iterates = list(map(literals_of, brewka_wf_iterates(op)))
+            iterates = brewka_wf_iterates(op)
             for earlier, later in zip(iterates, iterates[1:]):
                 assert earlier <= later
             assert len(iterates) <= len(op.universe) + 3

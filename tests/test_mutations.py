@@ -89,8 +89,8 @@ MUTANTS = {
     # collapse them where they read a value.
     "wfs-step-skips-the-inner-collapse": (
         classical, "well_founded_fixpoint",
-        "lambda x: collapse(outer(collapse(inner(x)))),",
-        "lambda x: collapse(outer(inner(x))),",
+        "lambda x: from_bits(outer(from_bits(inner(x.bits), universe).bits), universe),",
+        "lambda x: from_bits(outer(inner(x.bits)), universe),",
         12, ("thm3-inclusions",),
         "2d80fecb78700da514beca19d4d0cd53ec52b987d8bad747f0b35261caa097d6",
     ),
@@ -102,7 +102,7 @@ MUTANTS = {
         "e152321c077d16ce2c44a0fe6a7b7eacb2090d1f25d1d8697394337fa595dabd",
     ),
     "cpn-op-drops-the-wake": (
-        prefwfs, "_cpn",
+        prefwfs, "cpn_op",
         "work.extend(by_nbody.get(rules[g].head_id, ()))", "pass",
         91, ("cpn-simplistic-routes-agree",),
         "e38ab885e554e2bd1d3e1d9f3582c81005615be4ba5f3777e968cfdefeb10ad8",

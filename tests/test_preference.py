@@ -1,7 +1,6 @@
 import random
 
 from olp.classical import answer_sets, c_op, t_step, well_founded_fixpoint
-from olp.fixpoint import last
 from olp.oracle import GeneratorConfig, generate_program
 from olp.preference import (
     ap_op,
@@ -120,7 +119,8 @@ class TestLfpAp:
     def test_empty_order_equals_classical_lfp(self):
         for seed in range(80):
             op = generate_program(GeneratorConfig(seed=seed, order_density=0.0))
-            assert lfp_ap(op).bits == last(well_founded_fixpoint(op.rules, op.universe))
+            classical_lfp, _ = well_founded_fixpoint(op.rules, op.universe)
+            assert lfp_ap(op) == classical_lfp
 
     def test_contained_in_every_preferred_answer_set(self):
         for seed in range(80):
@@ -137,7 +137,7 @@ class TestLfpAp:
                 assert preferred_answer_sets(op) == frozenset({wf})
 
     def test_trace_converges_within_the_bound(self, ex5):
-        trace = list(lfp_ap_fixpoint(ex5))
+        _, trace = lfp_ap_fixpoint(ex5)
         assert len(trace) - 1 <= len(ex5.universe) + 1
 
 

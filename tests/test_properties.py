@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from olp import brewka, classical, preference, prefwfs
 from olp.cli import MODES, main
-from olp.fixpoint import kleene, last
+from olp.fixpoint import iterate_union, kleene
 from olp.oracle import GeneratorConfig, generate_program
 from olp.parser import render_program
 from olp.prefwfs import VARIANTS
@@ -165,30 +165,26 @@ def test_live_closure_follows_c_op(case):
 def test_worklist_cpn_op_matches_the_step_route(case, variant):
     op, sequence = case
     for x in sequence:
-        stepped = _step_route(lambda cur: prefwfs.tpn_step(op, x, cur, variant), op)
+        stepped = iterate_union(
+            lambda cur: prefwfs.tpn_step(op, x, cur, variant), op.universe
+        )
         assert prefwfs.cpn_op(op, x, variant) == stepped, x
 
 
 def _reference_iterates(step, op):
-    """The bits of the iterates of ``step`` from the empty interpretation."""
-    return [x.bits for x in kleene(step, Interpretation.empty(), len(op.universe) + 1)]
-
-
-def _step_route(step, op):
-    """The fixpoint of ``step`` from the empty interpretation."""
-    return last(kleene(step, Interpretation.empty(), len(op.universe) + 1))
+    return kleene(step, Interpretation.empty(), len(op.universe) + 1)[1]
 
 
 @PROPERTY
 @given(programs())
 def test_fixpoints_match_kleene_over_the_plain_operators(op):
     rules, universe = op.rules, op.universe
-    trace = list(classical.well_founded_fixpoint(rules, universe))
+    _, trace = classical.well_founded_fixpoint(rules, universe)
     assert trace == _reference_iterates(
         lambda x: classical.a_op(rules, x, universe), op
     )
     for variant in VARIANTS:
-        trace = list(prefwfs.preferred_wfs_fixpoint(op, variant))
+        _, trace = prefwfs.preferred_wfs_fixpoint(op, variant)
         assert trace == _reference_iterates(
             lambda x: prefwfs.apn_op(op, x, variant), op
         )
@@ -215,7 +211,9 @@ def test_defeat_bits_match_the_defeats_scan(case):
 def test_defeat_heavy_cpn_op_matches_the_step_route(case, variant):
     op, sequence = case
     for x in sequence:
-        stepped = _step_route(lambda cur: prefwfs.tpn_step(op, x, cur, variant), op)
+        stepped = iterate_union(
+            lambda cur: prefwfs.tpn_step(op, x, cur, variant), op.universe
+        )
         assert prefwfs.cpn_op(op, x, variant) == stepped, x
 
 
@@ -244,11 +242,11 @@ def test_defeat_heavy_c_star_pref_matches_kleene_over_t_star_step(case):
     op, sequence = case
     for x in sequence:
         y = x.literals
-        stepped = last(kleene(
+        stepped, _ = kleene(
             lambda cur: cur | brewka.t_star_step(op, y, cur),
             frozenset(),
             len(op.universe) + 1,
-        ))
+        )
         assert brewka.c_star_pref(op, y) == stepped, x
 
 
