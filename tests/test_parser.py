@@ -107,6 +107,25 @@ class TestParseErrors:
     def test_syntax_error_missing_dot(self):
         self.expect("r1: a :- not b\n", ParseErrorKind.SYNTAX)
 
+    def test_a_failing_parse_scans_for_one_span(self, monkeypatch):
+        # The split attempt's error is dropped, so only the reported error
+        # scans the text again for its span.
+        import olp.parser
+
+        pattern, scans = olp.parser._WORD_RE, []
+
+        class Counting:
+            findall = pattern.findall
+
+            def finditer(self, text):
+                scans.append(text)
+                return pattern.finditer(text)
+
+        monkeypatch.setattr(olp.parser, "_WORD_RE", Counting())
+        text = "r1: a :- not b\n"
+        err = self.expect(text, ParseErrorKind.SYNTAX)
+        assert scans.count(text) == 1 and (err.span.line, err.span.column) == (2, 1)
+
     def test_not_is_reserved_in_head_position(self):
         self.expect("not :- a.\n", ParseErrorKind.SYNTAX)
 
