@@ -138,8 +138,15 @@ class TestParseErrors:
             assert 1 <= span.line <= len(lines) + 1
 
 
+# A 300-rule chain, so that an error appended to it sits at a late word.
+CHAIN300 = "".join(f"r{k}: a{k} :- not a{k + 1}.\n" for k in range(1, 301)) + "".join(
+    f"r{k + 1} < r{k}.\n" for k in range(1, 300)
+)
+
 # Recorded from the character-by-character scanner this table replaced; the
-# regex scanner must report every malformed input exactly as it did.
+# regex scanner must report every malformed input exactly as it did.  The
+# rows from "stray-after-late-syntax-error" on were recorded from the regex
+# scanner that parsed every failing text a second time.
 ERROR_TABLE = [
     ("tab-before-bad-char", 'r1:\ta :-\tb,\t?.\n', "lexical", 1, 13, 1, "unexpected character '?'"),
     ("tab-indented-lexical", '\tr1: a.\n\t\tr2: b :- A.\n', "lexical", 2, 12, 1, "unexpected character 'A'"),
@@ -174,6 +181,18 @@ ERROR_TABLE = [
     ("next-line", 'r1: a.\x85r2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\x85'"),
     ("ideographic-space", 'r1: a.\u3000r2: b.\n', "lexical", 1, 7, 1, "unexpected character '\\u3000'"),
     ("dangling-comma", 'r1: a :- b,.\n', "syntax", 1, 12, 1, "expected an atom, found '.'"),
+    ("stray-after-late-syntax-error", CHAIN300 + 'r301: b :- c\nr302: d :- ?.\n', "lexical", 601, 12, 1, "unexpected character '?'"),
+    ("stray-as-rule-name", 'A: a.\n', "lexical", 1, 1, 1, "unexpected character 'A'"),
+    ("stray-as-atom", 'a :- B.\n', "lexical", 1, 6, 1, "unexpected character 'B'"),
+    ("e-acute-after-duplicate", 'r1: a.\nr1: b.\nr2: é.\n', "lexical", 3, 5, 1, "unexpected character 'é'"),
+    ("vertical-tab-after-duplicate", 'r1: a.\nr1: b.\n\x0br2: c.\n', "lexical", 3, 1, 1, "unexpected character '\\x0b'"),
+    ("e-acute-after-unknown-rule", 'r1: a.\nr1 < r9.\nr2: b :- é.\n', "lexical", 3, 10, 1, "unexpected character 'é'"),
+    ("vertical-tab-after-unknown-rule", 'r1: a.\nr1 < r9.\n\x0b\n', "lexical", 3, 1, 1, "unexpected character '\\x0b'"),
+    ("e-acute-after-cycle", 'r1: a.\nr2: b.\nr1 < r2.\nr2 < r1.\n% ok é\nr3: cé.\n', "lexical", 6, 6, 1, "unexpected character 'é'"),
+    ("vertical-tab-after-cycle", 'r1: a.\nr2: b.\nr1 < r2.\nr2 < r1.\nr3:\x0bc.\n', "lexical", 5, 4, 1, "unexpected character '\\x0b'"),
+    ("late-unknown-rule", CHAIN300 + 'r301 < r300.\n', "unknown-rule", 600, 1, 4, "preference mentions unknown rule 'r301'"),
+    ("late-duplicate-name", CHAIN300 + 'r300: b.\n', "duplicate-name", 600, 1, 4, "rule name 'r300' is already in use"),
+    ("late-cycle", CHAIN300 + 'r301: b.\nr302: c.\nr301 < r302.\nr302 < r301.\n', "cyclic-order", 602, 1, 4, "cyclic preference through rule 'r301'"),
 ]
 
 
