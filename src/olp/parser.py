@@ -17,8 +17,9 @@ taken explicitly elsewhere.  The word ``not`` is reserved and cannot be
 used as a rule name or atom; ``Atom`` and ``Rule`` reject it too, so every
 program the API builds renders to text that parses back to it.
 
-The words are those ``str.split`` finds once the punctuation is padded or,
-for text outside that split's guard and for a failed parse, a regex scan's.
+The words are those ``str.split`` finds once the punctuation is padded.  A
+regex scan runs only to report a failed parse: it finds the first stray
+character, or else the span of the word the parse failed at.
 """
 
 from __future__ import annotations
@@ -85,70 +86,69 @@ _COMMENT_RE = re.compile(r"%[^\n]*")
 # Whitespace is these four characters only: \s and str.split would also
 # skip \x0b, \xa0 or \u2028, which are stray characters here.
 _WORD_RE = re.compile(r"[a-z][A-Za-z0-9_]*|:-|[^ \t\r\n]")
+# The first stray, a one-character word of _WORD_RE's that is no mark: a
+# character outside the identifiers, marks and whitespace, or a capital,
+# digit or underscore that starts a run of identifier characters.
+_STRAY_RE = re.compile(r"[^A-Za-z0-9_ \t\r\n:<,.-]|(?<![A-Za-z0-9_])[A-Z0-9_]")
 # The words that are not identifiers: the punctuation marks, the reserved
 # word not, and "" at the end of the input.
 _RESERVED = frozenset({":-", ":", "<", ",", ".", "-", "not", ""})
 _NO_LITERALS: frozenset[Literal] = frozenset()
 
 
-def _error(text: str, k: int, kind: ParseErrorKind, message: str) -> ParseError:
-    """An error spanning word ``k`` of ``text``; every character is one column.
-
-    Offsets are found again only here, so a parse that succeeds keeps none:
-    the words are scanned again with each comment blanked to spaces, which
-    keeps every offset.  The final word "" sits at the end of the text.
-    """
-    if "%" in text:
-        text = _COMMENT_RE.sub(lambda comment: " " * len(comment[0]), text)
-    match = next(itertools.islice(_WORD_RE.finditer(text), k, None), None)
-    offset, length = (match.start(), len(match[0])) if match else (len(text), 0)
-    line_start = text.rfind("\n", 0, offset) + 1
-    span = SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, length)
-    return ParseError(kind, span, message)
+class _Failure(Exception):
+    """A failed parse: the index of the word at fault, its kind and message."""
 
 
-def _expected(text: str, words: list[str], k: int, what: str) -> ParseError:
+def _expected(words: list[str], k: int, what: str) -> _Failure:
     found = words[k] or "end of input"
-    return _error(text, k, ParseErrorKind.SYNTAX, f"expected {what}, found {found!r}")
+    return _Failure(k, ParseErrorKind.SYNTAX, f"expected {what}, found {found!r}")
 
 
 def parse_program(text: str) -> OrderedProgram:
     """Parse ``.olp`` text into a validated program.
 
     Raises ParseError with a span inside the input and one of the kinds
-    lexical, syntax, duplicate-name, cyclic-order, unknown-rule.  The words
-    come from the padded split or else the regex scan; a stray character
-    anywhere is reported before any syntax error.  Each atom's two literals
+    lexical, syntax, duplicate-name, cyclic-order, unknown-rule.  A stray
+    character is reported before any other error.  Each atom's two literals
     are looked up once per parse, and those pairs are the program's universe.
     """
     code = _COMMENT_RE.sub("", text) if "%" in text else text
-    # In ASCII, str.split skips only these six besides the four.  A parse
-    # that succeeds has checked every word: an atom or rule name as an
-    # identifier, a preference name against the rule names, any other word
-    # against a mark.  So a stray character fails a parse, and the split
-    # words of a text that parses are the scan's.  ":-" alone pads to ":  -".
+    failure = None
+    # In ASCII, str.split skips only these six besides the four, so a text
+    # outside this guard holds a stray.  A parse that succeeds has checked
+    # every word: an atom or rule name as an identifier, a preference name
+    # against the rule names, any other word against a mark.  So a stray
+    # fails a parse, and the split words of a text with no stray are the
+    # scan's.  ":-" alone pads to ":  -".
     if code.isascii() and not any(c in code for c in "\x0b\x0c\x1c\x1d\x1e\x1f"):
         spaced = code.replace(",", " , ").replace(".", " . ").replace("<", " < ")
         spaced = spaced.replace(":", " : ").replace("-", " - ").replace(":  -", ":-")
-        try:  # with no text, an error here rescans nothing; the scan reports it
-            return _parse_words("", [*spaced.split(), ""])
-        except (ParseError, ProgramError):
+        try:
+            return _parse_words([*spaced.split(), ""])
+        except _Failure as exc:  # its args alone, so the partial program goes
+            failure = exc.args
+        except ProgramError:  # Atom or Rule refused a name: a stray made it
             pass
-    words = _WORD_RE.findall(code)
-    words.append("")
-    try:
-        return _parse_words(text, words)
-    except (ParseError, ProgramError):
-        # Report the first stray character instead, if there is one.
-        strays = [w for w in set(words) if w not in _RESERVED and not "a" <= w[0] <= "z"]
-        if not strays:
-            raise
-        k = min(map(words.index, strays))
-        raise _error(text, k, ParseErrorKind.LEXICAL, f"unexpected character {words[k]!r}") from None
+    # Only a failed parse scans the text: for a stray, else for the failed
+    # word.  Comments are blanked to spaces, which keeps every offset; every
+    # character is one column, and the final word "" sits at the end.
+    if "%" in text:
+        text = _COMMENT_RE.sub(lambda comment: " " * len(comment[0]), text)
+    match = _STRAY_RE.search(text)
+    if match:
+        kind, message = ParseErrorKind.LEXICAL, f"unexpected character {match[0]!r}"
+    else:
+        k, kind, message = failure
+        match = next(itertools.islice(_WORD_RE.finditer(text), k, None), None)
+    offset, length = (match.start(), len(match[0])) if match else (len(text), 0)
+    line_start = text.rfind("\n", 0, offset) + 1
+    span = SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, length)
+    raise ParseError(kind, span, message)
 
 
-def _parse_words(text: str, words: list[str]) -> OrderedProgram:
-    """The program that ``words``, the words of ``text``, spell."""
+def _parse_words(words: list[str]) -> OrderedProgram:
+    """The program that ``words`` spell."""
     literals: dict[str, tuple[Literal, Literal]] = {}  # atom -> (positive, negated)
     rules: list = []  # a Rule, or an unnamed rule's (head, pbody, nbody)
     unnamed: list[int] = []  # positions of the unnamed rules in ``rules``
@@ -159,9 +159,9 @@ def _parse_words(text: str, words: list[str]) -> OrderedProgram:
         follow = words[i + 1]
         if word not in _RESERVED and follow == "<":
             if words[i + 2] in _RESERVED:
-                raise _expected(text, words, i + 2, "a rule name")
+                raise _expected(words, i + 2, "a rule name")
             if words[i + 3] != ".":
-                raise _expected(text, words, i + 3, "'.'")
+                raise _expected(words, i + 3, "'.'")
             pairs.setdefault((word, words[i + 2]), i)
             i += 4
             continue
@@ -170,7 +170,7 @@ def _parse_words(text: str, words: list[str]) -> OrderedProgram:
             i += 2
         elif word in _RESERVED and word != "-":
             message = f"expected a rule or preference, found {word!r}"
-            raise _error(text, i, ParseErrorKind.SYNTAX, message)
+            raise _Failure(i, ParseErrorKind.SYNTAX, message)
         else:
             name = None
         # The head, then body elements; "not" is read only in the body.
@@ -185,7 +185,7 @@ def _parse_words(text: str, words: list[str]) -> OrderedProgram:
             i += negated
             atom = words[i]
             if atom in _RESERVED:
-                raise _expected(text, words, i, "an atom")
+                raise _expected(words, i, "an atom")
             pair = literals.get(atom)
             if pair is None:
                 positive = pos(atom)
@@ -201,7 +201,7 @@ def _parse_words(text: str, words: list[str]) -> OrderedProgram:
             i += 1
             separator = ","
         if words[i] != ".":
-            raise _expected(text, words, i, "'.'")
+            raise _expected(words, i, "'.'")
         i += 1
         # Bodies are often empty; they share one empty set.
         pbody = frozenset(pbody) if pbody else _NO_LITERALS
@@ -227,17 +227,17 @@ def _parse_words(text: str, words: list[str]) -> OrderedProgram:
         # Only explicit names can repeat; point at the second one.
         at = [k for k, w in enumerate(words) if w == exc.name and words[k + 1] == ":"][1]
         message = f"rule name {exc.name!r} is already in use"
-        raise _error(text, at, ParseErrorKind.DUPLICATE_NAME, message) from exc
+        raise _Failure(at, ParseErrorKind.DUPLICATE_NAME, message) from exc
     except UnknownRuleError as exc:
         # Name the first unknown rule in source order.
         taken = {r.name for r in rules}
         at, name = next((k, n) for (a, b), k in pairs.items() for n in (a, b) if n not in taken)
         message = f"preference mentions unknown rule {name!r}"
-        raise _error(text, at, ParseErrorKind.UNKNOWN_RULE, message) from exc
+        raise _Failure(at, ParseErrorKind.UNKNOWN_RULE, message) from exc
     except CycleError as exc:
         at = next(k for (a, b), k in pairs.items() if exc.name in (a, b))
         message = f"cyclic preference through rule {exc.name!r}"
-        raise _error(text, at, ParseErrorKind.CYCLIC_ORDER, message) from exc
+        raise _Failure(at, ParseErrorKind.CYCLIC_ORDER, message) from exc
     op = OrderedProgram(tuple(rules), order)
     # The parse has met every atom, so it hands over the program's universe,
     # the set literal_universe defines: both literals of each atom.

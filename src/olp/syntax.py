@@ -326,7 +326,8 @@ class PreferenceOrder:
     ``below`` by ``pwfs``, ``pwfs-simplistic`` and ``brewka``.
     ``generators`` keeps the pairs as originally declared so that a program
     can be rendered back without materialising the closure; orders are
-    equal when their declared pairs are.  Validation's Kahn pass leaves
+    equal when their declared pairs are.  ``position`` is each rule name's
+    bit position, as validation built it.  Validation's Kahn pass leaves
     ``lower[i]``, the rules declared directly below rule i, and
     ``highest_first``, every rule after the rules above it (a linear
     extension of the order; both empty when there are no pairs).  ``above``
@@ -336,17 +337,13 @@ class PreferenceOrder:
 
     generators: frozenset[tuple[str, str]] = frozenset()
     rule_names: tuple[str, ...] = field(default=(), compare=False)
+    position: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
     highest_first: tuple[int, ...] = field(default=(), compare=False, repr=False)
     lower: Sequence[Sequence[int]] = field(default=(), compare=False, repr=False)
 
     @classmethod
     def empty(cls) -> "PreferenceOrder":
         return cls()
-
-    @cached_property
-    def position(self) -> dict[str, int]:
-        """Each rule name's bit position."""
-        return {name: i for i, name in enumerate(self.rule_names)}
 
     @cached_property
     def above(self) -> tuple[int, ...]:
@@ -468,7 +465,7 @@ def validate_order(
         if position.setdefault(name, i) != i:
             raise DuplicateRuleError(name)
     if not pairs:
-        return PreferenceOrder(pairs, names)
+        return PreferenceOrder(pairs, names, position)
     try:
         waiting, lower = _edges(pairs, position)
     except KeyError as exc:
@@ -484,7 +481,7 @@ def validate_order(
             seen.add(i)
             i = next(j for j in upper[i] if waiting[j])
         raise CycleError(names[i])
-    return PreferenceOrder(pairs, names, tuple(ranked), lower)
+    return PreferenceOrder(pairs, names, position, tuple(ranked), lower)
 
 
 @dataclass(frozen=True)

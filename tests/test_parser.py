@@ -1,3 +1,5 @@
+import random
+import re
 import sys
 
 import pytest
@@ -108,15 +110,12 @@ class TestParseErrors:
         self.expect("r1: a :- not b\n", ParseErrorKind.SYNTAX)
 
     def test_a_failing_parse_scans_for_one_span(self, monkeypatch):
-        # The split attempt's error is dropped, so only the reported error
-        # scans the text again for its span.
+        # Only the failed parse's one error scans the text, for its span.
         import olp.parser
 
         pattern, scans = olp.parser._WORD_RE, []
 
         class Counting:
-            findall = pattern.findall
-
             def finditer(self, text):
                 scans.append(text)
                 return pattern.finditer(text)
@@ -208,6 +207,57 @@ def test_parse_error_kind_span_and_message(text, kind, line, column, length, mes
     got = (err.kind.value, err.span.line, err.span.column, err.span.length, err.message)
     assert got == (kind, line, column, length, message)
     assert str(err) == f"{line}:{column}: {kind}: {message}"
+
+
+def _inside_the_split_guard(text):
+    code = re.sub(r"%[^\n]*", "", text)
+    return code.isascii() and not any(c in code for c in "\x0b\x0c\x1c\x1d\x1e\x1f")
+
+
+def test_a_text_is_parsed_at_most_once_and_scanned_only_when_it_fails(monkeypatch):
+    # A failing text inside the split's guard is parsed once; one outside it
+    # always holds a stray, which the scan reports with no parse at all.
+    import olp.parser
+
+    parse_words, runs, scans = olp.parser._parse_words, [], []
+
+    def counting(*args):
+        runs.append(args)
+        return parse_words(*args)
+
+    class Scanning:
+        def __init__(self, pattern):
+            self.pattern = pattern
+
+        def __getattr__(self, name):
+            scans.append(name)
+            return getattr(self.pattern, name)
+
+    monkeypatch.setattr(olp.parser, "_parse_words", counting)
+    monkeypatch.setattr(olp.parser, "_WORD_RE", Scanning(olp.parser._WORD_RE))
+    for name, text, *_ in ERROR_TABLE:
+        runs.clear()
+        with pytest.raises(ParseError):
+            parse_program(text)
+        assert len(runs) == _inside_the_split_guard(text), name
+    for name in ("ex3", "ex4", "ex5", "ex7", "defeasible"):
+        runs.clear()
+        scans.clear()
+        parse_program(corpus_text(name) + "% a comment, naïve\n")
+        assert len(runs) == 1 and scans == [], name
+
+
+def test_the_stray_pattern_finds_the_scans_first_stray_word():
+    import olp.parser
+
+    marks = {":-", ":", "<", ",", ".", "-"}
+    rng = random.Random(0)
+    for _ in range(3000):
+        text = "".join(rng.choice("abzAZ09_ :-.,<\t\r\n\x0b\xa0\u00e9?") for _ in range(rng.randrange(12)))
+        words = [m for m in olp.parser._WORD_RE.finditer(text) if m[0] not in marks]
+        first = next((m for m in words if not "a" <= m[0][0] <= "z"), None)
+        found = olp.parser._STRAY_RE.search(text)
+        assert (found and (found.start(), found[0])) == (first and (first.start(), first[0])), text
 
 
 class TestRender:
