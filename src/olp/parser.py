@@ -86,9 +86,9 @@ _COMMENT_RE = re.compile(r"%[^\n]*")
 # Whitespace is these four characters only: \s and str.split would also
 # skip \x0b, \xa0 or \u2028, which are stray characters here.
 _WORD_RE = re.compile(r"[a-z][A-Za-z0-9_]*|:-|[^ \t\r\n]")
-# The first stray, a one-character word of _WORD_RE's that is no mark: a
-# character outside the identifiers, marks and whitespace, or a capital,
-# digit or underscore that starts a run of identifier characters.
+# A stray is a one-character word of _WORD_RE that is no mark: a character
+# outside the identifiers, marks and whitespace, or a capital, digit or
+# underscore that starts a run of identifier characters.
 _STRAY_RE = re.compile(r"[^A-Za-z0-9_ \t\r\n:<,.-]|(?<![A-Za-z0-9_])[A-Z0-9_]")
 # The words that are not identifiers: the punctuation marks, the reserved
 # word not, and "" at the end of the input.
@@ -227,17 +227,17 @@ def _parse_words(words: list[str]) -> OrderedProgram:
         # Only explicit names can repeat; point at the second one.
         at = [k for k, w in enumerate(words) if w == exc.name and words[k + 1] == ":"][1]
         message = f"rule name {exc.name!r} is already in use"
-        raise _Failure(at, ParseErrorKind.DUPLICATE_NAME, message) from exc
-    except UnknownRuleError as exc:
+        raise _Failure(at, ParseErrorKind.DUPLICATE_NAME, message)
+    except UnknownRuleError:
         # Name the first unknown rule in source order.
         taken = {r.name for r in rules}
         at, name = next((k, n) for (a, b), k in pairs.items() for n in (a, b) if n not in taken)
         message = f"preference mentions unknown rule {name!r}"
-        raise _Failure(at, ParseErrorKind.UNKNOWN_RULE, message) from exc
+        raise _Failure(at, ParseErrorKind.UNKNOWN_RULE, message)
     except CycleError as exc:
         at = next(k for (a, b), k in pairs.items() if exc.name in (a, b))
         message = f"cyclic preference through rule {exc.name!r}"
-        raise _Failure(at, ParseErrorKind.CYCLIC_ORDER, message) from exc
+        raise _Failure(at, ParseErrorKind.CYCLIC_ORDER, message)
     op = OrderedProgram(tuple(rules), order)
     # The parse has met every atom, so it hands over the program's universe,
     # the set literal_universe defines: both literals of each atom.
