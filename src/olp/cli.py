@@ -1,5 +1,8 @@
 """Command-line front end: check, solve, bench, fuzz.
 
+``check FILE`` and ``solve FILE --mode M`` with exact switches are read
+directly; argparse reads every other argv and prints all help and usage.
+
 ``solve`` renders every answer and trace from bitsets of literal ids:
 true, false and unknown are int operations over the universe's bits,
 ``--atoms-only`` is one mask, and each literal's text comes from the
@@ -71,13 +74,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _trace(sets: Sequence[int], extra: Callable[[int], dict] | None) -> list[dict]:
     """The trace entries ``{"step": i, "set": ...}`` of the bitsets of a
     list of iterates; ``extra(i)`` adds a mode's own keys to entry i."""
-    entries = []
-    for i, bits in enumerate(sets):
-        entry = {"step": i, "set": texts_of(bits)}
-        if extra is not None:
-            entry.update(extra(i))
-        entries.append(entry)
-    return entries
+    return [
+        {"step": i, "set": texts_of(bits), **(extra(i) if extra else {})}
+        for i, bits in enumerate(sets)
+    ]
 
 
 def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
@@ -135,12 +135,8 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
 def _print_solve_text(payload: dict) -> None:
     mode = payload["mode"]
     if "true" in payload:
-        line = "true: {%s} false: {%s} unknown: {%s}" % (
-            ", ".join(payload["true"]),
-            ", ".join(payload["false"]),
-            ", ".join(payload["unknown"]),
-        )
-        print(line)
+        parts = (", ".join(payload[key]) for key in ("true", "false", "unknown"))
+        print("true: {%s} false: {%s} unknown: {%s}" % tuple(parts))
     elif "answer_sets" in payload:
         label = "answer set" if mode == "as" else "preferred answer set"
         if not payload["answer_sets"]:
@@ -277,8 +273,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What _read_plain reads, as build_parser declares it: func, switches by dest, needs --mode.
+_PLAIN = {
+    "check": (cmd_check, {}, False),
+    "solve": (cmd_solve, {"--json": "json", "--trace": "trace", "--atoms-only": "atoms_only"}, True),
+}
+
+
+def _read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` for one file after ``check``, or after
+    ``solve`` with ``--mode M`` and exact switches, in any order; else None."""
+    if not argv or argv[0] not in _PLAIN:
+        return None
+    func, switches, takes_mode = _PLAIN[argv[0]]
+    args, files, words = dict.fromkeys(switches.values(), False), [], iter(argv[1:])
+    for word in words:
+        if word in switches:
+            args[switches[word]] = True
+        elif word == "--mode" and takes_mode:
+            args["mode"] = next(words, None)
+            if args["mode"] not in MODES:
+                return None
+        else:
+            files.append(word)
+    if len(files) != 1 or files[0].startswith("-") or takes_mode != ("mode" in args):
+        return None
+    return argparse.Namespace(command=argv[0], file=files[0], func=func, **args)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _read_plain(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ProgramError, UnicodeDecodeError, UsageError) as exc:

@@ -474,12 +474,13 @@ def validate_order(
     if len(ranked) < len(names):
         # Every rule left waits on a rule above it that is also left, so
         # climbing through those rules must revisit one: it is on a cycle.
+        # Each step takes the lowest position, so no hash order shows.
         upper = _edges([(b, a) for a, b in pairs], position)[1]
         i = next(i for i, count in enumerate(waiting) if count)
         seen = set()
         while i not in seen:
             seen.add(i)
-            i = next(j for j in upper[i] if waiting[j])
+            i = min(j for j in upper[i] if waiting[j])
         raise CycleError(names[i])
     return PreferenceOrder(pairs, names, position, tuple(ranked), lower)
 

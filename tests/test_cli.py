@@ -1,6 +1,8 @@
 import argparse
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -9,6 +11,7 @@ from io import StringIO
 
 import pytest
 
+from olp import cli
 from olp.cli import main
 from olp.syntax import PartialModel
 from .conftest import CORPUS, ROOT
@@ -456,6 +459,85 @@ class TestParserBuiltOnce:
         assert got == code
         capsys.readouterr()
         assert run(capsys, *GOOD_ARGV) == (0, fresh_process_output, "")
+
+
+# The words of the differential test: every command, an unknown one, a
+# file, every option and mode, and words that only argparse reads.
+ARGV_WORDS = [
+    "check", "solve", "bench", "fuzz", "explain", str(CORPUS / "ex3.olp"), "--mode", *MODES,
+    "nope", "--json", "--trace", "--atoms-only", "--atoms", "--mo", "--mode=wfs",
+    "-h", "--help", "--", "-", "-1", "", "a b",
+]
+
+
+def _argv_sample(count, seed=0):
+    """``count`` argvs of four to seven words: a command, ``solve`` more often
+    than not, then in a random order a word of ARGV_WORDS, one to four exact
+    options and, half the time, a second word of ARGV_WORDS."""
+    rng = random.Random(seed)
+    options = [["--json"], ["--trace"], ["--atoms-only"], *(["--mode", m] for m in MODES)]
+    while count:
+        units = [[rng.choice(ARGV_WORDS)]] + rng.choices(options, k=rng.randint(1, 4))
+        if rng.random() < 0.5:
+            units.append([rng.choice(ARGV_WORDS)])
+        rng.shuffle(units)
+        command = rng.choice(ARGV_WORDS[:5] + ["solve"] * 5)
+        argv = [command, *(word for unit in units for word in unit)]
+        if 4 <= len(argv) <= 7:
+            count -= 1
+            yield argv
+
+
+class TestPlainArgv:
+    """``cli._read_plain`` reads the plain ``check`` and ``solve`` argvs;
+    ``build_parser().parse_args`` is its reference and reads the rest."""
+
+    def test_the_reader_agrees_with_argparse_wherever_it_reads(self, capsys):
+        argvs = [list(w) for n in range(4) for w in itertools.product(ARGV_WORDS, repeat=n)]
+        read = []
+        for argv in argvs + list(_argv_sample(4000)):
+            args = cli._read_plain(argv)
+            if args is not None:
+                assert vars(cli.build_parser().parse_args(argv)) == vars(args), argv
+                read.append(argv)
+        assert capsys.readouterr() == ("", "")
+        assert len(read) > 500
+        assert {a[0] for a in read} == {"check", "solve"}
+        assert {m for a in read for m in MODES if m in a} == set(MODES)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", str(CORPUS / "ex3.olp")],
+        GOOD_ARGV,
+        ["solve", str(CORPUS / "ex3.olp"), "--mode", "as", "--json", "--atoms-only"],
+        ["solve", "--trace", "--mode", "as", "--json", str(CORPUS / "ex4.olp"), "--mode", "brewka"],
+    ])
+    def test_a_plain_argv_builds_no_argument_parser(self, capsys, monkeypatch, argv):
+        def refuse():
+            raise AssertionError("build_parser called on a plain argv")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert main(argv) == 0
+        monkeypatch.setattr(sys, "argv", ["olp", *argv])
+        assert main() == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", str(CORPUS / "ex5.olp"), "--mo", "pwfs", "--trace"],
+        ["solve", str(CORPUS / "ex5.olp"), "--mode=pwfs", "--trace"],
+        ["solve", "--tr", str(CORPUS / "ex5.olp"), "--mo=pwfs"],
+        ["solve", "--trace", "--mode", "pwfs", str(CORPUS / "ex5.olp")],
+        ["solve", str(CORPUS / "ex5.olp"), "--mode", "as", "--trace", "--mode", "pwfs"],
+    ], ids=["abbreviated-mode", "mode-equals", "abbreviated-both", "options-first", "mode-repeated"])
+    def test_other_spellings_print_what_the_plain_one_prints(
+        self, capsys, fresh_process_output, argv
+    ):
+        assert run(capsys, *argv) == (0, fresh_process_output, "")
+
+    def test_a_bad_mode_is_argparses_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(CORPUS / "ex5.olp"), "--mode", "nope", "--trace"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("usage: olp solve ") and "invalid choice: 'nope'" in err
 
 
 def _count_every_binding(monkeypatch, names, source=None):

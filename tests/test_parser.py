@@ -1,5 +1,7 @@
+import os
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -258,6 +260,26 @@ def test_the_stray_pattern_finds_the_scans_first_stray_word():
         first = next((m for m in words if not "a" <= m[0][0] <= "z"), None)
         found = olp.parser._STRAY_RE.search(text)
         assert (found and (found.start(), found[0])) == (first and (first.start(), first[0])), text
+
+
+# Rule r4 is above r2, r2 above r4 and r4 above itself: the cycle walk from
+# r2 meets both r2 and r4 above r4, and takes the lower position.
+BRANCHING_CYCLE = "q: c.\n-b.\nr4 < r2.\nr2 < r4.\nd :- not a, c.\nr4: d :- not a, a.\n-c.\nr4 < r4.\n"
+
+
+def test_a_branching_cycle_names_one_rule_under_every_hash_seed(tmp_path):
+    path = tmp_path / "cycle.olp"
+    path.write_text(BRANCHING_CYCLE)
+    errors = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(seed))
+        done = subprocess.run(
+            [sys.executable, "-m", "olp.cli", "check", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        errors.add(done.stderr)
+    assert errors == {"error: 3:1: cyclic-order: cyclic preference through rule 'r2'\n"}
 
 
 class TestRender:
