@@ -4,7 +4,8 @@ Implements the reduct, the one derivation loop that every consequence
 operator shares (each engine supplies only its firing test), the closure
 of basic programs, the immediate consequence operator with a blocking
 context, answer sets by a search between alternating bounds, and the
-well-founded model as the least fixpoint of ``a_op = c_op . c_op``.
+well-founded model as the least fixpoint of ``a_op = c_op . c_op``, or
+bottom-up, each head decided once, for an acyclic program (``peel``).
 
 The alternating fixpoints do not close from scratch at every step: each
 half of the alternation is a ``LiveClosure``, which keeps its derived set
@@ -34,6 +35,7 @@ from .syntax import (
     Rule,
     RuleIndex,
     bit_positions,
+    bits_at,
     bits_of,
     has_pair,
     index_rules,
@@ -55,6 +57,7 @@ __all__ = [
     "LiveClosure",
     "answer_sets",
     "head_candidates",
+    "peel",
     "well_founded_fixpoint",
     "well_founded_model",
 ]
@@ -422,10 +425,49 @@ def well_founded_fixpoint(
     )
 
 
+def peel(rules: Sequence[Rule], index: RuleIndex) -> int | None:
+    """The well-founded true set, as bits, when the literal dependencies
+    have no cycle and the heads no complementary pair; else None.
+
+    One Kahn pass over ``index_rules(rules)`` decides a head once the heads
+    in its rules' bodies are: true iff a rule of it is not blocked by a
+    positive body literal that is false (as one heading no rule is) or a
+    negative one that is true.  Nothing collapses to Lit and the model is
+    total, so the true set is also c_star(lfp), built as bits once."""
+    by_pbody, by_nbody, by_head = index
+    if any(h ^ 1 in by_head for h in by_head):
+        return None
+    waiting = dict.fromkeys(by_head, 0)  # undecided heads in the bodies of its rules
+    blocked = bytearray(len(rules))
+    for by_body in (by_pbody, by_nbody):
+        for lit, positions in by_body.items():
+            for i in positions:
+                if lit in by_head:
+                    waiting[rules[i].head_id] += 1
+                elif by_body is by_pbody:
+                    blocked[i] = 1
+    ready, true = [h for h, n in waiting.items() if not n], set()
+    for h in ready:  # grows as heads are decided
+        if not all(map(blocked.__getitem__, by_head[h])):
+            true.add(h)
+        for against, by_body in ((h not in true, by_pbody), (h in true, by_nbody)):
+            for j in by_body.get(h, ()):
+                blocked[j] |= against
+                g = rules[j].head_id
+                waiting[g] -= 1
+                if not waiting[g]:
+                    ready.append(g)
+    return bits_at(true) if len(ready) == len(by_head) else None
+
+
 def well_founded_model(
     rules: Sequence[Rule], universe: frozenset[Literal]
 ) -> PartialModel:
-    """(lfp, universe minus the consequences of the lfp)."""
-    supported = LiveClosure(rules)
+    """(lfp, universe minus the consequences of the lfp), peeled if it can be."""
+    index = index_rules(rules)
+    true = peel(rules, index)
+    if true is not None:
+        return PartialModel.from_fixpoint(Interpretation.from_bits(true, universe), true, universe)
+    supported = LiveClosure(rules, index=index)
     lfp, _ = well_founded_fixpoint(rules, universe, supported)
     return PartialModel.from_fixpoint(lfp, supported(lfp.bits), universe)

@@ -31,7 +31,7 @@ from .fixpoint import FixpointDivergence
 from .oracle import GeneratorConfig, chain_program, check_theorems, generate_program
 from .parser import ParseError, parse_program, render_program
 from .syntax import (
-    OrderedProgram, ProgramError, bit_positions, bits_of, false_bits, texts_of,
+    OrderedProgram, ProgramError, bit_positions, bits_at, bits_of, false_bits, texts_of,
 )
 
 __all__ = ["main"]
@@ -107,16 +107,18 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
             }}
     else:
         variant = {"wfs": None, "pwfs": "paper", "pwfs-simplistic": "simplistic"}[mode]
-        lfp, supported, values = prefwfs.wf_model_trace(op, variant)
-        universe = bits_of(op.universe)
-        true = lfp.bits
+        # An untraced wfs solve has no iterates to show, so an acyclic program is peeled.
+        true = supported = None if variant or args.trace else classical.peel(op.rules, op.rule_index)
+        if true is None:
+            lfp, supported, values = prefwfs.wf_model_trace(op, variant)
+            true, sets = lfp.bits, [x.bits for x in values]
+        universe = bits_at([lit.id for lit in op.universe])
         false = false_bits(universe, true, supported)
         payload = {
             "true": show(true),
             "false": show(false),
             "unknown": show(universe & ~true & ~false),
         }
-        sets = [x.bits for x in values]
         if variant is not None:
 
             def extra(i):

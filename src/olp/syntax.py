@@ -45,7 +45,7 @@ import re
 import threading
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 __all__ = [
     "Atom",
@@ -65,6 +65,7 @@ __all__ = [
     "index_rules",
     "supporting_rules",
     "bit_positions",
+    "bits_at",
     "bits_of",
     "literals_of",
     "texts_of",
@@ -400,6 +401,21 @@ def bits_of(literals: Iterable[Literal]) -> int:
     for lit in literals:
         bits |= 1 << lit.id
     return bits
+
+
+def bits_at(ids: Collection[int]) -> int:
+    """The bitset of the literal ids ``ids``.  OR-ing bit by bit into a
+    growing int is quadratic, so past a few hundred ids the bits are written
+    as binary digits that one ``int`` call reads, linear in the width."""
+    if len(ids) < 256:
+        bits = 0
+        for i in ids:
+            bits |= 1 << i
+        return bits
+    digits = bytearray(b"0" * (max(ids) + 1))
+    for i in ids:
+        digits[-1 - i] = 49  # "1"; the lowest bit is the last digit
+    return int(digits, 2)
 
 
 def literals_of(bits: int) -> frozenset[Literal]:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -11,12 +12,15 @@ from olp.classical import (
     derive,
     head_candidates,
     is_active,
+    peel,
     reduct,
     t_step,
     well_founded_fixpoint,
     well_founded_model,
 )
 from olp.oracle import GeneratorConfig, generate_program, oracle_cn
+from olp.parser import parse_program, render_program
+from olp.prefwfs import wf_model_trace
 from olp.syntax import (
     Interpretation,
     PartialModel,
@@ -26,7 +30,8 @@ from olp.syntax import (
     pos,
     rule,
 )
-from .conftest import A, B, C, NA, NB, NP, P, Q, interp, random_consistent
+from .conftest import A, B, C, NA, NB, NP, P, Q, ROOT, interp, random_consistent
+from .test_acceptance import BATCH_SEED
 
 E = Interpretation.empty()
 
@@ -305,6 +310,63 @@ class TestWellFoundedModel:
         values = trace
         assert values[-1] == values[-2]
         assert len(trace) - 1 <= len(ex4.universe) + 1
+
+
+def _peel_agrees(op) -> bool:
+    """Whether ``peel`` decides op; when it does, its true set must be the
+    alternation's lfp and also what the lfp supports."""
+    true = peel(op.rules, op.rule_index)
+    if true is None:
+        return False
+    lfp, supported, _ = wf_model_trace(op, None)
+    assert (true, true) == (lfp.bits, supported), render_program(op)
+    return True
+
+
+class TestPeel:
+    """The bottom-up well-founded model of acyclic programs against the
+    alternating fixpoint it stands in for."""
+
+    @pytest.mark.parametrize(
+        "text, decided",
+        [
+            ("r1: a.", True),
+            ("r1: a :- a.", False),  # a positive self-loop
+            ("r1: a :- not a.", False),
+            ("r1: a :- not b.\nr2: b :- not a.", False),  # an even negative loop
+            # A chain that ends in a 2-cycle.
+            ("r1: a :- not b.\nr2: b :- not c.\nr3: c :- not d.\nr4: d :- c.", False),
+            # Two rules for a; d and the body literals e and f head no rule.
+            ("r1: a :- b.\nr2: a :- not c.\nr3: b :- not a2.\nr4: c :- d.\nr5: a2.", True),
+            ("r1: a :- b, not c.\nr2: d :- not e, f.\nr3: -g :- a, not d.", True),
+            ("r1: a :- not b.\nr2: -a :- not c.", False),  # complementary heads
+        ],
+    )
+    def test_hand_cases(self, text, decided):
+        assert _peel_agrees(parse_program(text)) == decided
+
+    def test_criterion_7_programs(self):
+        decided = [
+            _peel_agrees(generate_program(GeneratorConfig(seed=BATCH_SEED + i)))
+            for i in range(1000)
+        ]
+        # The rest have a cycle or complementary heads and keep the alternation.
+        assert (sum(decided[:100]), sum(decided)) == (26, 208)
+
+    def test_benchmark_texts(self):
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        import workloads
+
+        texts = {
+            f"random{k}": workloads.random_text(k, atoms, rules, seed=1)
+            for k, atoms, rules, _ in workloads.RANDOM_PROGRAMS
+        }
+        texts.update(workloads.corpus_texts(ROOT))
+        texts.update((f"chain{n}", workloads.chain_text(1, n)) for n in (150, 300, 2000))
+        decided = {name for name, text in texts.items() if _peel_agrees(parse_program(text))}
+        assert decided == {
+            "random17", "random19", "corpus-ex4", "corpus-ex7", "chain150", "chain300", "chain2000",
+        }
 
 
 class TestProperties:

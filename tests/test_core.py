@@ -37,6 +37,7 @@ from olp.syntax import (
     Literal,
     ProgramError,
     Rule,
+    bits_at,
     bits_of,
     complement,
     is_consistent,
@@ -179,6 +180,17 @@ class TestAgainstFrozensets:
         assert literals_of(bits_of(literals)) == literals
         decoded = Interpretation.from_bits(bits_of(literals), UNIVERSE).literals
         assert set(decoded) == set(value_of(literals).literals)
+
+    @CORE
+    @given(literal_sets)
+    def test_bits_at_gives_the_bits_of_the_literals(self, literals):
+        assert bits_at([lit.id for lit in literals]) == bits_of(literals)
+
+    def test_bits_at_past_a_few_hundred_ids(self):
+        rng = random.Random(5)
+        for count in (255, 256, 257, 3000):
+            ids = rng.sample(range(5000), count)
+            assert bits_at(ids) == sum(1 << i for i in ids)
 
     def test_a_value_built_from_literals_keeps_its_set(self):
         literals = frozenset({pos("q1"), neg("q2")})

@@ -128,6 +128,27 @@ MUTANTS = {
         37, ("defeat-bits-agree",),
         "c08555d4429ff989652555549725411f8621965a8bdb5dd6e64aab63580cec87",
     ),
+    # The bottom-up well-founded model of acyclic programs, which the
+    # battery reaches through well_founded_model.
+    "peel-makes-no-head-true": (
+        classical, "peel",
+        "true.add(h)", "pass",
+        0, ("thm3-inclusions", "thm3-empty-order-equality", "brewka-empty-order-standard"),
+        "afdf86908ed7bd0715ac3b3c0cec7fd3ef2de1e85d9c4b2b7af28ee122be9513",
+    ),
+    "peel-blocks-no-rule-by-a-decided-head": (
+        classical, "peel",
+        "blocked[j] |= against", "pass",
+        8, ("wfs-approximates-answer-sets", "thm3-inclusions", "thm3-empty-order-equality",
+            "brewka-empty-order-standard"),
+        "7eecec551f56e57223ddb9a8615715d0a10dbdaf020cf8d136f874d4e09f4653",
+    ),
+    "peel-answers-past-a-cycle": (
+        classical, "peel",
+        "return bits_at(true) if len(ready) == len(by_head) else None", "return bits_at(true)",
+        9, ("thm3-inclusions", "thm3-empty-order-equality"),
+        "7bda54e7b49fabe3122b559b1befff792f4626f3537273d46af20cb3e12b3fac",
+    ),
     # Lit is read from the bits: a value is Lit when they hold a pair.
     "is-lit-ignores-the-pair": (
         syntax.Interpretation, "is_lit",
