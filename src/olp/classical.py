@@ -58,6 +58,7 @@ __all__ = [
     "answer_sets",
     "head_candidates",
     "peel",
+    "well_founded_bits",
     "well_founded_fixpoint",
     "well_founded_model",
 ]
@@ -430,10 +431,10 @@ def peel(rules: Sequence[Rule], index: RuleIndex) -> int | None:
     have no cycle and the heads no complementary pair; else None.
 
     One Kahn pass over ``index_rules(rules)`` decides a head once the heads
-    in its rules' bodies are: true iff a rule of it is not blocked by a
-    positive body literal that is false (as one heading no rule is) or a
-    negative one that is true.  Nothing collapses to Lit and the model is
-    total, so the true set is also c_star(lfp), built as bits once."""
+    in its rules' bodies are: true iff a rule of it is blocked by no false
+    positive body literal (one heading no rule is false) and no true
+    negative one.  Nothing collapses to Lit and the model is total, so the
+    true set is also c_star(lfp)."""
     by_pbody, by_nbody, by_head = index
     if any(h ^ 1 in by_head for h in by_head):
         return None
@@ -460,14 +461,19 @@ def peel(rules: Sequence[Rule], index: RuleIndex) -> int | None:
     return bits_at(true) if len(ready) == len(by_head) else None
 
 
-def well_founded_model(
-    rules: Sequence[Rule], universe: frozenset[Literal]
-) -> PartialModel:
-    """(lfp, universe minus the consequences of the lfp), peeled if it can be."""
-    index = index_rules(rules)
+def well_founded_bits(
+    rules: Sequence[Rule], universe: frozenset[Literal], index: RuleIndex
+) -> tuple[int, int]:
+    """The well-founded lfp and c_star(lfp), as bits: peeled if it can be, else alternated."""
     true = peel(rules, index)
     if true is not None:
-        return PartialModel.from_fixpoint(Interpretation.from_bits(true, universe), true, universe)
+        return true, true
     supported = LiveClosure(rules, index=index)
     lfp, _ = well_founded_fixpoint(rules, universe, supported)
-    return PartialModel.from_fixpoint(lfp, supported(lfp.bits), universe)
+    return lfp.bits, supported(lfp.bits)
+
+
+def well_founded_model(rules: Sequence[Rule], universe: frozenset[Literal]) -> PartialModel:
+    """(lfp, universe minus the consequences of the lfp)."""
+    true, supported = well_founded_bits(rules, universe, index_rules(rules))
+    return PartialModel.from_fixpoint(true, supported, universe)

@@ -54,7 +54,7 @@ def _shown(op: OrderedProgram, atoms_only: bool) -> Callable[[int], list[str]]:
     never mentions."""
     if not atoms_only:
         return texts_of
-    shown = bits_of(lit for lit in op.universe if not lit.negated)
+    shown = bits_at([lit.id for lit in op.universe if not lit.negated])
     for r in op.rules:
         shown |= 1 << r.head_id | r.pmask | r.nmask
     return lambda bits: texts_of(bits & shown)
@@ -107,11 +107,11 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
             }}
     else:
         variant = {"wfs": None, "pwfs": "paper", "pwfs-simplistic": "simplistic"}[mode]
-        # An untraced wfs solve has no iterates to show, so an acyclic program is peeled.
-        true = supported = None if variant or args.trace else classical.peel(op.rules, op.rule_index)
-        if true is None:
+        if variant or args.trace:
             lfp, supported, values = prefwfs.wf_model_trace(op, variant)
             true, sets = lfp.bits, [x.bits for x in values]
+        else:  # no iterates to show, so an acyclic program is peeled
+            true, supported = classical.well_founded_bits(op.rules, op.universe, op.rule_index)
         universe = bits_at([lit.id for lit in op.universe])
         false = false_bits(universe, true, supported)
         payload = {

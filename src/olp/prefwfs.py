@@ -283,7 +283,7 @@ def preferred_wf_model(
 ) -> PartialModel:
     """(lfp, universe minus consequences of the lfp)."""
     lfp, supported, _ = wf_model_trace(op, variant)
-    return PartialModel.from_fixpoint(lfp, supported, op.universe)
+    return PartialModel.from_fixpoint(lfp.bits, supported, op.universe)
 
 
 def wf_model_trace(

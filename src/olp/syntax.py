@@ -396,7 +396,7 @@ def bit_positions(mask: int) -> Iterator[int]:
 
 
 def bits_of(literals: Iterable[Literal]) -> int:
-    """The bitset of a collection of literals."""
+    """The bitset of a few literals (quadratic: ``bits_at`` builds a wide set)."""
     bits = 0
     for lit in literals:
         bits |= 1 << lit.id
@@ -404,15 +404,9 @@ def bits_of(literals: Iterable[Literal]) -> int:
 
 
 def bits_at(ids: Collection[int]) -> int:
-    """The bitset of the literal ids ``ids``.  OR-ing bit by bit into a
-    growing int is quadratic, so past a few hundred ids the bits are written
-    as binary digits that one ``int`` call reads, linear in the width."""
-    if len(ids) < 256:
-        bits = 0
-        for i in ids:
-            bits |= 1 << i
-        return bits
-    digits = bytearray(b"0" * (max(ids) + 1))
+    """The bitset of the literal ids ``ids``, written as binary digits that
+    one ``int`` call reads: linear in the width, for a set as wide as a universe."""
+    digits = bytearray(b"0" * (max(ids, default=0) + 1))
     for i in ids:
         digits[-1 - i] = 49  # "1"; the lowest bit is the last digit
     return int(digits, 2)
@@ -737,12 +731,12 @@ class PartialModel:
 
     @classmethod
     def from_fixpoint(
-        cls, lfp: Interpretation, supported: int, universe: frozenset
+        cls, true: int, supported: int, universe: frozenset
     ) -> "PartialModel":
-        """lfp is true, and ``false_bits`` gives the false set of the raw
-        supported bits."""
-        false = false_bits(bits_of(universe), lfp.bits, supported)
-        return cls(lfp.literals, literals_of(false))
+        """``true`` is the lfp's bits, and ``false_bits`` gives the false set
+        of the raw supported bits."""
+        false = false_bits(bits_at([lit.id for lit in universe]), true, supported)
+        return cls(literals_of(true), literals_of(false))
 
     def unknown(self, universe: Iterable[Literal]) -> frozenset[Literal]:
         return frozenset(universe) - self.true_set - self.false_set

@@ -15,6 +15,7 @@ from olp.classical import (
     peel,
     reduct,
     t_step,
+    well_founded_bits,
     well_founded_fixpoint,
     well_founded_model,
 )
@@ -314,12 +315,15 @@ class TestWellFoundedModel:
 
 def _peel_agrees(op) -> bool:
     """Whether ``peel`` decides op; when it does, its true set must be the
-    alternation's lfp and also what the lfp supports."""
+    alternation's lfp and also what the lfp supports.  Decided or not,
+    ``well_founded_bits`` must give the alternation's pair."""
+    lfp, supported, _ = wf_model_trace(op, None)
+    both = well_founded_bits(op.rules, op.universe, op.rule_index)
+    assert both == (lfp.bits, supported), render_program(op)
     true = peel(op.rules, op.rule_index)
     if true is None:
         return False
-    lfp, supported, _ = wf_model_trace(op, None)
-    assert (true, true) == (lfp.bits, supported), render_program(op)
+    assert (true, true) == both
     return True
 
 

@@ -186,9 +186,9 @@ class TestAgainstFrozensets:
     def test_bits_at_gives_the_bits_of_the_literals(self, literals):
         assert bits_at([lit.id for lit in literals]) == bits_of(literals)
 
-    def test_bits_at_past_a_few_hundred_ids(self):
+    def test_bits_at_of_no_one_and_many_ids(self):
         rng = random.Random(5)
-        for count in (255, 256, 257, 3000):
+        for count in (0, 1, 2, 3000):
             ids = rng.sample(range(5000), count)
             assert bits_at(ids) == sum(1 << i for i in ids)
 
