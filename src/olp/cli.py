@@ -107,11 +107,11 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
             }}
     else:
         variant = {"wfs": None, "pwfs": "paper", "pwfs-simplistic": "simplistic"}[mode]
-        if variant or args.trace:
+        if args.trace:
             lfp, supported, values = prefwfs.wf_model_trace(op, variant)
             true, sets = lfp.bits, [x.bits for x in values]
         else:  # no iterates to show, so an acyclic program is peeled
-            true, supported = classical.well_founded_bits(op.rules, op.universe, op.rule_index)
+            true, supported = prefwfs.wf_model_bits(op, variant)
         universe = bits_at([lit.id for lit in op.universe])
         false = false_bits(universe, true, supported)
         payload = {

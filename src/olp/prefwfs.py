@@ -73,6 +73,7 @@ __all__ = [
     "preferred_wfs_fixpoint",
     "preferred_wf_model",
     "wf_model_trace",
+    "wf_model_bits",
     "removal_sets",
     "defeat_contexts",
 ]
@@ -308,6 +309,31 @@ def wf_model_trace(
     if variant == VARIANT_SIMPLISTIC:
         return lfp, cpn_op(op, lfp, variant).bits, iterates
     return lfp, supported(lfp.bits), iterates
+
+
+def wf_model_bits(op: OrderedProgram, variant: str | None) -> tuple[int, int]:
+    """``wf_model_trace``'s lfp and supported set as bits, without iterates:
+    the peel's true set T when ``classical.peel`` decides op.
+
+    Then c_star(T) = T, and each l in T has a rule g with pbody(g) within T
+    and nbody(g) outside T.  A rule r heading outside T that fires in
+    ``cpn_op(T)`` (``paper``) removes such an l, so defeats g: by head(r) in
+    nbody(g), a cycle the peel rules out, or by nbody(g) meeting the derived
+    set, which stays within T.  So apn(T) = T, and apn, monotone and
+    containing a_op pointwise, has T, the ``wfs`` model, as its lfp.
+    ``simplistic`` drops l once a lower rule heading l is defeated, so
+    ``h :- not l. l. l :- not k. k.`` (third rule below the first) is peeled
+    with h false but makes h true: it takes T if one ``cpn_op(T)`` is T."""
+    if variant is not None:
+        _check_variant(variant)
+    true = classical.peel(op.rules, op.rule_index)
+    if true is not None and (
+        variant != VARIANT_SIMPLISTIC
+        or cpn_op(op, Interpretation.from_bits(true, op.universe), variant).bits == true
+    ):
+        return true, true
+    lfp, supported, _ = wf_model_trace(op, variant)
+    return lfp.bits, supported
 
 
 def removal_sets(

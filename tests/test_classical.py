@@ -1,8 +1,10 @@
 import random
 import sys
+from argparse import Namespace
 
 import pytest
 
+from olp import cli
 from olp.classical import (
     LiveClosure,
     a_op,
@@ -21,7 +23,7 @@ from olp.classical import (
 )
 from olp.oracle import GeneratorConfig, generate_program, oracle_cn
 from olp.parser import parse_program, render_program
-from olp.prefwfs import wf_model_trace
+from olp.prefwfs import cpn_op, wf_model_bits, wf_model_trace
 from olp.syntax import (
     Interpretation,
     PartialModel,
@@ -315,15 +317,28 @@ class TestWellFoundedModel:
 
 def _peel_agrees(op) -> bool:
     """Whether ``peel`` decides op; when it does, its true set must be the
-    alternation's lfp and also what the lfp supports.  Decided or not,
-    ``well_founded_bits`` must give the alternation's pair."""
-    lfp, supported, _ = wf_model_trace(op, None)
+    alternation's lfp and also what the lfp supports, and the paper's
+    ``cpn_op`` must keep it.  Decided or not, ``well_founded_bits`` and
+    ``wf_model_bits`` must give the alternation's pair in every
+    well-founded mode, and an untraced solve the traced one's answer (up to
+    300 rules: the traced removal sets of a longer chain take seconds)."""
+    for mode, variant in (("wfs", None), ("pwfs", "paper"), ("pwfs-simplistic", "simplistic")):
+        lfp, supported, _ = wf_model_trace(op, variant)
+        assert wf_model_bits(op, variant) == (lfp.bits, supported), (mode, render_program(op))
+        if len(op.rules) <= 300:
+            untraced, traced = (
+                cli._solve_payload(op, Namespace(mode=mode, atoms_only=False, trace=trace))
+                for trace in (False, True)
+            )
+            traced.pop("trace", None)
+            assert untraced == traced, (mode, render_program(op))
     both = well_founded_bits(op.rules, op.universe, op.rule_index)
-    assert both == (lfp.bits, supported), render_program(op)
+    assert both == wf_model_bits(op, None), render_program(op)
     true = peel(op.rules, op.rule_index)
     if true is None:
         return False
     assert (true, true) == both
+    assert cpn_op(op, Interpretation.from_bits(true, op.universe)).bits == true
     return True
 
 
@@ -344,6 +359,9 @@ class TestPeel:
             ("r1: a :- b.\nr2: a :- not c.\nr3: b :- not a2.\nr4: c :- d.\nr5: a2.", True),
             ("r1: a :- b, not c.\nr2: d :- not e, f.\nr3: -g :- a, not d.", True),
             ("r1: a :- not b.\nr2: -a :- not c.", False),  # complementary heads
+            # Peeled, h false; the simplistic removal drops l from r1's
+            # context (r3 is defeated by k), so pwfs-simplistic makes h true.
+            ("r1: h :- not l.\nr2: l.\nr3: l :- not k.\nr4: k.\nr3 < r1.", True),
         ],
     )
     def test_hand_cases(self, text, decided):

@@ -611,7 +611,8 @@ class TestOneFixpointPerSolve:
         assert code == 0
         assert calls == {"kleene": 1}
 
-    def test_an_untraced_wfs_solve_peels_an_acyclic_chain(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("mode", ["wfs", "pwfs", "pwfs-simplistic"])
+    def test_an_untraced_solve_peels_an_acyclic_chain(self, capsys, monkeypatch, tmp_path, mode):
         # Every head of the chain is decided once; no alternation runs.
         sys.path.insert(0, str(ROOT / "perfbench"))
         import workloads
@@ -619,9 +620,9 @@ class TestOneFixpointPerSolve:
         path = tmp_path / "chain.olp"
         path.write_text(workloads.chain_text(1, 300), encoding="utf-8")
         calls = _count_every_binding(monkeypatch, ("kleene",))
-        code, out, _ = run(capsys, "solve", str(path), "--mode", "wfs", "--json")
+        code, out, _ = run(capsys, "solve", str(path), "--mode", mode, "--json")
         assert code == 0 and not calls
-        traced = json.loads(run(capsys, "solve", str(path), "--mode", "wfs", "--json", "--trace")[1])
+        traced = json.loads(run(capsys, "solve", str(path), "--mode", mode, "--json", "--trace")[1])
         assert calls == {"kleene": 1}
         assert json.loads(out) == {k: v for k, v in traced.items() if k != "trace"}
 

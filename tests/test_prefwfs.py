@@ -19,10 +19,11 @@ from olp.prefwfs import (
     preferred_wfs_fixpoint,
     preferred_wfs_set,
     tpn_step,
+    wf_model_bits,
     wf_model_trace,
 )
 from olp.syntax import Interpretation, PartialModel
-from .conftest import A, B, C, NA, NB, NP, NQ, P, Q, interp, random_consistent
+from .conftest import A, B, C, NA, NB, NP, NQ, P, Q, interp, load, random_consistent
 from .test_mutations import _install
 
 E = Interpretation.empty()
@@ -278,12 +279,14 @@ class TestProperties:
             lambda op: preferred_wfs_set(op, "bogus"),
             lambda op: preferred_wf_model(op, "bogus"),
             lambda op: wf_model_trace(op, "bogus"),
+            # Also where the peel decides the program and no fixpoint runs.
+            lambda op: wf_model_bits(load("ex4"), "bogus"),
             lambda op: defeat_contexts(op, E, E, "bogus"),
         ],
         ids=[
             "cpn_op", "apn_op", "tpn_step", "preferred_wfs_fixpoint",
             "preferred_wfs_set", "preferred_wf_model", "wf_model_trace",
-            "defeat_contexts",
+            "wf_model_bits", "defeat_contexts",
         ],
     )
     def test_every_entry_point_rejects_an_unknown_variant(self, ex3, call):

@@ -3,6 +3,7 @@ import copy
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -23,11 +24,14 @@ from olp.syntax import (
     ProgramError,
     UnknownRuleError,
     bit_positions,
+    bits_at,
     complement,
     literal_universe,
+    literals_of,
     pos,
     program,
     rule,
+    texts_of,
     validate_order,
 )
 from olp.parser import parse_program, render_program
@@ -64,6 +68,19 @@ class TestLiterals:
             Atom("")
         with pytest.raises(ProgramError):
             Atom("1a")
+
+    def test_texts_of_reads_what_bit_positions_decodes(self):
+        # Masks up to 8*10^4 bits wide, the width of a 4*10^4-rule chain's
+        # universe; every id below the widest one names a literal.
+        for k in range(40_000):
+            pos(f"tx{k}")
+        rng = random.Random(30)
+        masks = [0, 1, 2, 3, 1 << 63, (1 << 64) - 1, (1 << 1000) - 1, 1 << 79_999]
+        for width in (5, 64, 65, 1000, 80_000):
+            for density in (0.01, 0.2, 0.9):
+                masks.append(bits_at([i for i in range(width) if rng.random() < density]))
+        for mask in masks:
+            assert texts_of(mask) == sorted(map(str, literals_of(mask)))
 
 
 class TestLiteralValueContract:
@@ -302,12 +319,16 @@ class TestOrderedProgram:
         render_program(op)
         answers("wfs", "as")
         assert not {"above", "below", "pairs"} & vars(op.order).keys()
-        # lfp-ap and pas read above only, and no rule index; pwfs reads below.
+        # lfp-ap and pas read above only, and no rule index; pwfs takes the
+        # peel of the acyclic ex4, and pwfs-simplistic checks it against
+        # cpn_op, which reads below.
         op = load("ex4")
         answers("lfp-ap", "pas")
         assert "above" in vars(op.order) and "below" not in vars(op.order)
         assert "rule_index" not in vars(op)
         answers("pwfs")
+        assert "below" not in vars(op.order)
+        answers("pwfs-simplistic")
         assert "below" in vars(op.order)
 
     def test_order_names_must_resolve(self):
