@@ -11,10 +11,11 @@ Two removal policies are implemented:
 * ``paper`` (the default): a literal may be removed only if every rule that
   could support it within y is both strictly below r and defeated.  A
   literal with no supporting rule at all is trivially removable.
-* ``simplistic``: remove the heads of all defeated lower rules outright.
-  This ignores competing supports for the same literal and serves as a
-  negative control; it is kept because the test suite must be able to
-  detect the difference.
+* ``simplistic``: remove the heads of all defeated lower rules outright,
+  ignoring competing supports, which distinct heads lack: a negative control.
+
+An untraced solve takes ``wf_model_bits``: ``classical.well_founded_bits``
+for ``wfs``, else the peel's model where the lemma in its docstring holds.
 
 Both closures of the alternation avoid rescanning the program.  The
 classical half is a ``classical.LiveClosure`` kept for the whole fixpoint,
@@ -321,14 +322,18 @@ def wf_model_bits(op: OrderedProgram, variant: str | None) -> tuple[int, int]:
     nbody(g), a cycle the peel rules out, or by nbody(g) meeting the derived
     set, which stays within T.  So apn(T) = T, and apn, monotone and
     containing a_op pointwise, has T, the ``wfs`` model, as its lfp.
-    ``simplistic`` drops l once a lower rule heading l is defeated, so
+    With distinct heads l heads only g, so ``simplistic`` keeps l exactly
+    when ``paper`` does, when g is not defeated: both ``cpn_op(T)`` are T.
+    With shared heads it drops l once a lower rule heading l is defeated, so
     ``h :- not l. l. l :- not k. k.`` (third rule below the first) is peeled
     with h false but makes h true: it takes T if one ``cpn_op(T)`` is T."""
-    if variant is not None:
-        _check_variant(variant)
+    if variant is None:
+        return classical.well_founded_bits(op.rules, op.universe, op.rule_index)
+    _check_variant(variant)
     true = classical.peel(op.rules, op.rule_index)
     if true is not None and (
         variant != VARIANT_SIMPLISTIC
+        or len(op.rule_index[2]) == len(op.rules)
         or cpn_op(op, Interpretation.from_bits(true, op.universe), variant).bits == true
     ):
         return true, true

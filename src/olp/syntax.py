@@ -639,7 +639,7 @@ class Interpretation:
 
     def __init__(self, literals: Iterable[Literal] = frozenset(), is_lit: bool = False):
         literals = frozenset(literals)
-        bits = bits_of(literals)
+        bits = bits_at([lit.id for lit in literals]) if len(literals) > 256 else bits_of(literals)
         if not is_lit and has_pair(bits):
             raise ProgramError("inconsistent interpretation must be flagged as Lit")
         _set_bits(self, bits)

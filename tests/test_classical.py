@@ -17,7 +17,6 @@ from olp.classical import (
     peel,
     reduct,
     t_step,
-    well_founded_bits,
     well_founded_fixpoint,
     well_founded_model,
 )
@@ -318,9 +317,9 @@ class TestWellFoundedModel:
 def _peel_agrees(op) -> bool:
     """Whether ``peel`` decides op; when it does, its true set must be the
     alternation's lfp and also what the lfp supports, and the paper's
-    ``cpn_op`` must keep it.  Decided or not, ``well_founded_bits`` and
-    ``wf_model_bits`` must give the alternation's pair in every
-    well-founded mode, and an untraced solve the traced one's answer (up to
+    ``cpn_op`` must keep it.  Decided or not, ``wf_model_bits``
+    (``well_founded_bits`` for ``wfs``) must give the alternation's pair in
+    every well-founded mode, and an untraced solve the traced one's answer (up to
     300 rules: the traced removal sets of a longer chain take seconds)."""
     for mode, variant in (("wfs", None), ("pwfs", "paper"), ("pwfs-simplistic", "simplistic")):
         lfp, supported, _ = wf_model_trace(op, variant)
@@ -332,12 +331,9 @@ def _peel_agrees(op) -> bool:
             )
             traced.pop("trace", None)
             assert untraced == traced, (mode, render_program(op))
-    both = well_founded_bits(op.rules, op.universe, op.rule_index)
-    assert both == wf_model_bits(op, None), render_program(op)
     true = peel(op.rules, op.rule_index)
     if true is None:
         return False
-    assert (true, true) == both
     assert cpn_op(op, Interpretation.from_bits(true, op.universe)).bits == true
     return True
 
@@ -374,6 +370,18 @@ class TestPeel:
         ]
         # The rest have a cycle or complementary heads and keep the alternation.
         assert (sum(decided[:100]), sum(decided)) == (26, 208)
+
+    def test_programs_with_a_dense_order(self):
+        # Defeat is common here, so pwfs-simplistic's distinct-head route
+        # meets it: 227 of the decided programs have distinct heads.
+        decided = [
+            _peel_agrees(generate_program(config))
+            for config in (
+                GeneratorConfig(max_atoms=6, max_rules=10, order_density=0.6, seed=seed)
+                for seed in range(2000)
+            )
+        ]
+        assert sum(decided) == 337
 
     def test_benchmark_texts(self):
         sys.path.insert(0, str(ROOT / "perfbench"))

@@ -613,18 +613,34 @@ class TestOneFixpointPerSolve:
 
     @pytest.mark.parametrize("mode", ["wfs", "pwfs", "pwfs-simplistic"])
     def test_an_untraced_solve_peels_an_acyclic_chain(self, capsys, monkeypatch, tmp_path, mode):
-        # Every head of the chain is decided once; no alternation runs.
+        # Every head of the chain is decided once; no alternation runs, and
+        # since no two rules share a head, pwfs-simplistic needs no cpn_op.
+        from olp import prefwfs
+
         sys.path.insert(0, str(ROOT / "perfbench"))
         import workloads
 
         path = tmp_path / "chain.olp"
         path.write_text(workloads.chain_text(1, 300), encoding="utf-8")
         calls = _count_every_binding(monkeypatch, ("kleene",))
+        checks = _count_every_binding(monkeypatch, ("cpn_op",), source=prefwfs)
         code, out, _ = run(capsys, "solve", str(path), "--mode", mode, "--json")
-        assert code == 0 and not calls
+        assert code == 0 and not calls and not checks
         traced = json.loads(run(capsys, "solve", str(path), "--mode", mode, "--json", "--trace")[1])
         assert calls == {"kleene": 1}
         assert json.loads(out) == {k: v for k, v in traced.items() if k != "trace"}
+
+    def test_every_untraced_wfs_answer_takes_one_route(self, capsys, monkeypatch):
+        # The peel-or-alternate choice for wfs is classical.well_founded_bits alone.
+        from olp import classical
+        from olp.parser import parse_program
+
+        calls = _count_every_binding(monkeypatch, ("well_founded_bits",), source=classical)
+        code, _, _ = run(capsys, "solve", str(CORPUS / "ex5.olp"), "--mode", "wfs", "--json")
+        assert code == 0 and calls == {"well_founded_bits": 1}
+        op = parse_program((CORPUS / "ex5.olp").read_text(encoding="utf-8"))
+        classical.well_founded_model(op.rules, op.universe)
+        assert calls == {"well_founded_bits": 2}
 
 
 class TestDefeatSetsScale:

@@ -192,6 +192,16 @@ class TestAgainstFrozensets:
             ids = rng.sample(range(5000), count)
             assert bits_at(ids) == sum(1 << i for i in ids)
 
+    def test_a_wide_lit_is_the_bits_of_its_universe(self):
+        universe = frozenset(lit for k in range(5000) for lit in (pos(f"wide{k}"), neg(f"wide{k}")))
+        wide = bits_at([lit.id for lit in universe])
+        lit = Interpretation.lit(universe)
+        assert lit.bits == wide == bits_of(universe) and lit.is_lit
+        assert lit == Interpretation.from_bits(wide, universe)
+        assert pickle.loads(pickle.dumps(lit)) == lit
+        positive = frozenset(lit for lit in universe if not lit.negated)
+        assert Interpretation.of(positive).bits == bits_of(positive)
+
     def test_a_value_built_from_literals_keeps_its_set(self):
         literals = frozenset({pos("q1"), neg("q2")})
         assert Interpretation.of(literals).literals is literals

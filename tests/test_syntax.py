@@ -320,15 +320,19 @@ class TestOrderedProgram:
         answers("wfs", "as")
         assert not {"above", "below", "pairs"} & vars(op.order).keys()
         # lfp-ap and pas read above only, and no rule index; pwfs takes the
-        # peel of the acyclic ex4, and pwfs-simplistic checks it against
-        # cpn_op, which reads below.
+        # peel of the acyclic ex4, and so does pwfs-simplistic, since ex4's
+        # heads are distinct.
         op = load("ex4")
         answers("lfp-ap", "pas")
         assert "above" in vars(op.order) and "below" not in vars(op.order)
         assert "rule_index" not in vars(op)
-        answers("pwfs")
+        answers("pwfs", "pwfs-simplistic")
         assert "below" not in vars(op.order)
-        answers("pwfs-simplistic")
+        # With a shared head pwfs-simplistic checks the peel against cpn_op,
+        # which reads below, and here refutes it: h is true.
+        op = parse_program("r1: h :- not l.\nr2: l.\nr3: l :- not k.\nr4: k.\nr3 < r1.")
+        args = argparse.Namespace(mode="pwfs-simplistic", atoms_only=False, trace=False)
+        assert cli._solve_payload(op, args)["true"] == ["h", "k", "l"]
         assert "below" in vars(op.order)
 
     def test_order_names_must_resolve(self):
