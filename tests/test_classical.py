@@ -334,6 +334,7 @@ def _peel_agrees(op) -> bool:
     true = peel(op.rules, op.rule_index)
     if true is None:
         return False
+    assert (true, true) == wf_model_bits(op, None)
     assert cpn_op(op, Interpretation.from_bits(true, op.universe)).bits == true
     return True
 
