@@ -19,15 +19,6 @@ from .classical import (
     well_founded_model,
 )
 from .fixpoint import FixpointDivergence
-from .oracle import (
-    GeneratorConfig,
-    UniverseTooLarge,
-    check_theorems,
-    enumerate_subsets,
-    generate_program,
-    oracle_answer_sets,
-    oracle_cn,
-)
 from .parser import ParseError, ParseErrorKind, SourceSpan, parse_program, render_program
 from .preference import ap_op, cp_op, lfp_ap, preferred_answer_sets, tp_step
 from .prefwfs import (
@@ -62,3 +53,23 @@ from .syntax import (
 )
 
 __version__ = "0.1.0"
+
+# The brute-force oracle and the program generator load on first use, so
+# a solve does not pay for them (PEP 562).
+_ORACLE_NAMES = frozenset({
+    "GeneratorConfig",
+    "UniverseTooLarge",
+    "check_theorems",
+    "enumerate_subsets",
+    "generate_program",
+    "oracle_answer_sets",
+    "oracle_cn",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

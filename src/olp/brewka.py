@@ -23,8 +23,10 @@ order's ``highest_first`` list: a rule is freed by defeating rules below
 it, which have then been tested, and on a chain the keys met one after
 another differ by about one rule.  ``t_star_step`` closes every key from
 scratch with ``derive``, so the battery's routes compare the two.  The
-public functions take and return literal sets; everything between is
-bits.
+public functions take and return literal sets, except
+``brewka_wf_iterates``, whose bitsets ``cli`` reads; everything between
+is bits.  The outer fixpoint closes each step from the iterate it grows
+from (semi-naive evaluation), which ``brewka_wf_iterates`` shows exact.
 """
 
 from __future__ import annotations
@@ -125,21 +127,33 @@ def c_star_pref(
     return literals_of(derive(op.rules, *fires, op.order.highest_first[::-1]))
 
 
-def brewka_wf_iterates(op: OrderedProgram) -> list[frozenset[Literal]]:
-    """Iterates of the fused alternating operator, ending in a repeat.
+def brewka_wf_iterates(op: OrderedProgram) -> list[int]:
+    """Iterates of the fused alternating operator from the empty set, as
+    literal bitsets, ending in a repeat.
+
+    The step at x is ``c_star_pref(op, x)``, but closed from x rather than
+    from the empty set.  This is exact.  The step is monotone in its
+    context y: a larger y leaves fewer rules in the reduct, so every
+    defeat-pruned rule set and its closure shrink and fewer rules are
+    blocked.  The iterates from the empty set therefore ascend, and each x
+    lies within step(x).  At a fixed y, the firing test only gains firings
+    as the derived set grows (its defeat sets grow with hit), so step(x) is
+    the least closed set, and the least closed set containing any subset
+    of it is step(x) again.  The firing test's view of hit starts empty,
+    not at hit(x): the rules x hits are out of the reduct of y = x, so
+    defeating them changes no rule set closed.
 
     Every step shares one cache of closed rule sets and one moving closure.
     """
-    close = moving_closure(op)
-    _, values = kleene(
-        lambda x: c_star_pref(op, x, close),
-        frozenset(),
-        len(op.universe) + 1,
-        "paraconsistent well-founded fixpoint",
-    )
-    return values
+    close, rules = moving_closure(op), op.rules
+    lowest_first = op.order.highest_first[::-1]
+
+    def step(x: int) -> int:
+        return derive(rules, *_fires(op, x, close), lowest_first, x)
+
+    return kleene(step, 0, len(op.universe) + 1, "paraconsistent well-founded fixpoint")[1]
 
 
 def brewka_wf_set(op: OrderedProgram) -> frozenset[Literal]:
     """Least fixpoint of the fused alternating operator from the empty set."""
-    return brewka_wf_iterates(op)[-1]
+    return literals_of(brewka_wf_iterates(op)[-1])

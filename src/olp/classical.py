@@ -82,9 +82,10 @@ def derive(
     fires: Fires | None = None,
     grow: Callable[[int], None] | None = None,
     order: Sequence[int] = (),
+    start: int = 0,
 ) -> int:
-    """Least raw set, as bits, closed under the rules that fire; no
-    consistency collapse.
+    """Least raw set, as bits, that contains ``start`` and is closed under
+    the rules that fire; no consistency collapse.
 
     A rule adds its head once its positive body is derived and ``fires(i)``
     holds, i being its position in ``rules`` (no test means it always
@@ -97,9 +98,10 @@ def derive(
     fired, and every pass but the last fires one, so the loop ends within
     ``len(rules) + 1`` passes.  ``grow(head)``, when given, is called with
     the id of each head added, so a firing test can keep its own view of
-    the derived set up to date.
+    the derived set up to date; the heads already in ``start`` are never
+    fired, so that view starts from ``start``.
     """
-    derived = 0
+    derived = start
     pending = order or range(len(rules))
     while True:
         waiting = []

@@ -28,10 +28,9 @@ from typing import Callable, Sequence
 
 from . import brewka, classical, preference, prefwfs
 from .fixpoint import FixpointDivergence
-from .oracle import GeneratorConfig, chain_program, check_theorems, generate_program
 from .parser import ParseError, parse_program, render_program
 from .syntax import (
-    OrderedProgram, ProgramError, bit_positions, bits_at, bits_of, false_bits, texts_of,
+    OrderedProgram, ProgramError, bit_positions, bits_at, false_bits, texts_of,
 )
 
 __all__ = ["main"]
@@ -96,7 +95,7 @@ def _solve_payload(op: OrderedProgram, args: argparse.Namespace) -> dict:
         payload = {"set": show(value.bits)}
         sets = [x.bits for x in values]
     elif mode == "brewka":
-        sets = [bits_of(x) for x in brewka.brewka_wf_iterates(op)]
+        sets = brewka.brewka_wf_iterates(op)
         payload = {"wfset": show(sets[-1])}
 
         def extra(i):
@@ -191,6 +190,8 @@ def _sizes(text: str) -> list[int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .oracle import chain_program  # a solve never loads the oracle
+
     sizes = _sizes(args.sizes)
     wfs_times, pwfs_times = [], []
     for n in sizes:
@@ -212,6 +213,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    from .oracle import GeneratorConfig, check_theorems, generate_program
+
     if args.count < 0:
         raise UsageError(f"--count must not be negative, got {args.count}")
     try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, TypeVar
 
-from .syntax import Interpretation, Literal
+from .syntax import Interpretation, Literal, literals_of
 
 __all__ = [
     "FixpointDivergence",
@@ -29,15 +29,19 @@ class FixpointDivergence(RuntimeError):
 
     ``previous`` and ``last`` are the last two iterates, when known, and
     ``difference`` the literals that differ between them (an iterate is an
-    ``Interpretation`` or a raw literal set; both iterate their literals);
-    the one-line message names those literals.
+    ``Interpretation`` or a raw literal set, both of which iterate their
+    literals, or a literal bitset); the one-line message names those
+    literals.
     """
 
     def __init__(self, message: str, previous=None, last=None):
         self.previous, self.last = previous, last
         self.difference: frozenset[Literal] = frozenset()
         if previous is not None and last is not None:
-            self.difference = frozenset(previous) ^ frozenset(last)
+            if isinstance(previous, int):
+                self.difference = literals_of(previous ^ last)
+            else:
+                self.difference = frozenset(previous) ^ frozenset(last)
             names = ", ".join(sorted(map(str, self.difference)))
             message += f"; its last two iterates differ on {{{names}}}"
         super().__init__(message)

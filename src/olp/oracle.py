@@ -30,6 +30,7 @@ from .syntax import (
     Rule,
     bits_of,
     is_consistent,
+    literals_of,
     neg,
     pos,
     program,
@@ -528,7 +529,7 @@ def check_theorems(op: OrderedProgram, seed: int = 0) -> TheoremReport:
     else:
         battery.skip("dset-variants-agree-distinct-heads", "heads are shared")
 
-    iterates = brewka.brewka_wf_iterates(plain)
+    iterates = list(map(literals_of, brewka.brewka_wf_iterates(plain)))
     contexts = [brewka.c_star(rules, v) for v in iterates]
     if all(map(is_consistent, iterates)) and all(map(is_consistent, contexts)):
         battery.agree("brewka-empty-order-standard", [

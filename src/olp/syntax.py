@@ -412,19 +412,28 @@ def bits_at(ids: Collection[int]) -> int:
     return int(digits, 2)
 
 
+def _decode(bits: int, table: list) -> list:
+    """``table[i]`` for each literal id i of a bitset, lowest first, read
+    from its binary digits above its lowest id in time linear in that span
+    (``bit_positions`` pays the whole width per literal)."""
+    if not bits:
+        return []
+    low = (bits & -bits).bit_length() - 1
+    digits, found, i = bin(bits >> low)[:1:-1], [], -1
+    while (i := digits.find("1", i + 1)) >= 0:
+        found.append(table[low + i])
+    return found
+
+
 def literals_of(bits: int) -> frozenset[Literal]:
     """The literals of a bitset."""
-    return frozenset(_LITERALS[i] for i in bit_positions(bits))
+    return frozenset(_decode(bits, _LITERALS))
 
 
 def texts_of(bits: int) -> list[str]:
-    """The texts of the literals of a bitset, sorted, read from its binary
-    digits in time linear in its width (``bit_positions`` pays the width
-    per literal); no literal is read or hashed."""
-    digits, texts, i = bin(bits)[:1:-1], [], -1
-    while (i := digits.find("1", i + 1)) >= 0:
-        texts.append(_TEXTS[i])
-    return sorted(texts)
+    """The texts of the literals of a bitset, sorted; no literal is read or
+    hashed."""
+    return sorted(_decode(bits, _TEXTS))
 
 
 def has_pair(bits: int) -> int:

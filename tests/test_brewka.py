@@ -1,4 +1,7 @@
 import random
+import sys
+
+import pytest
 
 from olp.brewka import (
     brewka_wf_iterates,
@@ -10,10 +13,11 @@ from olp.brewka import (
     t_star_step,
 )
 from olp.classical import c_op, reduct, well_founded_model
+from olp.fixpoint import kleene
 from olp.oracle import GeneratorConfig, generate_program
 from olp.parser import parse_program
-from olp.syntax import Interpretation, is_consistent, literal_universe, rule
-from .conftest import A, B, NA
+from olp.syntax import Interpretation, is_consistent, literal_universe, literals_of, rule
+from .conftest import A, B, NA, ROOT
 
 E = frozenset()
 
@@ -104,7 +108,7 @@ class TestBrewkaWfSet:
         checked = 0
         for seed in range(120):
             op = generate_program(GeneratorConfig(seed=seed, order_density=0.0))
-            iterates = brewka_wf_iterates(op)
+            iterates = list(map(literals_of, brewka_wf_iterates(op)))
             contexts = [c_star(op.rules, v) for v in iterates]
             if not all(map(is_consistent, iterates + contexts)):
                 continue
@@ -119,7 +123,7 @@ class TestBrewkaWfSet:
             op = generate_program(GeneratorConfig(seed=seed, order_density=0.4))
             iterates = brewka_wf_iterates(op)
             for earlier, later in zip(iterates, iterates[1:]):
-                assert earlier <= later
+                assert not earlier & ~later
             assert len(iterates) <= len(op.universe) + 3
 
     def test_agrees_with_the_defeat_aware_semantics_on_the_corpus(
@@ -129,6 +133,44 @@ class TestBrewkaWfSet:
 
         for op in (ex3, ex4, ex5, ex7, defeasible):
             assert brewka_wf_set(op) == preferred_wf_model(op).true_set
+
+
+def _iterates_agree(op):
+    """``brewka_wf_iterates``, decoded, equals Kleene iteration of the
+    public ``c_star_pref`` from the empty set, each step closed from
+    scratch."""
+    _, want = kleene(lambda x: c_star_pref(op, x), frozenset(), len(op.universe) + 1)
+    assert list(map(literals_of, brewka_wf_iterates(op))) == want
+
+
+class TestIteratesMatchFromScratchSteps:
+    def test_criterion_7_batch(self):
+        for i in range(1000):
+            _iterates_agree(generate_program(GeneratorConfig(seed=20260811 + i)))
+
+    def test_programs_with_a_dense_order(self):
+        for seed in range(2000):
+            _iterates_agree(generate_program(
+                GeneratorConfig(max_atoms=6, max_rules=12, order_density=0.5, seed=seed)
+            ))
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        import workloads
+
+        return workloads
+
+    def test_random_workload_texts(self, workloads):
+        for family, atoms, rules, _ in workloads.RANDOM_PROGRAMS:
+            _iterates_agree(parse_program(workloads.random_text(family, atoms, rules, seed=1)))
+
+    @pytest.mark.parametrize("n", [100, 2000])
+    def test_shuffled_chains_with_a_two_cycle(self, workloads, n):
+        for seed in (1, 2):
+            text = workloads.chain_text(seed, n)
+            _iterates_agree(parse_program(text))
+            _iterates_agree(parse_program(text + "zb :- not zc.\nzc :- not zb.\n"))
 
 
 class TestCStarAntiMonotone:

@@ -725,7 +725,7 @@ class TestFuzz:
         assert (code, out) == (0, "")
 
     def test_failures_only_prints_exactly_the_failing_records(self, capsys, monkeypatch):
-        from olp import cli
+        from olp import oracle
         from olp.oracle import CheckResult, TheoremReport
 
         results = (
@@ -735,7 +735,7 @@ class TestFuzz:
             CheckResult("another-fail", "fail"),
         )
         report = TheoremReport(7, "0123456789ab", results)
-        monkeypatch.setattr(cli, "check_theorems", lambda op, seed: report)
+        monkeypatch.setattr(oracle, "check_theorems", lambda op, seed: report)
         code, out, err = run(capsys, "fuzz", "--count", "2", "--failures-only")
         fail_lines = [
             line for line in report.json_lines() if json.loads(line)["status"] == "fail"
@@ -755,6 +755,34 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("r1: a :- not b.")
+
+    def test_a_solve_does_not_load_the_oracle(self):
+        script = (
+            "import sys\n"
+            "import olp.cli\n"
+            "loaded = 'olp.oracle' in sys.modules\n"
+            "olp.cli.main(['solve', sys.argv[1], '--mode', 'brewka', '--json'])\n"
+            "print(loaded, 'olp.oracle' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(CORPUS / "ex3.olp")],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False False"
+
+    def test_the_package_still_exports_the_oracle_names(self):
+        import olp
+        from olp import oracle
+
+        for name in (
+            "GeneratorConfig", "UniverseTooLarge", "check_theorems", "enumerate_subsets",
+            "generate_program", "oracle_answer_sets", "oracle_cn",
+        ):
+            assert getattr(olp, name) is getattr(oracle, name)
+        with pytest.raises(AttributeError):
+            olp.no_such_name
 
 
 

@@ -33,6 +33,17 @@ def test_divergence_on_raw_sets_and_through_kleene_trace():
     assert "\n" not in str(caught.value)
 
 
+def test_divergence_on_bitsets_names_the_literals():
+    # Bitset iterates (brewka's) are decoded, not iterated.
+    a, b = 1 << A.id, 1 << B.id | 1 << NA.id
+    with pytest.raises(FixpointDivergence) as caught:
+        kleene(lambda x: b if x == a else a, 0, 3, "forced oscillation")
+    error = caught.value
+    assert {error.previous, error.last} == {a, b}
+    assert error.difference == frozenset({A, B, NA})
+    assert str(error).endswith("its last two iterates differ on {-a, a, b}")
+
+
 def test_a_bare_message_still_works():
     error = FixpointDivergence("forced")
     assert str(error) == "forced"

@@ -80,6 +80,9 @@ class TestLiterals:
             for density in (0.01, 0.2, 0.9):
                 masks.append(bits_at([i for i in range(width) if rng.random() < density]))
         for mask in masks:
+            # The two share one decoder, so literals_of is held to the ids
+            # bit_positions reads.
+            assert sorted(lit.id for lit in literals_of(mask)) == list(bit_positions(mask))
             assert texts_of(mask) == sorted(map(str, literals_of(mask)))
 
 
