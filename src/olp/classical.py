@@ -99,7 +99,7 @@ def derive(
     ``len(rules) + 1`` passes.  ``grow(head)``, when given, is called with
     the id of each head added, so a firing test can keep its own view of
     the derived set up to date; the heads already in ``start`` are never
-    fired, so that view starts from ``start``.
+    fired, so ``grow`` is not called for them.
     """
     derived = start
     pending = order or range(len(rules))
